@@ -1,5 +1,5 @@
-"""Exact integer arithmetic substrate: the r2 sieve, Moebius function,
-square-free core decomposition, and exact integer square roots.
+"""Exact integer arithmetic substrate: the r2 sieve, the smallest-prime-factor
+sieve and the square-free core decomposition.
 
 All tables are immutable after construction and safe to share across
 threads; every operation here is pure.
@@ -17,8 +17,6 @@ __all__ = [
     "R2Table",
     "CoreDecomposition",
     "build_r2",
-    "isqrt",
-    "mobius",
     "squarefree_core",
     "spf_sieve",
 ]
@@ -36,20 +34,19 @@ class R2Table:
 
     limit: int
     values: np.ndarray                      # int32, len == limit + 1
-    nonzero_m: np.ndarray = field(repr=False, default=None)       # int64
-    nonzero_values: np.ndarray = field(repr=False, default=None)  # int64
-    nonzero_prefix: np.ndarray = field(repr=False, default=None)  # int64, cumulative r2 over nonzero_m
-    nonzero_sqrt: np.ndarray = field(repr=False, default=None)    # float64 sqrt of nonzero_m
+    nonzero_m: np.ndarray = field(init=False, repr=False)       # int64
+    nonzero_values: np.ndarray = field(init=False, repr=False)  # int64
+    nonzero_prefix: np.ndarray = field(init=False, repr=False)  # int64, cumulative r2 over nonzero_m
+    nonzero_sqrt: np.ndarray = field(init=False, repr=False)    # float64 sqrt of nonzero_m
 
     def __post_init__(self):
-        if self.nonzero_m is None:
-            mnz = np.nonzero(self.values)[0].astype(np.int64)
-            vnz = self.values[mnz].astype(np.int64)
-            object.__setattr__(self, "nonzero_m", mnz)
-            object.__setattr__(self, "nonzero_values", vnz)
-            object.__setattr__(self, "nonzero_prefix",
-                               np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(vnz)]))
-            object.__setattr__(self, "nonzero_sqrt", np.sqrt(mnz.astype(np.float64)))
+        mnz = np.nonzero(self.values)[0].astype(np.int64)
+        vnz = self.values[mnz].astype(np.int64)
+        object.__setattr__(self, "nonzero_m", mnz)
+        object.__setattr__(self, "nonzero_values", vnz)
+        object.__setattr__(self, "nonzero_prefix",
+                           np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(vnz)]))
+        object.__setattr__(self, "nonzero_sqrt", np.sqrt(mnz.astype(np.float64)))
         for arr in (self.values, self.nonzero_m, self.nonzero_values,
                     self.nonzero_prefix, self.nonzero_sqrt):
             arr.setflags(write=False)
@@ -83,13 +80,6 @@ def build_r2(limit: int) -> R2Table:
     return R2Table(limit=limit, values=values)
 
 
-def isqrt(n: int) -> int:
-    """Exact floor square root; result**2 <= n < (result+1)**2 always."""
-    if n < 0:
-        raise ValueError("isqrt of a negative number")
-    return math.isqrt(n)
-
-
 def spf_sieve(limit: int) -> np.ndarray:
     """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0)."""
     spf = np.zeros(limit + 1, dtype=np.int64)
@@ -121,18 +111,6 @@ def _factor_squarefree_part(m: int, spf: np.ndarray | None):
         d += 1 if d == 2 else 2
     if m > 1:
         yield m, 1
-
-
-def mobius(m: int, spf: np.ndarray | None = None) -> int:
-    """Moebius function: 1 at m = 1, (-1)^l for a product of l distinct primes, else 0."""
-    if m < 1:
-        raise ValueError("mobius is defined for m >= 1")
-    result = 1
-    for _, e in _factor_squarefree_part(m, spf):
-        if e > 1:
-            return 0
-        result = -result
-    return result
 
 
 class CoreDecomposition(NamedTuple):

@@ -11,9 +11,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,53 +58,53 @@ class ExperimentConfig:
         return cls(**json.loads(text))
 
 
-def _parse_radius(text: str, default_q: int = 1) -> counting.RadiusPoint:
+def _parse_radius(text: str) -> counting.RadiusPoint:
     if "/" in text:
         num, den = text.split("/", 1)
         return counting.RadiusPoint(k=int(num), Q=int(den))
     value = float(text)
     if value == int(value):
-        return counting.RadiusPoint(k=int(value), Q=default_q)
+        return counting.RadiusPoint(k=int(value), Q=1)
     return counting.RadiusPoint.from_value(value, 64)
 
 
-def _omega_from_args(args) -> gapwidth.GapWidth:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-        return gapwidth.gap_from_json(cfg.omega)
-    if getattr(args, "omega_spec", None):
-        return gapwidth.gap_from_json(json.loads(Path(args.omega_spec).read_text()))
-    return gapwidth.gap_from_json({"kind": args.omega})
+def _gap_json(args) -> dict:
+    """The gap-width spec: the --config file's first, else --omega-spec, else --omega."""
+    if args.config:
+        return ExperimentConfig.from_json(Path(args.config).read_text()).omega
+    if args.omega_spec:
+        return json.loads(Path(args.omega_spec).read_text())
+    return {"kind": args.omega}
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    """The experiment a sampling command runs.
+
+    A --config file wins over the flags; otherwise the fields come from the
+    flags this subcommand registers, with the gap width from _gap_json.
+    --out, when given, replaces the config's out.
+    """
+    if args.config:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-        if getattr(args, "out", None):
-            cfg = ExperimentConfig(**{**asdict(cfg), "out": args.out})
-        return cfg
-    return ExperimentConfig(
-        omega={"kind": args.omega},
-        X=args.X,
-        samples=args.samples,
-        Q=args.Q,
-        mode=args.mode,
-        j_max=args.j_max,
-        phase=args.phase,
-        threads=args.threads,
-        out=args.out or ".",
-    )
+    else:
+        flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if f.name not in ("omega", "out") and hasattr(args, f.name)}
+        cfg = ExperimentConfig(omega=_gap_json(args), **flags)
+    return cfg if args.out is None else replace(cfg, out=args.out)
 
 
-def _table_for(limit: int) -> arith.R2Table:
-    return arith.build_r2(limit)
+def _experiment(cfg: ExperimentConfig):
+    """The gap width, sample grid and r2 table of a sampling experiment."""
+    omega = gapwidth.gap_from_json(cfg.omega)
+    grid = stats.SampleGrid(X=cfg.X, S=cfg.samples, Q=cfg.Q, phase=cfg.phase)
+    return omega, grid, arith.build_r2(stats.r2_limit(cfg.X, cfg.mode))
 
 
 def cmd_count(args) -> int:
     x = _parse_radius(args.x)
     results = {}
     if args.both or args.method == "fast":
-        r2 = _table_for(x.floor_sq + 1)
+        r2 = arith.build_r2(x.floor_sq + 1)
         results["fast"] = counting.count_ball_fast(x, r2)
     if args.both or args.method == "brute":
         results["brute"] = counting.count_ball_brute(x)
@@ -120,29 +119,14 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _fast_rows(grid: stats.SampleGrid, omega, values):
-    rows = []
-    for p, v in zip(grid.points, values):
-        x = p.value
-        rows.append(SimpleNamespace(x=x, omega_x=float(omega.value(x)),
-                                    shell_count=None, error=v * x * x, normalized=v))
-    return rows
-
-
 def cmd_sample(args) -> int:
     cfg = _config_from_args(args)
-    omega = gapwidth.gap_from_json(cfg.omega)
-    grid = stats.SampleGrid(X=cfg.X, S=cfg.samples, Q=cfg.Q, phase=cfg.phase)
-    limit = (int(2 * cfg.X) + 2) ** 2 if cfg.mode == "exact" else max(10_000, int(cfg.X)) + 1
-    r2 = _table_for(limit)
-    values = stats.sample_errors(omega, grid, r2, mode=cfg.mode, threads=cfg.threads)
-    dist = stats.EmpiricalDistribution.from_samples(values, j_max=cfg.j_max)
+    omega, grid, r2 = _experiment(cfg)
+    rows = stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads)
+    dist = stats.EmpiricalDistribution.from_samples([s.normalized for s in rows],
+                                                    j_max=cfg.j_max)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.mode == "exact":
-        rows = [counting.shell_sample(p, omega, r2) for p in grid.points]
-    else:
-        rows = _fast_rows(grid, omega, values)
     stats.write_samples_csv(out / "samples.csv", rows)
     stats.write_distribution_csv(out / "distribution.csv", dist)
     ks = stats.ks_distance(dist, stats.normal_cdf)
@@ -153,10 +137,7 @@ def cmd_sample(args) -> int:
 
 def cmd_moments(args) -> int:
     cfg = _config_from_args(args)
-    omega = gapwidth.gap_from_json(cfg.omega)
-    grid = stats.SampleGrid(X=cfg.X, S=cfg.samples, Q=cfg.Q, phase=cfg.phase)
-    limit = (int(2 * cfg.X) + 2) ** 2 if cfg.mode == "exact" else max(10_000, int(cfg.X)) + 1
-    r2 = _table_for(limit)
+    omega, grid, r2 = _experiment(cfg)
     values = stats.sample_errors(omega, grid, r2, mode=cfg.mode, threads=cfg.threads)
     dist = stats.EmpiricalDistribution.from_samples(values, j_max=cfg.j_max)
     m2 = stats.m_j(omega, cfg.X, cfg.samples, 2)
@@ -181,23 +162,21 @@ def cmd_moments(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    omega = _omega_from_args(args)
-    X = args.X
-    grid = stats.SampleGrid(X=X, S=args.samples, Q=args.Q, phase=args.phase)
-    r2 = _table_for((int(2 * X) + 2) ** 2)
+    cfg = replace(_config_from_args(args), mode="exact")  # expand always counts exactly
+    omega, grid, r2 = _experiment(cfg)
+    X = cfg.X
     rows = []
-    for p in grid.points:
-        s = counting.shell_sample(p, omega, r2)
+    for p, s in zip(grid.points, stats.sample_shells(omega, grid, r2, "exact", cfg.threads)):
         rhs = voronoi.expansion_rhs(p, X, omega, r2)
         rows.append((p.value, s.normalized, rhs, abs(s.normalized - rhs)))
     resid = np.array([r[3] for r in rows])
-    out = Path(args.out or ".")
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "expansion.csv", "w", encoding="utf-8") as fh:
         fh.write("x,ehat,rhs,residual\n")
         for x, ehat, rhs, res in rows:
             fh.write(",".join(format(v, ".17g") for v in (x, ehat, rhs, res)) + "\n")
-    summary = {"X": X, "S": args.samples,
+    summary = {"X": X, "S": cfg.samples,
                "median_residual": float(np.median(resid)),
                "q95_residual": float(np.quantile(resid, 0.95))}
     print(json.dumps(stats._round_floats(summary), indent=2, sort_keys=True))
@@ -221,7 +200,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    omega = _omega_from_args(args)
+    omega = gapwidth.gap_from_json(_gap_json(args))
     diag = gapwidth.omega_diagnostics(omega, args.X, scan_points=args.scan_points)
     obj = {
         "X": diag.X,
@@ -332,22 +311,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", default="inv_log",
                        choices=gapwidth.SLOWLY_VARYING_KINDS)
         p.add_argument("--omega-spec", help="JSON gap-width spec file")
-        p.add_argument("--config", help="ExperimentConfig JSON file")
+        p.add_argument("--config", help="ExperimentConfig JSON file; replaces every flag but --out")
         p.add_argument("--X", type=float, default=100.0)
         p.add_argument("--samples", type=int, default=100)
         p.add_argument("--Q", type=int, default=64)
         p.add_argument("--phase", type=float, default=0.5)
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--out", help="artifact directory (default: the config's, else .)")
+
+    def mode_flags(p):
         p.add_argument("--mode", choices=("exact", "fast"), default="exact")
         p.add_argument("--j-max", dest="j_max", type=int, default=4)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out", help="artifact directory", default=".")
 
     p = sub.add_parser("sample", help="sample normalized shell errors over (X, 2X)")
     sampling_flags(p)
+    mode_flags(p)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("moments", help="variance and moment summary of the samples")
     sampling_flags(p)
+    mode_flags(p)
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("expand", help="residuals of the trigonometric expansion")

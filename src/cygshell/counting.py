@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import R2Table, isqrt
+from .arith import R2Table
 
 __all__ = [
     "BALL_VOLUME",
     "RadiusPoint",
     "ShellSample",
-    "ball_volume",
     "count_ball_brute",
     "count_ball_fast",
     "sawtooth_ball_sum",
@@ -47,11 +46,6 @@ _KERNEL_CHUNK = 1 << 21
 # arithmetic.  Float error of the scaled sqrt is < 2^-46 * x^2, several orders
 # below this for any admissible radius.
 _BAND = 1e-6
-
-
-def ball_volume() -> float:
-    """Volume of the unit ball, pi^2/2 = 4.9348..."""
-    return BALL_VOLUME
 
 
 @dataclass(frozen=True)
@@ -84,9 +78,9 @@ class RadiusPoint:
         """floor(x^2), exactly."""
         return (self.k * self.k) // (self.Q * self.Q)
 
-    def refined(self, shift: int = OUTER_REFINE_SHIFT) -> "RadiusPoint":
-        """The same radius on the denominator Q * 2**shift."""
-        return RadiusPoint(k=self.k << shift, Q=self.Q << shift)
+    def refined(self) -> "RadiusPoint":
+        """The same radius on the denominator Q * 2**OUTER_REFINE_SHIFT."""
+        return RadiusPoint(k=self.k << OUTER_REFINE_SHIFT, Q=self.Q << OUTER_REFINE_SHIFT)
 
 
 def count_ball_brute(x: RadiusPoint) -> int:
@@ -103,28 +97,45 @@ def count_ball_brute(x: RadiusPoint) -> int:
     Q2 = Q * Q
     Q4 = Q2 * Q2
     total = 0
-    amax = isqrt(k2) // Q
+    amax = math.isqrt(k2) // Q
     for a in range(amax + 1):
         rem = k2 - a * a * Q2
         if rem < 0:
             break
         wa = 2 if a > 0 else 1
-        bmax = isqrt(rem) // Q
+        bmax = math.isqrt(rem) // Q
         for b in range(bmax + 1):
             m = a * a + b * b
             v = k4 - m * m * Q4
             if v < 0:
                 continue
-            c_count = 2 * (isqrt(v) // Q2) + 1
+            c_count = 2 * (math.isqrt(v) // Q2) + 1
             total += wa * (2 if b > 0 else 1) * c_count
     return total
 
 
-def _check_table(x: RadiusPoint, r2: R2Table) -> int:
+def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
+    """Yield (lo, hi, s) over the nonzero slices m <= x^2 in chunks of
+    _KERNEL_CHUNK, with s[i] ~ sqrt(x^4 - m^2) for m = r2.nonzero_m[lo + i].
+
+    s is the float sqrt of the exact int64 factorisation
+    (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2; each caller re-decides the
+    entries in its own near-integer band from k^4 - m^2 Q^4.  Raises before
+    the first chunk when the table does not reach floor(x^2).
+    """
     mmax = x.floor_sq
     if mmax > r2.limit:
         raise ValueError(f"r2 table limit {r2.limit} < floor(x^2) = {mmax}")
-    return mmax
+    k2 = x.k * x.k
+    Q2 = x.Q * x.Q
+    inv_q2 = 1.0 / Q2
+    n = r2.nonzero_count_upto(mmax)
+    for lo in range(0, n, _KERNEL_CHUNK):
+        hi = min(n, lo + _KERNEL_CHUNK)
+        w = r2.nonzero_m[lo:hi] * Q2
+        a = (k2 - w).astype(np.float64)
+        b = (k2 + w).astype(np.float64)
+        yield lo, hi, np.sqrt(a * b) * inv_q2
 
 
 def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
@@ -135,30 +146,19 @@ def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
     landing in the near-integer band are re-done in exact big-int arithmetic.
     Agrees with count_ball_brute everywhere both run.
     """
-    mmax = _check_table(x, r2)
-    k2 = x.k * x.k
     Q2 = x.Q * x.Q
-    k4 = k2 * k2
-    Q4 = Q2 * Q2
-    inv_q2 = 1.0 / Q2
-    n = r2.nonzero_count_upto(mmax)
     mnz = r2.nonzero_m
     vnz = r2.nonzero_values
-    total = int(r2.nonzero_prefix[n])  # the "+1" of every slice
-    for lo in range(0, n, _KERNEL_CHUNK):
-        hi = min(n, lo + _KERNEL_CHUNK)
-        w = mnz[lo:hi] * Q2
-        a = (k2 - w).astype(np.float64)
-        b = (k2 + w).astype(np.float64)
-        s = np.sqrt(a * b) * inv_q2
+    total = 0
+    for lo, hi, s in _sqrt_chunks(x, r2):
         t = np.floor(s).astype(np.int64)
         band = np.abs(s - np.rint(s)) < _BAND
         if band.any():
             for i in np.nonzero(band)[0]:
                 m = int(mnz[lo + i])
-                t[i] = isqrt(k4 - m * m * Q4) // Q2
+                t[i] = math.isqrt(x.k ** 4 - m * m * x.Q ** 4) // Q2
         total += 2 * int(np.dot(vnz[lo:hi], t))
-    return total
+    return total + r2.sum_upto(x.floor_sq)  # the "+1" of every slice
 
 
 def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
@@ -167,22 +167,11 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
     psi evaluates to -1/2 at exact integer arguments (the literal formula).
     The m = 0 slice is excluded: the series convention starts at m = 1.
     """
-    mmax = _check_table(x, r2)
-    k2 = x.k * x.k
     Q2 = x.Q * x.Q
-    k4 = k2 * k2
-    Q4 = Q2 * Q2
-    inv_q2 = 1.0 / Q2
-    n = r2.nonzero_count_upto(mmax)
     mnz = r2.nonzero_m
     vnz = r2.nonzero_values
     total = 0.0
-    for lo in range(0, n, _KERNEL_CHUNK):
-        hi = min(n, lo + _KERNEL_CHUNK)
-        w = mnz[lo:hi] * Q2
-        a = (k2 - w).astype(np.float64)
-        b = (k2 + w).astype(np.float64)
-        s = np.sqrt(a * b) * inv_q2
+    for lo, hi, s in _sqrt_chunks(x, r2):
         frac = s - np.floor(s)
         psi = frac - 0.5
         vals = vnz[lo:hi].astype(np.float64)
@@ -195,14 +184,14 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
         if band.any():
             for i in np.nonzero(band)[0]:
                 m = int(mnz[lo + i])
-                exact = _psi_exact(k4 - m * m * Q4, Q2)
+                exact = _psi_exact(x.k ** 4 - m * m * x.Q ** 4, Q2)
                 total += float(vnz[lo + i]) * (exact - psi[i])
     return total
 
 
 def _psi_exact(v: int, q2: int) -> float:
     """psi(sqrt(v)/q2) decided with exact integer parts (v, q2 big ints)."""
-    tb = isqrt(v)
+    tb = math.isqrt(v)
     if tb * tb == v and tb % q2 == 0:
         return -0.5
     # Two Newton refinements of sqrt(v) seeded at tb; the integer part tb//q2
@@ -232,13 +221,16 @@ def snap_outer_radius(x: RadiusPoint, gap: float) -> RadiusPoint:
 
 @dataclass(frozen=True)
 class ShellSample:
-    """One exact shell measurement at inner radius x and snapped gap omega_x."""
+    """One exact shell measurement at inner radius x and snapped gap omega_x.
+
+    Fast-mode sampling rows reuse this record with the counts set to None.
+    """
 
     x: float
     omega_x: float
-    n_inner: int
-    n_outer: int
-    shell_count: int
+    n_inner: int | None
+    n_outer: int | None
+    shell_count: int | None
     error: float
     normalized: float
 

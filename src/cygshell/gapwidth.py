@@ -22,6 +22,7 @@ __all__ = [
     "OmegaDiagnostics",
     "make_slowly_varying",
     "make_almost_periodic",
+    "midpoint_grid",
     "omega_diagnostics",
     "gap_from_json",
     "gap_to_json",
@@ -29,7 +30,7 @@ __all__ = [
     "SLOWLY_VARYING_KINDS",
 ]
 
-DEFAULT_X_MIN = 3.0
+X_MIN = 3.0  # lower end of the domain on which every gap width is defined
 _ROOT_FLOOR = 1e-9
 _SURROGATE_GRID = 4096
 _IMAG_TOL = 1e-10
@@ -46,7 +47,6 @@ class GapWidth:
     _value: Callable = field(repr=False)
     _d1: Callable = field(repr=False)
     _d2: Callable = field(repr=False)
-    x_min: float = DEFAULT_X_MIN
     spec: "AlmostPeriodicGap | None" = None
 
     def value(self, x):
@@ -138,32 +138,24 @@ def _no_roots_surrogate(phis: Sequence[TrigPolyModulus]) -> None:
 def _fourier_terms(spec: AlmostPeriodicGap):
     """Flatten the construction into [(frequency, complex coefficient)] terms
     of t -> construction(lambda * t)."""
-    phis = spec.to_phis()
-    terms: dict[float, complex] = {}
-
-    def add(freq: float, coeff: complex):
-        terms[freq] = terms.get(freq, 0j) + coeff
-
+    factors = []  # the nonzero (frequency, coefficient) terms of each phi_l(lambda_l t)
+    for phi, lam in zip(spec.to_phis(), spec.lambdas):
+        row = []
+        for m in range(-phi.degree, phi.degree + 1):
+            c = phi.coeff(m)
+            cc = complex(float(c[0]), float(c[1]))
+            if cc != 0:
+                row.append((m * lam, cc))
+        factors.append(row)
     if spec.mode == "product":
         stack = [(0.0, 1 + 0j)]
-        for phi, lam in zip(phis, spec.lambdas):
-            new = []
-            for freq, coeff in stack:
-                for m in range(-phi.degree, phi.degree + 1):
-                    c = phi.coeff(m)
-                    cc = complex(float(c[0]), float(c[1]))
-                    if cc != 0:
-                        new.append((freq + m * lam, coeff * cc))
-            stack = new
-        for freq, coeff in stack:
-            add(freq, coeff)
+        for row in factors:
+            stack = [(freq + f, coeff * cc) for freq, coeff in stack for f, cc in row]
     else:
-        for phi, lam in zip(phis, spec.lambdas):
-            for m in range(-phi.degree, phi.degree + 1):
-                c = phi.coeff(m)
-                cc = complex(float(c[0]), float(c[1]))
-                if cc != 0:
-                    add(m * lam, cc)
+        stack = [term for row in factors for term in row]
+    terms: dict[float, complex] = {}
+    for freq, coeff in stack:
+        terms[freq] = terms.get(freq, 0j) + coeff
     return sorted(terms.items())
 
 
@@ -228,23 +220,6 @@ def make_almost_periodic(spec: AlmostPeriodicGap) -> GapWidth:
                     _value=_val, _d1=_d1, _d2=_d2, spec=spec)
 
 
-def fourier_value(gap: GapWidth, x) -> np.ndarray:
-    """Evaluate an almost-periodic gap through its Fourier representation
-    (cross-check against the direct product/sum evaluation)."""
-    if gap.spec is None:
-        raise ValueError("not an almost-periodic gap")
-    terms = _fourier_terms(gap.spec)
-    x = np.asarray(x, dtype=np.float64)
-    L = np.log(x)
-    u = L ** gap.spec.exponent
-    acc = np.zeros_like(u, dtype=np.complex128)
-    for f, c in terms:
-        acc += c * np.exp(2j * math.pi * f * u)
-    if np.max(np.abs(acc.imag)) > _IMAG_TOL * (1.0 + np.max(np.abs(acc.real))):
-        raise AssertionError("Fourier evaluation lost reality symmetry")
-    return acc.real * L ** (-gap.spec.exponent)
-
-
 @dataclass(frozen=True)
 class OmegaDiagnostics:
     """Numerical membership diagnostics for the regularity class, sampled on
@@ -260,13 +235,19 @@ class OmegaDiagnostics:
     carleman_partial: tuple      # partial sums of m_j^(-1/j) over even j <= 40
 
 
-def _mj_scan(omega: GapWidth, X: float, scan_points: int, j: int) -> float:
-    xs = X * (1.0 + (np.arange(scan_points) + 0.5) / scan_points)
+def midpoint_grid(X: float, n: int) -> np.ndarray:
+    """The n cell midpoints X (1 + (i + 1/2)/n), 0 <= i < n, of the window (X, 2X)."""
+    return X * (1.0 + (np.arange(n) + 0.5) / n)
+
+
+def _scan(omega: GapWidth, X: float, scan_points: int):
+    """(xs, omega(xs)) on the window midpoints; omega must be finite there."""
+    xs = midpoint_grid(X, scan_points)
     w = omega.value(xs)
     if not np.all(np.isfinite(w)):
         bad = xs[~np.isfinite(w)][0]
         raise FloatingPointError(f"omega evaluation not finite at x = {bad}")
-    return float(np.mean((w * np.log(w)) ** j))
+    return xs, w
 
 
 def _sign_changes(vals: np.ndarray) -> int:
@@ -276,15 +257,11 @@ def _sign_changes(vals: np.ndarray) -> int:
 
 def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> OmegaDiagnostics:
     """Sampled zero counts of omega', omega'' and the moment-ratio diagnostics."""
-    if X < omega.x_min:
-        raise ValueError(f"X = {X} below the domain bound {omega.x_min}")
+    if X < X_MIN:
+        raise ValueError(f"X = {X} below the domain bound {X_MIN}")
     if scan_points < 1000:
         raise ValueError("scan_points must be >= 1000")
-    xs = X * (1.0 + (np.arange(scan_points) + 0.5) / scan_points)
-    w = omega.value(xs)
-    if not np.all(np.isfinite(w)):
-        bad = xs[~np.isfinite(w)][0]
-        raise FloatingPointError(f"omega evaluation not finite at x = {bad}")
+    xs, w = _scan(omega, X, scan_points)
     u_count = _sign_changes(np.asarray(omega.d1(xs)))
     v_count = _sign_changes(np.asarray(omega.d2(xs)))
     wlw = w * np.log(w)
@@ -294,7 +271,8 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
     logx = []
     for mult in (1, 2, 4, 8):
         logx.append(math.log(mult * X))
-        logm2.append(math.log(_mj_scan(omega, mult * X, scan_points, 2)))
+        wm = _scan(omega, mult * X, scan_points)[1]
+        logm2.append(math.log(float(np.mean((wm * np.log(wm)) ** 2))))
     slope = np.polyfit(logx, logm2, 1)[0]
     partials = []
     running = 0.0
@@ -357,7 +335,7 @@ def gap_to_json(gap: GapWidth) -> dict:
     }
 
 
-def density_spec_from_json(obj: dict, quad_points: int = 64) -> DensitySpec:
+def density_spec_from_json(obj: dict, quad_points: int) -> DensitySpec:
     """The density-side reading of the same schema (lambdas and A do not enter
     the limiting density)."""
     kind = obj["kind"]

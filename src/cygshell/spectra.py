@@ -9,9 +9,9 @@ rational arithmetic; floats only appear when evaluating densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -84,11 +84,6 @@ class TrigPolyModulus:
             return _CZERO
         return self.coeffs[m + self.degree]
 
-    @property
-    def mean(self) -> Fraction:
-        """a_0 = integral of phi over one period."""
-        return self.coeff(0)[0]
-
     def values(self, t: np.ndarray) -> np.ndarray:
         """Evaluate phi on a float grid (real part; imaginary is zero by symmetry)."""
         acc = np.zeros_like(t, dtype=np.complex128)
@@ -120,7 +115,7 @@ def _validate_phi(phi: TrigPolyModulus) -> None:
     for m in range(0, phi.degree + 1):
         if phi.coeff(-m) != _conj(phi.coeff(m)):
             raise ValueError("coefficients break the reality symmetry")
-    if not phi.mean > 0:
+    if not phi.coeff(0)[0] > 0:  # a_0, the integral of phi over one period
         raise ValueError("phi must have positive mean")
     t = (np.arange(_SURROGATE_GRID) + 0.5) / _SURROGATE_GRID
     if float(phi.values(t).min()) < _NONNEG_FLOOR:
@@ -167,7 +162,6 @@ class DensitySpec:
     phis: tuple                       # tuple[TrigPolyModulus, ...]
     quad_points: int = 64
     independent: bool = True
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("product", "sum"):
@@ -176,6 +170,28 @@ class DensitySpec:
             raise ValueError("1 to 4 factors supported (tensor quadrature)")
         if self.quad_points < 16:
             raise ValueError("quad_points must be >= 16")
+
+    @cached_property
+    def _components(self):
+        """mixture_components(self), computed once per spec."""
+        t, w = _torus_nodes(self.quad_points)
+        vals_1d = [phi.values(t) for phi in self.phis]
+        field_vals = None
+        weights = None
+        for v in vals_1d:
+            if field_vals is None:
+                field_vals = v.copy()
+                weights = w.copy()
+            else:
+                if self.mode == "product":
+                    field_vals = np.multiply.outer(field_vals, v).ravel()
+                else:
+                    field_vals = np.add.outer(field_vals, v).ravel()
+                weights = np.multiply.outer(weights, w).ravel()
+        if float(field_vals.min()) < _SINGULAR_NODE_FLOOR:
+            raise ValueError("construction vanishes at a quadrature node (singular mixture)")
+        norm2 = math.sqrt(float(construction_moment(self, 2)))
+        return weights, field_vals / norm2, norm2
 
 
 def construction_moment(spec: DensitySpec, j: int) -> Fraction:
@@ -303,6 +319,7 @@ def predicted_moment(spec: DensitySpec | None, j: int) -> float:
 # ---------------------------------------------------------------------------
 
 _SINGULAR_NODE_FLOOR = 1e-9
+_ALPHA_NODES = 768  # Gauss-Legendre nodes of the density_moment integral
 
 
 @lru_cache(maxsize=32)
@@ -327,29 +344,7 @@ def mixture_components(spec: DensitySpec):
     The construction F is evaluated on the tensor quadrature grid over
     [0,1)^n; results are cached on the spec.
     """
-    cached = spec._cache.get("components")
-    if cached is not None:
-        return cached
-    t, w = _torus_nodes(spec.quad_points)
-    vals_1d = [phi.values(t) for phi in spec.phis]
-    field_vals = None
-    weights = None
-    for v in vals_1d:
-        if field_vals is None:
-            field_vals = v.copy()
-            weights = w.copy()
-        else:
-            if spec.mode == "product":
-                field_vals = np.multiply.outer(field_vals, v).ravel()
-            else:
-                field_vals = np.add.outer(field_vals, v).ravel()
-            weights = np.multiply.outer(weights, w).ravel()
-    if float(field_vals.min()) < _SINGULAR_NODE_FLOOR:
-        raise ValueError("construction vanishes at a quadrature node (singular mixture)")
-    norm2 = math.sqrt(float(construction_moment(spec, 2)))
-    sigmas = field_vals / norm2
-    spec._cache["components"] = (weights, sigmas, norm2)
-    return weights, sigmas, norm2
+    return spec._components
 
 
 def density_eval(spec: DensitySpec, alpha: float) -> float:
@@ -366,7 +361,7 @@ def _alpha_cutoff(spec: DensitySpec) -> float:
     return 12.0 * float(sigmas.max())
 
 
-def density_moment(spec: DensitySpec, j: int, alpha_nodes: int = 768) -> float:
+def density_moment(spec: DensitySpec, j: int) -> float:
     """Numerical integral of alpha^j against the density.
 
     Even j (and the mass j = 0) integrate over [0, A] with the substitution
@@ -378,10 +373,10 @@ def density_moment(spec: DensitySpec, j: int, alpha_nodes: int = 768) -> float:
         raise ValueError("moment order must be >= 0")
     a_max = _alpha_cutoff(spec)
     if j % 2 == 0:
-        beta, wb = _gl_nodes(alpha_nodes, 0.0, math.sqrt(a_max))
+        beta, wb = _gl_nodes(_ALPHA_NODES, 0.0, math.sqrt(a_max))
         dens = np.array([density_eval(spec, float(b * b)) for b in beta])
         return float(2.0 * np.dot(wb, beta ** (2 * j) * dens * 2.0 * beta))
-    nodes, wn = _gl_nodes(alpha_nodes, 0.0, a_max)
+    nodes, wn = _gl_nodes(_ALPHA_NODES, 0.0, a_max)
     dens = np.array([density_eval(spec, float(a)) for a in nodes])
     plus = np.dot(wn, nodes ** j * dens)
     dens_m = np.array([density_eval(spec, float(-a)) for a in nodes])

@@ -19,18 +19,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arith import R2Table
-from .counting import RadiusPoint, shell_sample
-from .gapwidth import GapWidth
+from .counting import RadiusPoint, ShellSample, shell_sample
+from .gapwidth import GapWidth, midpoint_grid
 from .spectra import DensitySpec, mixture_components
 from .voronoi import series_with_gap
 
 __all__ = [
     "SampleGrid",
     "EmpiricalDistribution",
+    "r2_limit",
+    "sample_shells",
     "sample_errors",
     "variance_sigma2",
     "m_j",
-    "empirical_moments",
     "ks_distance",
     "normal_cdf",
     "mixture_cdf",
@@ -51,24 +52,26 @@ class SampleGrid:
     1/Q lattice.
 
     Positions follow the golden-ratio Kronecker sequence (sorted), and the
-    snapped numerators are forced odd (avoid_resonance).  Equispaced snapped
-    grids can freeze every sample into one or two numerator residue classes
-    mod Q; the square-index frequencies of the error term then lock phase
-    across the whole sample and bias every uncentred statistic (at X = 2000,
-    S = 1000 the frozen-grid mean of the normalized error is about +2 and
+    snapped numerators are forced odd.  Equispaced snapped grids can freeze
+    every sample into one or two numerator residue classes mod Q; the
+    square-index frequencies of the error term then lock phase across the
+    whole sample and bias every uncentred statistic (measured at X = 2000,
+    S = 1000: the frozen-grid mean of the normalized error is about +2 and
     the uncentred variance doubles).  The Kronecker placement covers all odd
     residues uniformly, so those phase-locked classes cancel the way they do
     under Lebesgue sampling.  `phase` rotates the sequence (the experiment
     "seed"); growing S extends the same sequence, so estimates are stable
     under refinement.
+
+    Numerators stay odd and inside (XQ, 2XQ): a colliding numerator moves up
+    to the next odd one, and a top point pushed past the window moves down to
+    the greatest odd numerator below 2XQ, moving its neighbours down likewise.
     """
 
     X: float
     S: int
     Q: int = 64
     phase: float = 0.5
-    avoid_resonance: bool = True
-    equidistributed: bool = True
     points: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -80,62 +83,68 @@ class SampleGrid:
             raise ValueError("phase must lie in [0, 1)")
         if self.S > self.X * self.Q / 4:
             raise ValueError("grid denser than the snapping lattice allows")
-        bump = 2 if self.avoid_resonance else 1
+        lo = (math.floor(self.X * self.Q) + 1) | 1    # least odd numerator above XQ
+        hi = (math.ceil(2 * self.X * self.Q) - 2) | 1  # greatest odd numerator below 2XQ
         ks = []
         for i in range(self.S):
-            if self.equidistributed:
-                u = ((i + 1) * _GOLDEN + self.phase) % 1.0
-            else:
-                u = (i + self.phase) / self.S
-            k = round(self.X * (1.0 + u) * self.Q)
-            if self.avoid_resonance:
-                k |= 1
-            ks.append(k)
+            u = ((i + 1) * _GOLDEN + self.phase) % 1.0
+            ks.append(max(lo, round(self.X * (1.0 + u) * self.Q) | 1))
         ks.sort()
-        pts = []
-        last = 0
-        for k in ks:
-            if k <= last:
-                k = last + bump
-            if not self.X * self.Q < k < 2 * self.X * self.Q:
-                raise ValueError("snapped point left the open window (X, 2X)")
-            last = k
-            pts.append(RadiusPoint(k=k, Q=self.Q))
-        object.__setattr__(self, "points", tuple(pts))
+        for i in range(1, self.S):
+            ks[i] = max(ks[i], ks[i - 1] + 2)
+        ks[-1] = min(ks[-1], hi)
+        for i in range(self.S - 2, -1, -1):
+            ks[i] = min(ks[i], ks[i + 1] - 2)
+        object.__setattr__(self, "points", tuple(RadiusPoint(k=k, Q=self.Q) for k in ks))
 
     @property
     def xs(self) -> np.ndarray:
         return np.array([p.value for p in self.points])
 
 
-def sample_errors(omega: GapWidth, grid: SampleGrid, r2: R2Table,
-                  mode: str = "exact", threads: int | None = None) -> np.ndarray:
-    """Normalized shell errors at every grid point.
+def r2_limit(X: float, mode: str) -> int:
+    """Size of the r2 table that sample_shells needs on the window (X, 2X):
+    every slice under the outer radii in exact mode, the series cutoff in
+    fast mode."""
+    if mode == "fast":
+        return max(FAST_CUTOFF_FLOOR, int(X)) + 1
+    return (int(2 * X) + 2) ** 2
 
-    exact: two exact ball counts per point (data-parallel over slots when
-    threads > 1; per-slot results are integers plus one float identity, so
-    scheduling cannot change the output).  fast: the truncated main series at
-    cutoff max(10^4, X), no sawtooth term; opt-in bias documented by the
-    exact-vs-fast tests.
+
+def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
+                  threads: int | None) -> list[ShellSample]:
+    """One ShellSample per grid point, in grid order.
+
+    exact: two exact ball counts per point (data-parallel over points when
+    threads > 1; each row is integers plus one float identity, so scheduling
+    cannot change the output).  fast: the truncated main series at cutoff
+    max(10^4, X), no sawtooth term; opt-in bias documented by the
+    exact-vs-fast tests.  Fast rows carry the unsnapped omega(x) and no
+    counts (n_inner, n_outer and shell_count are None).
     """
     if mode == "fast":
         cutoff = max(FAST_CUTOFF_FLOOR, int(grid.X))
-        out = np.empty(grid.S)
-        for i, p in enumerate(grid.points):
-            out[i] = series_with_gap(p.value, float(omega.value(p.value)), r2, cutoff)
-        return out
+        rows = []
+        for p in grid.points:
+            x = p.value
+            gap = float(omega.value(x))
+            v = series_with_gap(x, gap, r2, cutoff)
+            rows.append(ShellSample(x=x, omega_x=gap, n_inner=None, n_outer=None,
+                                    shell_count=None, error=v * x * x, normalized=v))
+        return rows
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    out = np.empty(grid.S)
     if threads and threads > 1:
-        def work(i):
-            out[i] = shell_sample(grid.points[i], omega, r2).normalized
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, range(grid.S)))
-    else:
-        for i, p in enumerate(grid.points):
-            out[i] = shell_sample(p, omega, r2).normalized
-    return out
+            return list(ex.map(lambda p: shell_sample(p, omega, r2), grid.points))
+    return [shell_sample(p, omega, r2) for p in grid.points]
+
+
+def sample_errors(omega: GapWidth, grid: SampleGrid, r2: R2Table,
+                  mode: str = "exact", threads: int | None = None) -> np.ndarray:
+    """Normalized shell errors at every grid point: the `normalized` column
+    of sample_shells."""
+    return np.array([s.normalized for s in sample_shells(omega, grid, r2, mode, threads)])
 
 
 def variance_sigma2(samples: Sequence[float]) -> float:
@@ -151,7 +160,7 @@ def m_j(omega: GapWidth, X: float, S: int, j: int) -> float:
 
     Requires 0 < omega < 1 on the grid so the log factor is negative.
     """
-    xs = X * (1.0 + (np.arange(S) + 0.5) / S)
+    xs = midpoint_grid(X, S)
     w = np.asarray(omega.value(xs), dtype=np.float64)
     if np.any(w <= 0) or np.any(w >= 1):
         bad = xs[(w <= 0) | (w >= 1)][0]
@@ -171,21 +180,15 @@ class EmpiricalDistribution:
     hist_counts: np.ndarray
 
     @classmethod
-    def from_samples(cls, raw: Sequence[float], j_max: int = 8,
-                     bins: int = 61) -> "EmpiricalDistribution":
+    def from_samples(cls, raw: Sequence[float], j_max: int = 8) -> "EmpiricalDistribution":
         arr = np.asarray(raw, dtype=np.float64)
         sigma = math.sqrt(variance_sigma2(arr))
         normalized = np.sort(arr / sigma)
         moments = {j: float(np.mean(normalized ** j)) for j in range(1, j_max + 1)}
-        edges = np.linspace(-6.0, 6.0, bins + 1)
+        edges = np.linspace(-6.0, 6.0, 62)  # 61 bins
         counts, _ = np.histogram(np.clip(normalized, -6.0, 6.0), bins=edges)
         return cls(raw=arr, sigma=sigma, normalized=normalized,
                    moments=moments, hist_edges=edges, hist_counts=counts)
-
-
-def empirical_moments(dist: EmpiricalDistribution, j_max: int) -> dict:
-    """Sample moments of the normalized values for 1 <= j <= j_max."""
-    return {j: float(np.mean(dist.normalized ** j)) for j in range(1, j_max + 1)}
 
 
 def normal_cdf(alpha: float) -> float:
@@ -239,7 +242,7 @@ def write_distribution_csv(path, dist: EmpiricalDistribution) -> None:
 
 
 def summary_json(X: float, S: int, dist: EmpiricalDistribution,
-                 ks_normal_value: float, ks_mixture_value: float | None = None) -> str:
+                 ks_normal_value: float) -> str:
     obj = {
         "X": X,
         "S": S,
@@ -247,8 +250,6 @@ def summary_json(X: float, S: int, dist: EmpiricalDistribution,
         "moments": {str(j): dist.moments[j] for j in sorted(dist.moments)},
         "ks_normal": ks_normal_value,
     }
-    if ks_mixture_value is not None:
-        obj["ks_mixture"] = ks_mixture_value
     return json.dumps(_round_floats(obj), indent=2, sort_keys=True)
 
 

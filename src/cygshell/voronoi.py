@@ -17,7 +17,7 @@ import numpy as np
 from .arith import R2Table, spf_sieve, squarefree_core
 from .counting import (OUTER_REFINE_SHIFT, RadiusPoint, sawtooth_shell_sum,
                        snap_outer_radius)
-from .gapwidth import GapWidth
+from .gapwidth import GapWidth, midpoint_grid
 
 __all__ = [
     "main_series",
@@ -25,8 +25,6 @@ __all__ = [
     "expansion_rhs",
     "sum_sqrt_is_zero",
     "diagonal_sum",
-    "diagonal_sum_direct_j2",
-    "grouped_pair_sum_j2",
     "r2_squared_partial_sum_check",
 ]
 
@@ -118,10 +116,6 @@ def r2_squared_partial_sum_check(y: int, r2: R2Table) -> float:
 # Diagonal sums over exact zero relations
 # ---------------------------------------------------------------------------
 
-def _midpoint_grid(X: float, samples: int) -> np.ndarray:
-    return X * (1.0 + (np.arange(samples) + 0.5) / samples)
-
-
 def _cores_upto(Y: int, r2: R2Table):
     """Group m <= Y by square-free core: core -> (k array, weight rows r2(c k^2)/(c k^2))."""
     spf = spf_sieve(Y)
@@ -133,46 +127,6 @@ def _cores_upto(Y: int, r2: R2Table):
         dec = squarefree_core(m, spf)
         cores.setdefault(dec.core, []).append((dec.k, float(r2.nonzero_values[i]) / m))
     return cores
-
-
-def diagonal_sum_direct_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
-                           samples: int = 1024) -> float:
-    """Grid average of -2 sum_{n <= Y} (r2(n)/n)^2 sin^2(pi sqrt(n) omega(x)),
-
-    the plain-sum form of the j = 2 diagonal (before the sign-weighted
-    prefactor)."""
-    xs = _midpoint_grid(X, samples)
-    om = np.asarray(omega.value(xs), dtype=np.float64)
-    n = r2.nonzero_count_upto(Y)
-    lo = 1 if n > 0 and r2.nonzero_m[0] == 0 else 0
-    acc = np.zeros(samples)
-    for i in range(lo, n):
-        m = int(r2.nonzero_m[i])
-        w = float(r2.nonzero_values[i]) / m
-        acc += (w * np.sin(math.pi * math.sqrt(m) * om)) ** 2
-    return float(np.mean(-2.0 * acc))
-
-
-def grouped_pair_sum_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
-                        samples: int = 1024) -> float:
-    """The same j = 2 diagonal computed through the square-free regrouping:
-    for each square-free core enumerate signed pairs (e1 k1, e2 k2) with
-    e1 k1 + e2 k2 = 0, literally."""
-    xs = _midpoint_grid(X, samples)
-    om = np.asarray(omega.value(xs), dtype=np.float64)
-    cores = _cores_upto(Y, r2)
-    acc = np.zeros(samples)
-    for core, rows in cores.items():
-        sq = math.sqrt(core)
-        for k1, w1 in rows:
-            s1 = w1 * np.sin(math.pi * sq * k1 * om)
-            for k2, w2 in rows:
-                s2 = w2 * np.sin(math.pi * sq * k2 * om)
-                for e1 in (1, -1):
-                    for e2 in (1, -1):
-                        if e1 * k1 + e2 * k2 == 0:
-                            acc += (e1 * e2) * s1 * s2
-    return float(np.mean(acc))
 
 
 def diagonal_sum(omega: GapWidth, X: float, j: int, Y: int, r2: R2Table,
@@ -192,7 +146,7 @@ def diagonal_sum(omega: GapWidth, X: float, j: int, Y: int, r2: R2Table,
         raise ValueError("Y capped at 400 (tuple enumeration feasibility)")
     if Y > r2.limit:
         raise ValueError(f"Y = {Y} exceeds the r2 table limit {r2.limit}")
-    xs = _midpoint_grid(X, samples)
+    xs = midpoint_grid(X, samples)
     om = np.asarray(omega.value(xs), dtype=np.float64)
     cores = _cores_upto(Y, r2)
 

@@ -1,0 +1,72 @@
+"""Independent oracles that only the tests use.
+
+The j = 2 diagonal sum in its plain-sum form and in the literal square-free
+pair regrouping (both cross-check voronoi.diagonal_sum), and the Fourier-side
+evaluation of an almost-periodic gap width (cross-checks the direct
+product/sum evaluation in gapwidth).
+"""
+
+import math
+
+import numpy as np
+
+from cygshell.arith import R2Table
+from cygshell.gapwidth import _IMAG_TOL, GapWidth, _fourier_terms, midpoint_grid
+from cygshell.voronoi import _cores_upto
+
+
+def diagonal_sum_direct_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
+                           samples: int) -> float:
+    """Grid average of -2 sum_{n <= Y} (r2(n)/n)^2 sin^2(pi sqrt(n) omega(x)),
+
+    the plain-sum form of the j = 2 diagonal (before the sign-weighted
+    prefactor)."""
+    xs = midpoint_grid(X, samples)
+    om = np.asarray(omega.value(xs), dtype=np.float64)
+    n = r2.nonzero_count_upto(Y)
+    lo = 1 if n > 0 and r2.nonzero_m[0] == 0 else 0
+    acc = np.zeros(samples)
+    for i in range(lo, n):
+        m = int(r2.nonzero_m[i])
+        w = float(r2.nonzero_values[i]) / m
+        acc += (w * np.sin(math.pi * math.sqrt(m) * om)) ** 2
+    return float(np.mean(-2.0 * acc))
+
+
+def grouped_pair_sum_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
+                        samples: int) -> float:
+    """The same j = 2 diagonal computed through the square-free regrouping:
+    for each square-free core enumerate signed pairs (e1 k1, e2 k2) with
+    e1 k1 + e2 k2 = 0, literally."""
+    xs = midpoint_grid(X, samples)
+    om = np.asarray(omega.value(xs), dtype=np.float64)
+    cores = _cores_upto(Y, r2)
+    acc = np.zeros(samples)
+    for core, rows in cores.items():
+        sq = math.sqrt(core)
+        for k1, w1 in rows:
+            s1 = w1 * np.sin(math.pi * sq * k1 * om)
+            for k2, w2 in rows:
+                s2 = w2 * np.sin(math.pi * sq * k2 * om)
+                for e1 in (1, -1):
+                    for e2 in (1, -1):
+                        if e1 * k1 + e2 * k2 == 0:
+                            acc += (e1 * e2) * s1 * s2
+    return float(np.mean(acc))
+
+
+def fourier_value(gap: GapWidth, x) -> np.ndarray:
+    """Evaluate an almost-periodic gap through its Fourier representation
+    (cross-check against the direct product/sum evaluation)."""
+    if gap.spec is None:
+        raise ValueError("not an almost-periodic gap")
+    terms = _fourier_terms(gap.spec)
+    x = np.asarray(x, dtype=np.float64)
+    L = np.log(x)
+    u = L ** gap.spec.exponent
+    acc = np.zeros_like(u, dtype=np.complex128)
+    for f, c in terms:
+        acc += c * np.exp(2j * math.pi * f * u)
+    if np.max(np.abs(acc.imag)) > _IMAG_TOL * (1.0 + np.max(np.abs(acc.real))):
+        raise AssertionError("Fourier evaluation lost reality symmetry")
+    return acc.real * L ** (-gap.spec.exponent)

@@ -17,6 +17,7 @@ import pytest
 
 from cygshell import arith, counting, gapwidth, spectra, stats, voronoi
 from cygshell.counting import RadiusPoint
+from oracles import diagonal_sum_direct_j2, grouped_pair_sum_j2
 
 CRITERION_TIMEOUTS = {
     1: 30, 2: 120, 3: 600, 4: 600, 5: 10, 6: 10, 7: 1, 8: 120, 9: 30, 10: 30,
@@ -58,12 +59,9 @@ def test_criterion_01_counting_oracle_equivalence(r2_big):
 
 def _expansion_residuals(X: float, r2, omega, S: int = 100) -> np.ndarray:
     grid = stats.SampleGrid(X=X, S=S, Q=64)
-    res = np.empty(S)
-    for i, p in enumerate(grid.points):
-        s = counting.shell_sample(p, omega, r2)
-        rhs = voronoi.expansion_rhs(p, X, omega, r2)
-        res[i] = abs(s.normalized - rhs)
-    return res
+    rows = stats.sample_shells(omega, grid, r2, "exact", 1)
+    return np.array([abs(s.normalized - voronoi.expansion_rhs(p, X, omega, r2))
+                     for p, s in zip(grid.points, rows)])
 
 
 def test_criterion_02_expansion_envelope(r2_big, inv_log):
@@ -205,8 +203,8 @@ def test_criterion_07_gaussian_moment_ladder():
 def test_criterion_08_diagonal_sum(r2_big, inv_log):
     t0 = time.time()
     X = 1000.0
-    grouped = voronoi.grouped_pair_sum_j2(inv_log, X, 50, r2_big, samples=1024)
-    direct = voronoi.diagonal_sum_direct_j2(inv_log, X, 50, r2_big, samples=1024)
+    grouped = grouped_pair_sum_j2(inv_log, X, 50, r2_big, samples=1024)
+    direct = diagonal_sum_direct_j2(inv_log, X, 50, r2_big, samples=1024)
     identity_ok = abs(grouped - direct) <= 1e-10 * abs(direct)
     diag = voronoi.diagonal_sum(inv_log, X, 2, 200, r2_big, samples=2048)
     m2 = stats.m_j(inv_log, X, 2048, 2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cygshell import cli, spectra
+from cygshell import cli, gapwidth, spectra
 from cygshell.cli import ExperimentConfig, main
 
 
@@ -89,6 +89,41 @@ def test_expand_command(tmp_path, capsys):
     lines = (tmp_path / "expansion.csv").read_text().splitlines()
     assert lines[0] == "x,ehat,rhs,residual"
     assert len(lines) == 31
+
+
+AP_SPEC = {"kind": "product", "polys": [[[1.0, 0.0], [1.0, 0.0]]],
+           "lambdas": [1.0], "independent": True, "A": 2}
+
+
+def _omega_column(path):
+    return [[float(v) for v in line.split(",")[:2]]
+            for line in path.read_text().splitlines()[1:]]
+
+
+def test_sample_uses_omega_spec(tmp_path):
+    spec_path = tmp_path / "ap.json"
+    spec_path.write_text(json.dumps(AP_SPEC))
+    argv = ["sample", "--mode", "fast", "--X", "200", "--samples", "20"]
+    assert main(argv + ["--out", str(tmp_path / "log")]) == 0
+    assert main(argv + ["--omega-spec", str(spec_path), "--out", str(tmp_path / "ap")]) == 0
+    gap = gapwidth.gap_from_json(AP_SPEC)
+    rows = _omega_column(tmp_path / "ap" / "samples.csv")
+    assert all(w == float(gap.value(x)) for x, w in rows)
+    assert rows != _omega_column(tmp_path / "log" / "samples.csv")
+
+
+def test_config_out_unless_flag(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(omega={"kind": "inv_log"}, X=200.0, samples=20, mode="fast",
+                           out=str(tmp_path / "from_config"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "from_config" / "samples.csv").exists()
+    assert not (tmp_path / "samples.csv").exists()
+    assert main(["moments", "--config", str(cfg_path), "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "moments.json").exists()
+    assert not (tmp_path / "from_config" / "moments.json").exists()
 
 
 def test_density_command(tmp_path, capsys):

@@ -32,20 +32,20 @@ def test_ball_volume_closed_form():
     h = r[1] - r[0]
     simpson = h / 3 * (integrand[0] + integrand[-1]
                        + 4 * integrand[1:-1:2].sum() + 2 * integrand[2:-1:2].sum())
-    assert abs(counting.ball_volume() - simpson) < 1e-6
-    assert abs(counting.ball_volume() - 4.9348022005446793) < 1e-12
+    assert abs(counting.BALL_VOLUME - simpson) < 1e-6
+    assert abs(counting.BALL_VOLUME - 4.9348022005446793) < 1e-12
 
 
 def test_ball_volume_contains_euclidean_ball():
     # the Cygan-Koranyi unit ball contains the Euclidean ball of radius ~0.84
     r = 0.84
-    assert counting.ball_volume() >= 4.0 / 3.0 * math.pi * r ** 3
+    assert counting.BALL_VOLUME >= 4.0 / 3.0 * math.pi * r ** 3
 
 
 def test_volume_ratio_at_50(r2_10k):
     x = RadiusPoint(50, 1)
     n = counting.count_ball_fast(x, r2_10k)
-    assert abs(n / 50 ** 4 - counting.ball_volume()) < 0.02 * counting.ball_volume()
+    assert abs(n / 50 ** 4 - counting.BALL_VOLUME) < 0.02 * counting.BALL_VOLUME
 
 
 def test_frozen_counts(r2_10k):

@@ -1,0 +1,45 @@
+"""Byte-for-byte pins of the artifacts of four small CLI runs.
+
+A reordered float operation in the counting kernel, the fast series, the
+sampling grid or the serializers changes at least one of these digests.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from cygshell.cli import main
+
+GOLDEN = [
+    (["sample", "--mode", "exact", "--X", "30", "--samples", "20", "--threads", "2"], {
+        "samples.csv": "c24b33764603fd52cc42b537f4236bad6107e82c22a7840c5f8f5d9d84d09039",
+        "distribution.csv": "5849064756ecd3f867e431995d6eda352d624c6fc53aaf6203f3b8b99973f6c1",
+        "summary.json": "685389c62423b1eee11e7378168e9aca629650c2a41957129211a36c6fda8dc5",
+    }),
+    (["sample", "--mode", "fast", "--X", "200", "--samples", "200"], {
+        "samples.csv": "ed755eb7fcd588049c6a02bd44f0f413cf4c5fec4786c71f9abde908a19ebac7",
+        "distribution.csv": "16405f899cd6d7fd76f76cf647c566c830279448d9207b5348a33b609412a887",
+        "summary.json": "eb1b7a05464afe07defa355a79b5c6eeef7c9aae5defd0b27fe24f552b8ac733",
+    }),
+    (["moments", "--mode", "fast", "--X", "200", "--samples", "200"], {
+        "moments.json": "467631fe145b3bac1678da0ebdc779761c3b2682e78841adfe5f12e1dba7d7df",
+    }),
+    (["expand", "--X", "60", "--samples", "30"], {
+        "expansion.csv": "cb47c127b18a79c872a8fd8422fb9ffe46aa035cd2046924402dcd1d6268a5bb",
+        "stdout": "967b110db1b2bba129122a1053b73408ff711b1da1e2fb9bbb558651b1023c1e",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, digests", GOLDEN,
+                         ids=["sample-exact", "sample-fast", "moments-fast", "expand"])
+def test_artifact_digests(tmp_path, argv, digests):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    for name, want in digests.items():
+        data = (stdout.getvalue().encode() if name == "stdout"
+                else (tmp_path / name).read_bytes())
+        assert hashlib.sha256(data).hexdigest() == want, name

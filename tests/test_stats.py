@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cygshell import gapwidth, spectra, stats
+from cygshell.counting import shell_sample
 from cygshell.stats import (EmpiricalDistribution, SampleGrid, ks_distance,
                             m_j, mixture_cdf, normal_cdf, sample_errors,
                             variance_sigma2)
@@ -18,6 +19,29 @@ def test_grid_points_inside_window():
     assert np.all(np.diff(xs) > 0)
     # resonance-avoiding snap keeps every numerator odd
     assert all(p.k % 2 == 1 for p in grid.points)
+
+
+@pytest.mark.parametrize("X, S, phase", [
+    (200.0, 250, 0.41947929721557387),
+    (2000.0, 4000, 0.39145232115408746),
+    (2000.0, 4000, 0.5670483060350264),
+])
+def test_grid_top_point_stays_in_window(X, S, phase):
+    # each of these phases rounds its top point to the numerator 2XQ
+    grid = SampleGrid(X=X, S=S, Q=64, phase=phase)
+    ks = [p.k for p in grid.points]
+    assert ks[-1] == 2 * X * 64 - 1
+    assert all(a < b for a, b in zip(ks, ks[1:]))
+
+
+@pytest.mark.parametrize("X, S, Q", [(100.0, 100, 64), (37.3, 40, 7), (10.0, 10, 4)])
+def test_grid_phase_sweep_odd_increasing_inside(X, S, Q):
+    for i in range(2000):
+        ks = [p.k for p in SampleGrid(X=X, S=S, Q=Q, phase=i / 2000).points]
+        assert len(ks) == S
+        assert all(k % 2 == 1 for k in ks)
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+        assert X * Q < ks[0] and ks[-1] < 2 * X * Q
 
 
 def test_grid_phase_offsets_differ():
@@ -44,6 +68,17 @@ def test_sample_errors_contract(r2_200k, inv_log):
     assert np.array_equal(vals, threaded)
     with pytest.raises(ValueError):
         sample_errors(inv_log, grid, r2_200k, mode="approx")
+
+
+def test_sample_shells_rows(r2_200k, inv_log):
+    grid = SampleGrid(X=60.0, S=20, Q=64)
+    exact = stats.sample_shells(inv_log, grid, r2_200k, "exact", 2)
+    assert exact == [shell_sample(p, inv_log, r2_200k) for p in grid.points]
+    fast = stats.sample_shells(inv_log, grid, r2_200k, "fast", None)
+    assert [s.x for s in fast] == [p.value for p in grid.points]
+    assert all(s.shell_count is None and s.n_inner is None for s in fast)
+    assert np.array_equal(sample_errors(inv_log, grid, r2_200k, mode="fast"),
+                          [s.normalized for s in fast])
 
 
 def test_exact_vs_fast_bias(r2_200k, inv_log):

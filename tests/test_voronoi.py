@@ -6,10 +6,10 @@ import pytest
 
 from cygshell import arith, counting, voronoi
 from cygshell.counting import RadiusPoint
-from cygshell.voronoi import (diagonal_sum, diagonal_sum_direct_j2,
-                              expansion_rhs, grouped_pair_sum_j2, main_series,
+from cygshell.voronoi import (diagonal_sum, expansion_rhs, main_series,
                               r2_squared_partial_sum_check, series_with_gap,
                               sum_sqrt_is_zero)
+from oracles import diagonal_sum_direct_j2, grouped_pair_sum_j2
 
 
 def test_series_empty_and_degenerate(r2_10k, inv_log, zero_gap):
