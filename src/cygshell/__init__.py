@@ -3,7 +3,7 @@ distributional statistics of the normalized error term."""
 
 from .arith import CoreDecomposition, R2Table, build_r2, squarefree_core
 from .counting import (BALL_VOLUME, RadiusPoint, ShellSample, count_ball_brute,
-                       count_ball_fast, sawtooth_shell_sum, shell_sample)
+                       count_ball_fast, shell_sample)
 from .gapwidth import (AlmostPeriodicGap, GapWidth, OmegaDiagnostics,
                        gap_from_json, gap_to_json, make_almost_periodic,
                        make_slowly_varying, midpoint_grid, omega_diagnostics)
@@ -14,7 +14,7 @@ from .spectra import (DensitySpec, TrigPolyModulus, construction_moment,
 from .stats import (EmpiricalDistribution, SampleGrid, ks_distance, m_j,
                     mixture_cdf, normal_cdf, sample_errors, sample_shells,
                     variance_sigma2)
-from .voronoi import (diagonal_sum, expansion_rhs, main_series,
-                      r2_squared_partial_sum_check, sum_sqrt_is_zero)
+from .voronoi import (diagonal_sum, expansion_rhs, r2_squared_partial_sum_check,
+                      sum_sqrt_is_zero)
 
 __version__ = "0.1.0"

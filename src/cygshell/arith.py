@@ -26,10 +26,10 @@ __all__ = [
 class R2Table:
     """Representation counts r2(m) = #{(a,b) in Z^2 : a^2 + b^2 = m} for m <= limit.
 
-    `values[0] == 1` (the pair (0,0)); the series-style consumers skip m = 0
-    themselves.  Besides the dense table the constructor stores a compressed
-    view over the m with r2(m) > 0 (roughly a 0.2 fraction at desk scale),
-    which the counting kernels iterate over.
+    `values[0] == 1` (the pair (0,0)).  Besides the dense table the
+    constructor stores a compressed view over the m >= 1 with r2(m) > 0
+    (roughly a 0.2 fraction at desk scale), which the counting kernels and
+    the series iterate over; the m = 0 slice is never part of it.
     """
 
     limit: int
@@ -40,7 +40,7 @@ class R2Table:
     nonzero_sqrt: np.ndarray = field(init=False, repr=False)    # float64 sqrt of nonzero_m
 
     def __post_init__(self):
-        mnz = np.nonzero(self.values)[0].astype(np.int64)
+        mnz = np.nonzero(self.values[1:])[0].astype(np.int64) + 1
         vnz = self.values[mnz].astype(np.int64)
         object.__setattr__(self, "nonzero_m", mnz)
         object.__setattr__(self, "nonzero_values", vnz)
@@ -52,14 +52,14 @@ class R2Table:
             arr.setflags(write=False)
 
     def nonzero_count_upto(self, y: int) -> int:
-        """Number of compressed entries with m <= y."""
+        """Number of compressed entries with 1 <= m <= y."""
         return int(np.searchsorted(self.nonzero_m, y, side="right"))
 
     def sum_upto(self, y: int) -> int:
         """Sum of r2(m) for 0 <= m <= y (exact)."""
         if y > self.limit:
             raise ValueError(f"r2 table limit {self.limit} < requested {y}")
-        return int(self.nonzero_prefix[self.nonzero_count_upto(y)])
+        return 1 + int(self.nonzero_prefix[self.nonzero_count_upto(y)])  # r2(0) = 1
 
 
 def build_r2(limit: int) -> R2Table:

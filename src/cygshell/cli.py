@@ -94,9 +94,14 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _experiment(cfg: ExperimentConfig):
-    """The gap width, sample grid and r2 table of a sampling experiment."""
+    """The gap width, sample grid and r2 table of a sampling experiment; in
+    exact mode the top grid point's shell is snapped first, so a radius past
+    the exactness cap fails before the table is allocated."""
     omega = gapwidth.gap_from_json(cfg.omega)
     grid = stats.SampleGrid(X=cfg.X, S=cfg.samples, Q=cfg.Q, phase=cfg.phase)
+    if cfg.mode == "exact":
+        top = grid.points[-1]
+        counting.snap_outer_radius(top, float(omega.value(top.value)))
     return omega, grid, arith.build_r2(stats.r2_limit(cfg.X, cfg.mode))
 
 
@@ -153,7 +158,7 @@ def cmd_moments(args) -> int:
             str(j): spectra.predicted_moment(None, j) for j in range(2, cfg.j_max + 1, 2)
         },
     }
-    text = json.dumps(stats._round_floats(summary), indent=2, sort_keys=True)
+    text = stats.dump_json(summary)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "moments.json").write_text(text)
@@ -179,7 +184,7 @@ def cmd_expand(args) -> int:
     summary = {"X": X, "S": cfg.samples,
                "median_residual": float(np.median(resid)),
                "q95_residual": float(np.quantile(resid, 0.95))}
-    print(json.dumps(stats._round_floats(summary), indent=2, sort_keys=True))
+    print(stats.dump_json(summary))
     return EXIT_OK
 
 
@@ -195,7 +200,7 @@ def cmd_density(args) -> int:
         "moment4": spectra.density_moment(spec, 4),
         "predicted_moment4": spectra.predicted_moment(spec, 4),
     }
-    print(json.dumps(stats._round_floats(summary), indent=2, sort_keys=True))
+    print(stats.dump_json(summary))
     return EXIT_OK
 
 
@@ -212,7 +217,7 @@ def cmd_diagnose(args) -> int:
         "lj_estimates": {str(j): v for j, v in sorted(diag.lj_estimates.items())},
         "carleman_partial": list(diag.carleman_partial),
     }
-    print(json.dumps(stats._round_floats(obj), indent=2, sort_keys=True))
+    print(stats.dump_json(obj))
     return EXIT_OK
 
 

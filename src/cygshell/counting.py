@@ -23,7 +23,6 @@ __all__ = [
     "count_ball_brute",
     "count_ball_fast",
     "sawtooth_ball_sum",
-    "sawtooth_shell_sum",
     "shell_sample",
     "snap_outer_radius",
 ]
@@ -115,7 +114,7 @@ def count_ball_brute(x: RadiusPoint) -> int:
 
 
 def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
-    """Yield (lo, hi, s) over the nonzero slices m <= x^2 in chunks of
+    """Yield (lo, hi, s) over the nonzero slices 1 <= m <= x^2 in chunks of
     _KERNEL_CHUNK, with s[i] ~ sqrt(x^4 - m^2) for m = r2.nonzero_m[lo + i].
 
     s is the float sqrt of the exact int64 factorisation
@@ -141,10 +140,11 @@ def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
 def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
     """Exact ball count N(x) = sum_{m <= x^2} r2(m) * (2*floor(sqrt(x^4 - m^2)) + 1).
 
-    The inner floor is computed as isqrt(k^4 - m^2 Q^4) // Q^2 via a float
-    sqrt of the exact int64 factorisation (k^2 - mQ^2)(k^2 + mQ^2); entries
-    landing in the near-integer band are re-done in exact big-int arithmetic.
-    Agrees with count_ball_brute everywhere both run.
+    The m = 0 slice is the integer 2*floor(x^2) + 1.  For m >= 1 the inner
+    floor is computed as isqrt(k^4 - m^2 Q^4) // Q^2 via a float sqrt of the
+    exact int64 factorisation (k^2 - mQ^2)(k^2 + mQ^2); entries landing in the
+    near-integer band are re-done in exact big-int arithmetic.  Agrees with
+    count_ball_brute everywhere both run.
     """
     Q2 = x.Q * x.Q
     mnz = r2.nonzero_m
@@ -158,7 +158,9 @@ def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
                 m = int(mnz[lo + i])
                 t[i] = math.isqrt(x.k ** 4 - m * m * x.Q ** 4) // Q2
         total += 2 * int(np.dot(vnz[lo:hi], t))
-    return total + r2.sum_upto(x.floor_sq)  # the "+1" of every slice
+    # the "+1" of every slice m >= 1, then the m = 0 slice: |c| <= floor(x^2)
+    ones = int(r2.nonzero_prefix[r2.nonzero_count_upto(x.floor_sq)])
+    return total + ones + 2 * x.floor_sq + 1
 
 
 def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
@@ -175,12 +177,8 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
         frac = s - np.floor(s)
         psi = frac - 0.5
         vals = vnz[lo:hi].astype(np.float64)
-        if lo == 0 and mnz[0] == 0:
-            psi[0] = 0.0  # mask the m = 0 slice out of the series
         total += math.fsum(vals * psi)
         band = np.minimum(frac, 1.0 - frac) < _BAND
-        if lo == 0 and mnz[0] == 0:
-            band[0] = False
         if band.any():
             for i in np.nonzero(band)[0]:
                 m = int(mnz[lo + i])
@@ -202,8 +200,9 @@ def _psi_exact(v: int, q2: int) -> float:
     return frac - 0.5
 
 
-def snap_outer_radius(x: RadiusPoint, gap: float) -> RadiusPoint:
-    """Round x + gap to the nearest multiple of 1/(Q * 2**OUTER_REFINE_SHIFT).
+def snap_outer_radius(x: RadiusPoint, gap: float) -> tuple[RadiusPoint, float]:
+    """(outer, realised gap): x + gap rounded to the nearest multiple of
+    1/(Q * 2**OUTER_REFINE_SHIFT), and outer - x, the gap that radius realises.
 
     gap = 0 is allowed (degenerate empty shell, used by cancellation tests);
     negative gaps are a domain error.
@@ -212,11 +211,11 @@ def snap_outer_radius(x: RadiusPoint, gap: float) -> RadiusPoint:
         raise ValueError("gap width must be nonnegative")
     inner = x.refined()
     if gap == 0:
-        return inner
+        return inner, 0.0
     ko = round((x.value + gap) * inner.Q)
     if ko <= inner.k:
         raise ValueError(f"gap {gap} rounds to an empty shell at x = {x.value}")
-    return RadiusPoint(k=ko, Q=inner.Q)
+    return RadiusPoint(k=ko, Q=inner.Q), (ko - inner.k) / inner.Q
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,7 @@ def shell_sample(x: RadiusPoint, omega, r2: R2Table) -> ShellSample:
     gap = float(omega.value(x.value))
     if not gap > 0:
         raise ValueError(f"omega(x) = {gap} must be positive at x = {x.value}")
-    outer = snap_outer_radius(x, gap)
-    snapped_gap = (outer.k - (x.k << OUTER_REFINE_SHIFT)) / outer.Q
+    outer, snapped_gap = snap_outer_radius(x, gap)
     n_inner = count_ball_fast(x, r2)
     n_outer = count_ball_fast(outer, r2)
     shell = n_outer - n_inner
@@ -265,16 +263,3 @@ def shell_sample(x: RadiusPoint, omega, r2: R2Table) -> ShellSample:
         error=err,
         normalized=err / (x.value * x.value),
     )
-
-
-def sawtooth_shell_sum(x: RadiusPoint, omega, r2: R2Table) -> float:
-    """The exact sawtooth correction of the shell at inner radius x,
-
-    sum_{m <= (x+w)^2} r2(m) psi(sqrt((x+w)^4 - m^2))
-      - sum_{m <= x^2} r2(m) psi(sqrt(x^4 - m^2)),
-
-    with the outer radius snapped exactly as in shell_sample.
-    """
-    gap = float(omega.value(x.value))
-    outer = snap_outer_radius(x, gap)
-    return sawtooth_ball_sum(outer, r2) - sawtooth_ball_sum(x, r2)

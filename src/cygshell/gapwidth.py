@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import spectra
-from .spectra import DensitySpec, TrigPolyModulus, phi_from_poly
+from .spectra import DensitySpec, phi_from_poly
 
 __all__ = [
     "GapWidth",
@@ -32,7 +33,6 @@ __all__ = [
 
 X_MIN = 3.0  # lower end of the domain on which every gap width is defined
 _ROOT_FLOOR = 1e-9
-_SURROGATE_GRID = 4096
 _IMAG_TOL = 1e-10
 
 
@@ -123,16 +123,12 @@ class AlmostPeriodicGap:
             raise ValueError("need one lambda per polynomial")
 
     def to_phis(self) -> tuple:
+        return self._phis
+
+    @cached_property
+    def _phis(self) -> tuple:
+        """The factors phi_l = |p_l|^2, built (and grid-checked) once per spec."""
         return tuple(phi_from_poly(c) for c in self.polys)
-
-
-def _no_roots_surrogate(phis: Sequence[TrigPolyModulus]) -> None:
-    # Grid minimum of |p|^2 as a stand-in for "no roots on the unit circle";
-    # a midpoint grid so exact roots at rational t do not mask near-root decay.
-    t = (np.arange(_SURROGATE_GRID) + 0.5) / _SURROGATE_GRID
-    for phi in phis:
-        if float(phi.values(t).min()) <= _ROOT_FLOOR:
-            raise ValueError("a factor polynomial is (numerically) zero on the unit circle")
 
 
 def _fourier_terms(spec: AlmostPeriodicGap):
@@ -167,7 +163,9 @@ def make_almost_periodic(spec: AlmostPeriodicGap) -> GapWidth:
     evaluation is checked to be real to within 1e-10 of its magnitude.
     """
     phis = spec.to_phis()
-    _no_roots_surrogate(phis)
+    # the grid minimum of |p|^2 stands in for "no roots on the unit circle"
+    if min(phi.grid_min for phi in phis) <= _ROOT_FLOOR:
+        raise ValueError("a factor polynomial is (numerically) zero on the unit circle")
     A = spec.exponent
     terms = _fourier_terms(spec)
     freqs = np.array([f for f, _ in terms])

@@ -8,6 +8,7 @@ rational arithmetic; floats only appear when evaluating densities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,14 @@ class TrigPolyModulus:
             acc += complex(float(c[0]), float(c[1])) * np.exp(2j * math.pi * m * t)
         return acc.real
 
+    @cached_property
+    def grid_min(self) -> float:
+        """Minimum of phi over the cell midpoints of a 4096-cell grid on [0, 1),
+        so exact roots at rational t do not mask near-root decay; computed once
+        for the nonnegativity check and the gap widths' no-roots check."""
+        t = (np.arange(_SURROGATE_GRID) + 0.5) / _SURROGATE_GRID
+        return float(self.values(t).min())
+
 
 def phi_from_poly(coeffs: Sequence) -> TrigPolyModulus:
     """Autocorrelation a_m = sum_k c_{k+m} conj(c_k) of the polynomial coefficients."""
@@ -117,8 +126,7 @@ def _validate_phi(phi: TrigPolyModulus) -> None:
             raise ValueError("coefficients break the reality symmetry")
     if not phi.coeff(0)[0] > 0:  # a_0, the integral of phi over one period
         raise ValueError("phi must have positive mean")
-    t = (np.arange(_SURROGATE_GRID) + 0.5) / _SURROGATE_GRID
-    if float(phi.values(t).min()) < _NONNEG_FLOOR:
+    if phi.grid_min < _NONNEG_FLOOR:
         raise ValueError("phi is negative on the reference grid")
 
 
@@ -244,7 +252,7 @@ def constrained_frequency_sum(spec: DensitySpec, j: int) -> Fraction:
         return Fraction(1)
     base = {}
     dims = tuple(phi.degree for phi in spec.phis)
-    for mvec in _lattice(dims):
+    for mvec in itertools.product(*(range(-d, d + 1) for d in dims)):
         # coefficient of the product construction at this frequency vector
         parts = [phi.coeff(m) for phi, m in zip(spec.phis, mvec)]
         c = parts[0]
@@ -260,16 +268,6 @@ def constrained_frequency_sum(spec: DensitySpec, j: int) -> Fraction:
     if val[1] != 0:
         raise AssertionError("constrained sum has a nonzero imaginary part")
     return val[0]
-
-
-def _lattice(dims):
-    if len(dims) == 1:
-        for m in range(-dims[0], dims[0] + 1):
-            yield (m,)
-        return
-    for m in range(-dims[0], dims[0] + 1):
-        for rest in _lattice(dims[1:]):
-            yield (m,) + rest
 
 
 def _dict_convolve(a: dict, b: dict) -> dict:

@@ -38,6 +38,7 @@ __all__ = [
     "write_samples_csv",
     "write_distribution_csv",
     "summary_json",
+    "dump_json",
 ]
 
 FAST_CUTOFF_FLOOR = 10_000
@@ -250,6 +251,12 @@ def summary_json(X: float, S: int, dist: EmpiricalDistribution,
         "moments": {str(j): dist.moments[j] for j in sorted(dist.moments)},
         "ks_normal": ks_normal_value,
     }
+    return dump_json(obj)
+
+
+def dump_json(obj) -> str:
+    """The artifact JSON form of obj: floats rounded to 17 significant digits,
+    keys sorted, two-space indent."""
     return json.dumps(_round_floats(obj), indent=2, sort_keys=True)
 
 

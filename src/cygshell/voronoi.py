@@ -15,12 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .arith import R2Table, spf_sieve, squarefree_core
-from .counting import (OUTER_REFINE_SHIFT, RadiusPoint, sawtooth_shell_sum,
-                       snap_outer_radius)
+from .counting import RadiusPoint, sawtooth_ball_sum, snap_outer_radius
 from .gapwidth import GapWidth, midpoint_grid
 
 __all__ = [
-    "main_series",
     "series_with_gap",
     "expansion_rhs",
     "sum_sqrt_is_zero",
@@ -31,50 +29,32 @@ __all__ = [
 SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi
 
 
-def series_with_gap(x: float, gap: float, r2: R2Table, cutoff: int,
-                    phase_gap: float | None = None) -> float:
+def series_with_gap(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
     """sum over 1 <= m <= cutoff of (2^{3/2}/pi) r2(m)/m sin(pi sqrt(m) gap)
-    sin(pi sqrt(m) (2x + phase_gap)), compensated summation.
-
-    phase_gap defaults to gap; the two roles are separate because the first
-    factor is odd in the gap while the second only shifts phases.
-    """
+    sin(pi sqrt(m) (2x + gap)), compensated summation."""
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
-    if phase_gap is None:
-        phase_gap = gap
     n = r2.nonzero_count_upto(cutoff)
-    lo = 1 if n > 0 and r2.nonzero_m[0] == 0 else 0
-    if n <= lo:
-        return 0.0
-    m = r2.nonzero_m[lo:n]
-    amp = r2.nonzero_values[lo:n] / m.astype(np.float64)
-    s = r2.nonzero_sqrt[lo:n]
-    terms = amp * np.sin(math.pi * s * gap) * np.sin(math.pi * s * (2.0 * x + phase_gap))
+    m = r2.nonzero_m[:n]
+    amp = r2.nonzero_values[:n] / m.astype(np.float64)
+    s = r2.nonzero_sqrt[:n]
+    terms = amp * np.sin(math.pi * s * gap) * np.sin(math.pi * s * (2.0 * x + gap))
     return SERIES_PREFACTOR * math.fsum(terms)
 
 
-def main_series(x: float, X: float, omega: GapWidth, r2: R2Table, cutoff: int) -> float:
-    """The truncated main series at gap width omega(x)."""
-    if not X < x < 2 * X:
-        raise ValueError(f"x = {x} outside the dyadic window ({X}, {2 * X})")
-    return series_with_gap(x, float(omega.value(x)), r2, cutoff)
-
-
 def expansion_rhs(x: RadiusPoint, X: float, omega: GapWidth, r2: R2Table) -> float:
-    """Main series at cutoff floor(X^2) minus the exact sawtooth correction.
+    """Main series at cutoff floor(X^2) minus the exact sawtooth correction
+    of the shell, sawtooth_ball_sum(outer) - sawtooth_ball_sum(x).
 
-    The gap width is the same snapped value the exact shell count realises,
-    so the residual against shell_sample(...).normalized probes only the
-    expansion remainder.
+    The outer radius and the gap width are the snapped values the exact
+    shell count realises, so the residual against
+    shell_sample(...).normalized probes only the expansion remainder.
     """
     if not X < x.value < 2 * X:
         raise ValueError(f"x = {x.value} outside the dyadic window ({X}, {2 * X})")
-    gap = float(omega.value(x.value))
-    outer = snap_outer_radius(x, gap)
-    snapped_gap = (outer.k - (x.k << OUTER_REFINE_SHIFT)) / outer.Q
+    outer, snapped_gap = snap_outer_radius(x, float(omega.value(x.value)))
     series = series_with_gap(x.value, snapped_gap, r2, int(X * X))
-    xi = sawtooth_shell_sum(x, omega, r2)
+    xi = sawtooth_ball_sum(outer, r2) - sawtooth_ball_sum(x, r2)
     return series - 2.0 / (x.value * x.value) * xi
 
 
@@ -105,9 +85,7 @@ def r2_squared_partial_sum_check(y: int, r2: R2Table) -> float:
         raise ValueError("y must be >= 2")
     if y > r2.limit:
         raise ValueError(f"y = {y} exceeds the r2 table limit {r2.limit}")
-    n = r2.nonzero_count_upto(y)
-    lo = 1 if n > 0 and r2.nonzero_m[0] == 0 else 0
-    v = r2.nonzero_values[lo:n]
+    v = r2.nonzero_values[:r2.nonzero_count_upto(y)]
     total = int(np.dot(v, v))
     return total / (4.0 * y * math.log(y))
 
@@ -120,9 +98,7 @@ def _cores_upto(Y: int, r2: R2Table):
     """Group m <= Y by square-free core: core -> (k array, weight rows r2(c k^2)/(c k^2))."""
     spf = spf_sieve(Y)
     cores: dict[int, list[tuple[int, float]]] = {}
-    n = r2.nonzero_count_upto(Y)
-    start = 1 if n > 0 and r2.nonzero_m[0] == 0 else 0
-    for i in range(start, n):
+    for i in range(r2.nonzero_count_upto(Y)):
         m = int(r2.nonzero_m[i])
         dec = squarefree_core(m, spf)
         cores.setdefault(dec.core, []).append((dec.k, float(r2.nonzero_values[i]) / m))

@@ -1,9 +1,10 @@
 """Independent oracles that only the tests use.
 
-The j = 2 diagonal sum in its plain-sum form and in the literal square-free
-pair regrouping (both cross-check voronoi.diagonal_sum), and the Fourier-side
-evaluation of an almost-periodic gap width (cross-checks the direct
-product/sum evaluation in gapwidth).
+A pure-integer ball count (cross-checks counting.count_ball_fast above the
+brute-force cap), the j = 2 diagonal sum in its plain-sum form and in the
+literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
+and the Fourier-side evaluation of an almost-periodic gap width
+(cross-checks the direct product/sum evaluation in gapwidth).
 """
 
 import math
@@ -11,8 +12,21 @@ import math
 import numpy as np
 
 from cygshell.arith import R2Table
+from cygshell.counting import RadiusPoint
 from cygshell.gapwidth import _IMAG_TOL, GapWidth, _fourier_terms, midpoint_grid
 from cygshell.voronoi import _cores_upto
+
+
+def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:
+    """N(x) = sum_{m <= x^2} r2(m) (2 isqrt(k^4 - m^2 Q^4) // Q^2 + 1), in
+    integers only: every slice of the dense table, m = 0 included."""
+    if x.floor_sq > r2.limit:
+        raise ValueError(f"r2 table limit {r2.limit} < floor(x^2) = {x.floor_sq}")
+    k4, Q2 = x.k ** 4, x.Q * x.Q
+    Q4 = Q2 * Q2
+    ms = np.flatnonzero(r2.values[:x.floor_sq + 1])
+    return sum(r * (2 * (math.isqrt(k4 - m * m * Q4) // Q2) + 1)
+               for m, r in zip(ms.tolist(), r2.values[ms].tolist()))
 
 
 def diagonal_sum_direct_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
@@ -23,10 +37,8 @@ def diagonal_sum_direct_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
     prefactor)."""
     xs = midpoint_grid(X, samples)
     om = np.asarray(omega.value(xs), dtype=np.float64)
-    n = r2.nonzero_count_upto(Y)
-    lo = 1 if n > 0 and r2.nonzero_m[0] == 0 else 0
     acc = np.zeros(samples)
-    for i in range(lo, n):
+    for i in range(r2.nonzero_count_upto(Y)):
         m = int(r2.nonzero_m[i])
         w = float(r2.nonzero_values[i]) / m
         acc += (w * np.sin(math.pi * math.sqrt(m) * om)) ** 2

@@ -21,6 +21,16 @@ def test_r2_examples():
     assert arith.build_r2(0).values[0] == 1
 
 
+def test_r2_compressed_view_is_m_ge_1():
+    empty = arith.build_r2(0)
+    assert len(empty.nonzero_m) == 0
+    assert empty.sum_upto(0) == 1
+    table = arith.build_r2(25)
+    assert table.nonzero_m[0] == 1
+    assert table.sum_upto(0) == 1
+    assert table.sum_upto(25) == int(table.values.sum())
+
+
 def test_r2_divisibility(r2_10k):
     assert np.all(r2_10k.values[1:] % 4 == 0)
 

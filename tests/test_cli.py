@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cygshell import cli, gapwidth, spectra
+from cygshell import arith, cli, gapwidth, spectra
 from cygshell.cli import ExperimentConfig, main
 
 
@@ -31,6 +31,17 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+def test_exactness_cap_fails_before_table(tmp_path, monkeypatch, capsys):
+    # the top point of this grid, 16387.27, snaps its outer radius past 2^26
+    def build_r2(limit):
+        raise AssertionError(f"build_r2({limit}) called before the cap check")
+
+    monkeypatch.setattr(arith, "build_r2", build_r2)
+    argv = ["sample", "--X", "8200", "--samples", "100", "--out", str(tmp_path)]
+    assert main(argv) == cli.EXIT_USAGE
+    assert "exactness cap" in capsys.readouterr().err
 
 
 def test_config_round_trip():

@@ -5,6 +5,7 @@ import pytest
 
 from cygshell import arith, counting
 from cygshell.counting import RadiusPoint
+from oracles import count_ball_isqrt
 
 
 def triple_loop_count(k: int, Q: int) -> int:
@@ -74,6 +75,20 @@ def test_fast_equals_brute_on_sevenths(r2_10k):
         assert counting.count_ball_fast(p, r2_10k) == counting.count_ball_brute(p), k
 
 
+def test_fast_equals_isqrt_oracle():
+    r2 = arith.build_r2(2048 ** 2)
+    # 65 = 5 * 13: (m, c) = (20, 15) * 13^2 lies on the sphere, 65^4 = m^2 + c^2
+    assert 3380 ** 2 + 2535 ** 2 == 65 ** 4
+    radii = [
+        RadiusPoint(61, 1), RadiusPoint(65, 1), RadiusPoint(1000, 1),  # Q = 1
+        RadiusPoint(24_001, 48), RadiusPoint(7003, 7),  # Q not a power of two
+        RadiusPoint(1_000_003, 64 << counting.OUTER_REFINE_SHIFT),  # refined denominator
+        RadiusPoint((1 << 26) - 1, 1 << 15),  # numerator at the cap, x ~ 2048
+    ]
+    for x in radii:
+        assert counting.count_ball_fast(x, r2) == count_ball_isqrt(x, r2), x
+
+
 def test_counts_odd_and_monotone(r2_10k):
     prev = 0
     for k in range(1, 120):
@@ -131,17 +146,23 @@ def test_sawtooth_single_ball_fixture(r2_10k):
     assert counting.sawtooth_ball_sum(RadiusPoint(1, 1), r2_10k) == -2.0
 
 
-def test_sawtooth_zero_gap_cancels(r2_10k, zero_gap):
+def sawtooth_shell_sum(x, gap, r2):
+    """The sawtooth correction of the shell (x, x + gap] at the snapped outer radius."""
+    outer, _ = counting.snap_outer_radius(x, gap)
+    return counting.sawtooth_ball_sum(outer, r2) - counting.sawtooth_ball_sum(x, r2)
+
+
+def test_sawtooth_zero_gap_cancels(r2_10k):
     for k in (64, 131, 517):
         x = RadiusPoint(k, 16)
-        assert counting.sawtooth_shell_sum(x, zero_gap, r2_10k) == 0.0
+        assert sawtooth_shell_sum(x, 0.0, r2_10k) == 0.0
 
 
-def test_sawtooth_bound(r2_200k, inv_log):
+def test_sawtooth_bound(r2_200k):
     for k in (640, 1215, 2751, 3199):
         x = RadiusPoint(k, 64)
-        xi = counting.sawtooth_shell_sum(x, inv_log, r2_200k)
         gap = 1.0 / math.log(x.value)
+        xi = sawtooth_shell_sum(x, gap, r2_200k)
         outer_sq = (x.value + gap) ** 2
         bound = 0.5 * (r2_200k.sum_upto(int(outer_sq)) + r2_200k.sum_upto(x.floor_sq))
         assert abs(xi) <= bound
@@ -151,6 +172,8 @@ def test_sawtooth_bound(r2_200k, inv_log):
 
 def test_snap_outer_radius_refines():
     x = RadiusPoint(128, 64)
-    outer = counting.snap_outer_radius(x, 0.1)
+    outer, gap = counting.snap_outer_radius(x, 0.1)
     assert outer.Q == 64 << counting.OUTER_REFINE_SHIFT
     assert 0 < outer.value - x.value < 0.1 + 1.0 / outer.Q
+    assert gap == (outer.k - x.refined().k) / outer.Q
+    assert abs(gap - 0.1) <= 0.5 / outer.Q

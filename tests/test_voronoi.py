@@ -6,30 +6,21 @@ import pytest
 
 from cygshell import arith, counting, voronoi
 from cygshell.counting import RadiusPoint
-from cygshell.voronoi import (diagonal_sum, expansion_rhs, main_series,
-                              r2_squared_partial_sum_check, series_with_gap,
-                              sum_sqrt_is_zero)
+from cygshell.voronoi import (diagonal_sum, expansion_rhs, r2_squared_partial_sum_check,
+                              series_with_gap, sum_sqrt_is_zero)
 from oracles import diagonal_sum_direct_j2, grouped_pair_sum_j2
 
 
-def test_series_empty_and_degenerate(r2_10k, inv_log, zero_gap):
-    assert main_series(150.0, 100.0, inv_log, r2_10k, 0) == 0.0
-    assert main_series(150.0, 100.0, zero_gap, r2_10k, 5000) == 0.0
+def test_series_empty_and_degenerate(r2_10k):
+    assert series_with_gap(150.0, 1.0 / math.log(150.0), r2_10k, 0) == 0.0
+    assert series_with_gap(150.0, 0.0, r2_10k, 5000) == 0.0
 
 
 def test_series_window_and_cutoff_guards(r2_10k, inv_log):
     with pytest.raises(ValueError):
-        main_series(350.0, 100.0, inv_log, r2_10k, 100)
+        expansion_rhs(RadiusPoint(350, 1), 100.0, inv_log, r2_10k)
     with pytest.raises(ValueError):
-        main_series(150.0, 100.0, inv_log, r2_10k, 20_000)
-
-
-def test_series_odd_in_first_factor(r2_10k):
-    # negating the gap in the first sine factor negates every term
-    for x in (123.4, 151.25):
-        a = series_with_gap(x, 0.21, r2_10k, 5000, phase_gap=0.21)
-        b = series_with_gap(x, -0.21, r2_10k, 5000, phase_gap=0.21)
-        assert abs(a + b) < 1e-12
+        series_with_gap(150.0, 1.0 / math.log(150.0), r2_10k, 20_000)
 
 
 def test_series_matches_direct_sum(r2_10k):
