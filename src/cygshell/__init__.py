@@ -5,8 +5,8 @@ from .arith import CoreDecomposition, R2Table, build_r2, squarefree_core
 from .counting import (BALL_VOLUME, RadiusPoint, ShellSample, count_ball_brute,
                        count_ball_fast, shell_sample)
 from .gapwidth import (AlmostPeriodicGap, GapWidth, OmegaDiagnostics,
-                       gap_from_json, gap_to_json, make_almost_periodic,
-                       make_slowly_varying, midpoint_grid, omega_diagnostics)
+                       gap_from_json, make_almost_periodic, make_slowly_varying,
+                       midpoint_grid, omega_diagnostics)
 from .spectra import (DensitySpec, TrigPolyModulus, construction_moment,
                       constrained_frequency_sum, density_eval, density_moment,
                       gauss_moment, l_j, phi_from_poly, phi_moment,

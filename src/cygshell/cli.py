@@ -23,6 +23,9 @@ EXIT_TEST_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# ThreadPoolExecutor's own default ceiling on its worker count
+MAX_THREADS = 32
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -49,6 +52,8 @@ class ExperimentConfig:
             raise ValueError("j_max must be even and <= 8")
         if self.mode not in ("exact", "fast"):
             raise ValueError("mode must be exact or fast")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads must lie in 1..{MAX_THREADS}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

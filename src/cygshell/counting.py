@@ -114,19 +114,21 @@ def count_ball_brute(x: RadiusPoint) -> int:
 
 
 def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
-    """Yield (lo, hi, s) over the nonzero slices 1 <= m <= x^2 in chunks of
-    _KERNEL_CHUNK, with s[i] ~ sqrt(x^4 - m^2) for m = r2.nonzero_m[lo + i].
+    """Yield (lo, hi, s, band) over the nonzero slices 1 <= m <= x^2 in chunks
+    of _KERNEL_CHUNK, with s[i] ~ sqrt(x^4 - m^2) for m = r2.nonzero_m[lo + i].
 
     s is the float sqrt of the exact int64 factorisation
-    (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2; each caller re-decides the
-    entries in its own near-integer band from k^4 - m^2 Q^4.  Raises before
-    the first chunk when the table does not reach floor(x^2).
+    (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2.  band lists (i, k^4 - m^2 Q^4)
+    for the entries within _BAND of an integer, which the caller re-decides
+    in exact arithmetic.  Raises before the first chunk when the table does
+    not reach floor(x^2).
     """
     mmax = x.floor_sq
     if mmax > r2.limit:
         raise ValueError(f"r2 table limit {r2.limit} < floor(x^2) = {mmax}")
     k2 = x.k * x.k
     Q2 = x.Q * x.Q
+    k4, Q4 = k2 * k2, Q2 * Q2
     inv_q2 = 1.0 / Q2
     n = r2.nonzero_count_upto(mmax)
     for lo in range(0, n, _KERNEL_CHUNK):
@@ -134,7 +136,10 @@ def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
         w = r2.nonzero_m[lo:hi] * Q2
         a = (k2 - w).astype(np.float64)
         b = (k2 + w).astype(np.float64)
-        yield lo, hi, np.sqrt(a * b) * inv_q2
+        s = np.sqrt(a * b) * inv_q2
+        near = np.flatnonzero(np.abs(s - np.rint(s)) < _BAND)
+        ms = r2.nonzero_m[lo + near].tolist()
+        yield lo, hi, s, [(i, k4 - m * m * Q4) for i, m in zip(near.tolist(), ms)]
 
 
 def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
@@ -147,16 +152,12 @@ def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
     count_ball_brute everywhere both run.
     """
     Q2 = x.Q * x.Q
-    mnz = r2.nonzero_m
     vnz = r2.nonzero_values
     total = 0
-    for lo, hi, s in _sqrt_chunks(x, r2):
+    for lo, hi, s, band in _sqrt_chunks(x, r2):
         t = np.floor(s).astype(np.int64)
-        band = np.abs(s - np.rint(s)) < _BAND
-        if band.any():
-            for i in np.nonzero(band)[0]:
-                m = int(mnz[lo + i])
-                t[i] = math.isqrt(x.k ** 4 - m * m * x.Q ** 4) // Q2
+        for i, v in band:
+            t[i] = math.isqrt(v) // Q2
         total += 2 * int(np.dot(vnz[lo:hi], t))
     # the "+1" of every slice m >= 1, then the m = 0 slice: |c| <= floor(x^2)
     ones = int(r2.nonzero_prefix[r2.nonzero_count_upto(x.floor_sq)])
@@ -170,20 +171,14 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
     The m = 0 slice is excluded: the series convention starts at m = 1.
     """
     Q2 = x.Q * x.Q
-    mnz = r2.nonzero_m
     vnz = r2.nonzero_values
     total = 0.0
-    for lo, hi, s in _sqrt_chunks(x, r2):
-        frac = s - np.floor(s)
-        psi = frac - 0.5
+    for lo, hi, s, band in _sqrt_chunks(x, r2):
+        psi = s - np.floor(s) - 0.5
         vals = vnz[lo:hi].astype(np.float64)
         total += math.fsum(vals * psi)
-        band = np.minimum(frac, 1.0 - frac) < _BAND
-        if band.any():
-            for i in np.nonzero(band)[0]:
-                m = int(mnz[lo + i])
-                exact = _psi_exact(x.k ** 4 - m * m * x.Q ** 4, Q2)
-                total += float(vnz[lo + i]) * (exact - psi[i])
+        for i, v in band:
+            total += float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i])
     return total
 
 

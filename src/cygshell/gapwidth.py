@@ -2,7 +2,7 @@
 
 Built-in slowly varying families plus the almost-periodic product/sum
 constructions phi_l(lambda_l (log x)^A) (log x)^(-A), whose derivatives come
-from term-wise differentiation of the exact Fourier representation.
+from the factors' derivative values by the chain and Leibniz rules.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ __all__ = [
     "midpoint_grid",
     "omega_diagnostics",
     "gap_from_json",
-    "gap_to_json",
     "density_spec_from_json",
     "SLOWLY_VARYING_KINDS",
 ]
 
 X_MIN = 3.0  # lower end of the domain on which every gap width is defined
 _ROOT_FLOOR = 1e-9
-_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,6 @@ class AlmostPeriodicGap:
     lambdas: tuple          # tuple[float, ...]
     exponent: int
     mode: str               # "product" | "sum"
-    independent: bool = True
 
     def __post_init__(self):
         if self.mode not in ("product", "sum"):
@@ -131,87 +128,66 @@ class AlmostPeriodicGap:
         return tuple(phi_from_poly(c) for c in self.polys)
 
 
-def _fourier_terms(spec: AlmostPeriodicGap):
-    """Flatten the construction into [(frequency, complex coefficient)] terms
-    of t -> construction(lambda * t)."""
-    factors = []  # the nonzero (frequency, coefficient) terms of each phi_l(lambda_l t)
-    for phi, lam in zip(spec.to_phis(), spec.lambdas):
-        row = []
-        for m in range(-phi.degree, phi.degree + 1):
-            c = phi.coeff(m)
-            cc = complex(float(c[0]), float(c[1]))
-            if cc != 0:
-                row.append((m * lam, cc))
-        factors.append(row)
-    if spec.mode == "product":
-        stack = [(0.0, 1 + 0j)]
-        for row in factors:
-            stack = [(freq + f, coeff * cc) for freq, coeff in stack for f, cc in row]
-    else:
-        stack = [term for row in factors for term in row]
-    terms: dict[float, complex] = {}
-    for freq, coeff in stack:
-        terms[freq] = terms.get(freq, 0j) + coeff
-    return sorted(terms.items())
+def _leibniz(c: list, f: list) -> list:
+    """The jet (up to order 2) of a product from the jets of its two factors."""
+    out = [c[0] * f[0]]
+    if len(c) > 1:
+        out.append(c[1] * f[0] + c[0] * f[1])
+    if len(c) > 2:
+        out.append(c[2] * f[0] + 2.0 * c[1] * f[1] + c[0] * f[2])
+    return out
 
 
 def make_almost_periodic(spec: AlmostPeriodicGap) -> GapWidth:
-    """omega(x) = construction(lambda_l (log x)^A) * (log x)^(-A).
+    """omega(x) = C(u) * (log x)^(-A), u = (log x)^A, where C combines the
+    factors phi_l(lambda_l u).
 
-    Evaluation multiplies/adds the phi_l values directly; d1 and d2 come from
-    term-wise analytic differentiation of the Fourier representation.  Every
-    evaluation is checked to be real to within 1e-10 of its magnitude.
+    The jet (C, C', C'') is folded from the factor jets
+    (phi_l, lambda_l phi_l', lambda_l^2 phi_l'') at lambda_l u; omega' and
+    omega'' follow from it by the chain rule in x.
     """
     phis = spec.to_phis()
     # the grid minimum of |p|^2 stands in for "no roots on the unit circle"
     if min(phi.grid_min for phi in phis) <= _ROOT_FLOOR:
         raise ValueError("a factor polynomial is (numerically) zero on the unit circle")
     A = spec.exponent
-    terms = _fourier_terms(spec)
-    freqs = np.array([f for f, _ in terms])
-    coeffs = np.array([c for _, c in terms])
     lambdas = spec.lambdas
 
-    def _construction(u):
-        parts = [phi.values(np.asarray(lam * u, dtype=np.float64))
-                 for phi, lam in zip(phis, lambdas)]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out * p if spec.mode == "product" else out + p
-        return out
+    def _jet(u, order):
+        """[C(u), ..., C^(order)(u)] for order <= 2."""
+        jet = None
+        for phi, lam in zip(phis, lambdas):
+            t = np.asarray(lam * u, dtype=np.float64)
+            f = [phi.values(t)]
+            for k in range(1, order + 1):
+                f.append(lam ** k * phi.values(t, k))
+            if jet is None:
+                jet = f
+            elif spec.mode == "product":
+                jet = _leibniz(jet, f)
+            else:
+                jet = [c + g for c, g in zip(jet, f)]
+        return jet
 
     def _val(x):
         x = np.asarray(x, dtype=np.float64)
         L = np.log(x)
-        return _construction(L ** A) * L ** (-A)
-
-    def _check_real(z, scale):
-        if np.max(np.abs(z.imag)) > _IMAG_TOL * (1.0 + np.max(np.abs(z.real)) + scale):
-            raise AssertionError("Fourier evaluation lost reality symmetry")
-        return z.real
+        return _jet(L ** A, 0)[0] * L ** (-A)
 
     def _d1(x):
         x = np.asarray(x, dtype=np.float64)
         L = np.log(x)
         u = L ** A
-        phase = np.exp(2j * math.pi * np.multiply.outer(u, freqs))
-        two_pi_f = 2j * math.pi * freqs
-        inner = phase * coeffs * (np.multiply.outer(u, two_pi_f) - 1.0)
-        z = inner.sum(axis=-1) * (A / (x * L ** (A + 1)))
-        return _check_real(z, float(np.max(np.abs(coeffs))))
+        c0, c1 = _jet(u, 1)
+        return (u * c1 - c0) * (A / (x * L ** (A + 1)))
 
     def _d2(x):
         x = np.asarray(x, dtype=np.float64)
         L = np.log(x)
         u = L ** A
-        phase = np.exp(2j * math.pi * np.multiply.outer(u, freqs))
-        two_pi_f = 2j * math.pi * freqs
-        bracket = (
-            (A + 1.0 + L)[..., None] * (np.multiply.outer(u, two_pi_f) - 1.0)
-            + A * np.multiply.outer(u * u, (2 * math.pi * freqs) ** 2)
-        )
-        z = (phase * coeffs * bracket).sum(axis=-1) * (-A / (x * x * L ** (A + 2)))
-        return _check_real(z, float(np.max(np.abs(coeffs))))
+        c0, c1, c2 = _jet(u, 2)
+        bracket = (A + 1.0 + L) * (u * c1 - c0) - A * u * u * c2
+        return bracket * (-A / (x * x * L ** (A + 2)))
 
     mark = "x" if spec.mode == "product" else "+"
     return GapWidth(name=f"almost_periodic_{mark}_n{len(phis)}_A{A}",
@@ -304,7 +280,8 @@ def _parse_polys(obj) -> tuple:
 
 def gap_from_json(obj: dict) -> GapWidth:
     """Build a gap width from the JSON spec: slowly varying kinds need only
-    "kind"; product/sum kinds carry polys, lambdas, independent and A."""
+    "kind"; product/sum kinds carry polys, lambdas and A.  Other keys are
+    ignored."""
     kind = obj["kind"]
     if kind in SLOWLY_VARYING_KINDS:
         return make_slowly_varying(kind)
@@ -314,35 +291,16 @@ def gap_from_json(obj: dict) -> GapWidth:
             lambdas=tuple(float(v) for v in obj["lambdas"]),
             exponent=int(obj["A"]),
             mode=kind,
-            independent=bool(obj.get("independent", True)),
         )
         return make_almost_periodic(spec)
     raise ValueError(f"unknown gap-width kind {kind!r}")
 
 
-def gap_to_json(gap: GapWidth) -> dict:
-    if gap.spec is None:
-        return {"kind": gap.name}
-    spec = gap.spec
-    return {
-        "kind": spec.mode,
-        "polys": [[[c.real, c.imag] for c in poly] for poly in spec.polys],
-        "lambdas": list(spec.lambdas),
-        "independent": spec.independent,
-        "A": spec.exponent,
-    }
-
-
 def density_spec_from_json(obj: dict, quad_points: int) -> DensitySpec:
     """The density-side reading of the same schema (lambdas and A do not enter
-    the limiting density)."""
+    the limiting density); quad_points is the tensor quadrature size."""
     kind = obj["kind"]
     if kind not in ("product", "sum"):
         raise ValueError("density specs require a product or sum kind")
     phis = tuple(phi_from_poly(c) for c in _parse_polys(obj["polys"]))
-    return DensitySpec(
-        mode=kind,
-        phis=phis,
-        quad_points=int(obj.get("quad_points", quad_points)),
-        independent=bool(obj.get("independent", True)),
-    )
+    return DensitySpec(mode=kind, phis=phis, quad_points=quad_points)

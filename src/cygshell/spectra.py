@@ -85,12 +85,17 @@ class TrigPolyModulus:
             return _CZERO
         return self.coeffs[m + self.degree]
 
-    def values(self, t: np.ndarray) -> np.ndarray:
-        """Evaluate phi on a float grid (real part; imaginary is zero by symmetry)."""
+    def values(self, t: np.ndarray, order: int = 0) -> np.ndarray:
+        """The order-th derivative of phi on a float grid: the real part of
+        sum_m (2 pi i m)^order a_m e^{2 pi i m t} (the imaginary part is zero
+        by the reality symmetry)."""
         acc = np.zeros_like(t, dtype=np.complex128)
         for m in range(-self.degree, self.degree + 1):
             c = self.coeff(m)
-            acc += complex(float(c[0]), float(c[1])) * np.exp(2j * math.pi * m * t)
+            a = complex(float(c[0]), float(c[1]))
+            if order:
+                a *= (2j * math.pi * m) ** order
+            acc += a * np.exp(2j * math.pi * m * t)
         return acc.real
 
     @cached_property
@@ -169,7 +174,6 @@ class DensitySpec:
     mode: str                         # "product" | "sum"
     phis: tuple                       # tuple[TrigPolyModulus, ...]
     quad_points: int = 64
-    independent: bool = True
 
     def __post_init__(self):
         if self.mode not in ("product", "sum"):
@@ -239,13 +243,10 @@ def constrained_frequency_sum(spec: DensitySpec, j: int) -> Fraction:
 
     Frequencies are integer vectors (one exponent per coordinate), so the
     zero test is exact; the tuple sum is accumulated as a j-fold tensor
-    convolution over the integer lattice.  Requires the independence flag:
-    with dependent lambdas the vector-sum test no longer models f-sums.
+    convolution over the integer lattice.
     """
     if spec.mode != "product":
         raise ValueError("constrained frequency sums are defined for product specs")
-    if not spec.independent:
-        raise ValueError("dependent frequencies are unsupported")
     if j < 0:
         raise ValueError("j must be >= 0")
     if j == 0:

@@ -173,12 +173,9 @@ def m_j(omega: GapWidth, X: float, S: int, j: int) -> float:
 class EmpiricalDistribution:
     """Self-normalized empirical distribution of the sampled errors."""
 
-    raw: np.ndarray
     sigma: float
-    normalized: np.ndarray        # sorted raw / sigma
+    normalized: np.ndarray        # sorted samples / sigma
     moments: dict
-    hist_edges: np.ndarray
-    hist_counts: np.ndarray
 
     @classmethod
     def from_samples(cls, raw: Sequence[float], j_max: int = 8) -> "EmpiricalDistribution":
@@ -186,10 +183,7 @@ class EmpiricalDistribution:
         sigma = math.sqrt(variance_sigma2(arr))
         normalized = np.sort(arr / sigma)
         moments = {j: float(np.mean(normalized ** j)) for j in range(1, j_max + 1)}
-        edges = np.linspace(-6.0, 6.0, 62)  # 61 bins
-        counts, _ = np.histogram(np.clip(normalized, -6.0, 6.0), bins=edges)
-        return cls(raw=arr, sigma=sigma, normalized=normalized,
-                   moments=moments, hist_edges=edges, hist_counts=counts)
+        return cls(sigma=sigma, normalized=normalized, moments=moments)
 
 
 def normal_cdf(alpha: float) -> float:
@@ -255,16 +249,5 @@ def summary_json(X: float, S: int, dist: EmpiricalDistribution,
 
 
 def dump_json(obj) -> str:
-    """The artifact JSON form of obj: floats rounded to 17 significant digits,
-    keys sorted, two-space indent."""
-    return json.dumps(_round_floats(obj), indent=2, sort_keys=True)
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+    """The artifact JSON form of obj: keys sorted, two-space indent."""
+    return json.dumps(obj, indent=2, sort_keys=True)

@@ -3,8 +3,8 @@
 A pure-integer ball count (cross-checks counting.count_ball_fast above the
 brute-force cap), the j = 2 diagonal sum in its plain-sum form and in the
 literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
-and the Fourier-side evaluation of an almost-periodic gap width
-(cross-checks the direct product/sum evaluation in gapwidth).
+and the Fourier-side evaluation of an almost-periodic gap width and of its
+first two derivatives (cross-check the factor-value evaluation in gapwidth).
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 
 from cygshell.arith import R2Table
 from cygshell.counting import RadiusPoint
-from cygshell.gapwidth import _IMAG_TOL, GapWidth, _fourier_terms, midpoint_grid
+from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.voronoi import _cores_upto
 
 
@@ -67,6 +67,39 @@ def grouped_pair_sum_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
     return float(np.mean(acc))
 
 
+_IMAG_TOL = 1e-10
+
+
+def _fourier_terms(spec: AlmostPeriodicGap):
+    """Flatten the construction into [(frequency, complex coefficient)] terms
+    of u -> construction(lambda * u)."""
+    factors = []  # the nonzero (frequency, coefficient) terms of each phi_l(lambda_l u)
+    for phi, lam in zip(spec.to_phis(), spec.lambdas):
+        row = []
+        for m in range(-phi.degree, phi.degree + 1):
+            c = phi.coeff(m)
+            cc = complex(float(c[0]), float(c[1]))
+            if cc != 0:
+                row.append((m * lam, cc))
+        factors.append(row)
+    if spec.mode == "product":
+        stack = [(0.0, 1 + 0j)]
+        for row in factors:
+            stack = [(freq + f, coeff * cc) for freq, coeff in stack for f, cc in row]
+    else:
+        stack = [term for row in factors for term in row]
+    terms: dict[float, complex] = {}
+    for freq, coeff in stack:
+        terms[freq] = terms.get(freq, 0j) + coeff
+    return sorted(terms.items())
+
+
+def _real(z, scale=0.0):
+    if np.max(np.abs(z.imag)) > _IMAG_TOL * (1.0 + np.max(np.abs(z.real)) + scale):
+        raise AssertionError("Fourier evaluation lost reality symmetry")
+    return z.real
+
+
 def fourier_value(gap: GapWidth, x) -> np.ndarray:
     """Evaluate an almost-periodic gap through its Fourier representation
     (cross-check against the direct product/sum evaluation)."""
@@ -79,6 +112,29 @@ def fourier_value(gap: GapWidth, x) -> np.ndarray:
     acc = np.zeros_like(u, dtype=np.complex128)
     for f, c in terms:
         acc += c * np.exp(2j * math.pi * f * u)
-    if np.max(np.abs(acc.imag)) > _IMAG_TOL * (1.0 + np.max(np.abs(acc.real))):
-        raise AssertionError("Fourier evaluation lost reality symmetry")
-    return acc.real * L ** (-gap.spec.exponent)
+    return _real(acc) * L ** (-gap.spec.exponent)
+
+
+def fourier_derivatives(gap: GapWidth, x) -> tuple[np.ndarray, np.ndarray]:
+    """(omega'(x), omega''(x)) of an almost-periodic gap by term-wise
+    differentiation of its Fourier representation sum_f c_f e(f u) L^(-A),
+    u = L^A, L = log x: each term contributes
+    A/(x L^(A+1)) (2 pi i f u - 1) and
+    -A/(x^2 L^(A+2)) ((A + 1 + L)(2 pi i f u - 1) + A u^2 (2 pi f)^2)."""
+    if gap.spec is None:
+        raise ValueError("not an almost-periodic gap")
+    A = gap.spec.exponent
+    terms = _fourier_terms(gap.spec)
+    freqs = np.array([f for f, _ in terms])
+    coeffs = np.array([c for _, c in terms])
+    scale = float(np.max(np.abs(coeffs)))
+    x = np.asarray(x, dtype=np.float64)
+    L = np.log(x)
+    u = L ** A
+    phase = coeffs * np.exp(2j * math.pi * np.multiply.outer(u, freqs))
+    slope = np.multiply.outer(u, 2j * math.pi * freqs) - 1.0
+    d1 = (phase * slope).sum(axis=-1) * (A / (x * L ** (A + 1)))
+    bracket = ((A + 1.0 + L)[..., None] * slope
+               + A * np.multiply.outer(u * u, (2 * math.pi * freqs) ** 2))
+    d2 = (phase * bracket).sum(axis=-1) * (-A / (x * x * L ** (A + 2)))
+    return _real(d1, scale), _real(d2, scale)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cygshell import arith, cli, gapwidth, spectra
+from cygshell import arith, cli, gapwidth, spectra, stats
 from cygshell.cli import ExperimentConfig, main
 
 
@@ -51,6 +51,22 @@ def test_config_round_trip():
     again = ExperimentConfig.from_json(cfg.to_json())
     assert again == cfg
     assert ExperimentConfig.from_json(again.to_json()) == again
+
+
+def test_threads_bounded(tmp_path, monkeypatch, capsys):
+    for threads in (0, -1, 33, 100_000):
+        with pytest.raises(ValueError, match="threads"):
+            ExperimentConfig(omega={"kind": "inv_log"}, X=100.0, samples=50, threads=threads)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no table or pool may be built for a rejected config")
+
+    monkeypatch.setattr(arith, "build_r2", refuse)
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", refuse)
+    argv = ["sample", "--X", "2000", "--samples", "32000", "--threads", "100000",
+            "--out", str(tmp_path)]
+    assert main(argv) == cli.EXIT_USAGE
+    assert "threads" in capsys.readouterr().err
 
 
 def test_config_validation():

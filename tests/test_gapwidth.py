@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cygshell.gapwidth import (AlmostPeriodicGap, gap_from_json, gap_to_json,
-                               make_almost_periodic,
+from cygshell.gapwidth import (AlmostPeriodicGap, gap_from_json, make_almost_periodic,
                                make_slowly_varying, omega_diagnostics)
-from oracles import fourier_value
+from cygshell.spectra import phi_from_poly
+from oracles import fourier_derivatives, fourier_value
 
 
 def one_plus_z_product(lambdas=(1.0,), exponent=2):
@@ -106,6 +106,23 @@ def test_fourier_representation_matches_direct():
         assert np.all(np.abs(direct - four) <= 1e-9 * np.abs(direct))
 
 
+def test_derivatives_match_fourier_oracle():
+    three = make_almost_periodic(AlmostPeriodicGap(
+        polys=((1, 1), (2, 1), (1, 0.5j, -0.25)), lambdas=(1.0, math.sqrt(2), math.sqrt(5)),
+        exponent=3, mode="product"))
+    gaps = [g for g in _all_gaps() if g.spec is not None] + [three]
+    xs = np.exp(np.linspace(math.log(10.0), math.log(1e6), 2000))
+    for gap in gaps:
+        for direct, four in zip((gap.d1(xs), gap.d2(xs)), fourier_derivatives(gap, xs)):
+            assert np.all(np.abs(direct - four) <= 1e-9 * np.max(np.abs(four)))
+
+
+def test_phi_derivative_values():
+    phi = phi_from_poly([1, 1])  # |1 + z|^2 = 2 + 2 cos 2 pi t
+    t = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(phi.values(t, 1) + 4 * math.pi * np.sin(2 * math.pi * t))) < 1e-12
+
+
 def test_almost_periodic_rejects_bad_specs():
     with pytest.raises(ValueError):
         AlmostPeriodicGap(polys=((1, 1),), lambdas=(1.0,), exponent=1, mode="product")
@@ -162,18 +179,14 @@ def test_diagnostics_domain_checks(inv_log):
         omega_diagnostics(inv_log, 1000.0, 10)
 
 
-def test_json_round_trip():
-    for obj in (
-        {"kind": "inv_log"},
-        {"kind": "product", "polys": [[[1.0, 0.0], [1.0, 0.0]]],
-         "lambdas": [1.0], "independent": True, "A": 2},
-        {"kind": "sum", "polys": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.5, 0.0]]],
-         "lambdas": [1.0, 1.4142135623730951], "independent": True, "A": 3},
-    ):
-        gap = gap_from_json(obj)
-        again = gap_from_json(gap_to_json(gap))
-        for x in (25.0, 400.0):
-            assert float(gap.value(x)) == float(again.value(x))
+def test_json_spec_ignores_other_keys():
+    assert gap_from_json({"kind": "inv_log", "A": 2}).name == "inv_log"
+    spec = gap_from_json({
+        "kind": "sum", "polys": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.5, 0.0]]],
+        "lambdas": [1.0, 1.4142135623730951], "A": 3, "independent": False,
+        "quad_points": 16}).spec
+    assert spec == AlmostPeriodicGap(polys=((1, 1), (1, 0.5)),
+                                     lambdas=(1.0, math.sqrt(2)), exponent=3, mode="sum")
 
 
 def test_json_rejects_unknown_kind():

@@ -1,16 +1,22 @@
-"""Byte-for-byte pins of the artifacts of four small CLI runs.
+"""Byte-for-byte pins of the artifacts of five small CLI runs.
 
 A reordered float operation in the counting kernel, the fast series, the
-sampling grid or the serializers changes at least one of these digests.
+sampling grid, the almost-periodic gap width or the serializers changes at
+least one of these digests.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from cygshell.cli import main
+
+SPEC_FILE = "<product spec file>"
+PRODUCT_SPEC = {"kind": "product", "polys": [[[1.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]],
+                "lambdas": [1.0, 1.4142135623730951], "A": 2}
 
 GOLDEN = [
     (["sample", "--mode", "exact", "--X", "30", "--samples", "20", "--threads", "2"], {
@@ -23,6 +29,11 @@ GOLDEN = [
         "distribution.csv": "16405f899cd6d7fd76f76cf647c566c830279448d9207b5348a33b609412a887",
         "summary.json": "eb1b7a05464afe07defa355a79b5c6eeef7c9aae5defd0b27fe24f552b8ac733",
     }),
+    (["sample", "--mode", "fast", "--X", "200", "--samples", "200", "--omega-spec", SPEC_FILE], {
+        "samples.csv": "824257c39557ea9f955c5e1081ba072a0670b896136f8b971d975a448cd5e0bb",
+        "distribution.csv": "bab0d36c1b6acd5324524780dfba23d3ea1b355b2bb33e696bc2cb61e8e70572",
+        "summary.json": "e1efff071d24fbb777df73e870bed89ffaf39b7a47f777e19aaf06a41693245f",
+    }),
     (["moments", "--mode", "fast", "--X", "200", "--samples", "200"], {
         "moments.json": "467631fe145b3bac1678da0ebdc779761c3b2682e78841adfe5f12e1dba7d7df",
     }),
@@ -34,8 +45,12 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv, digests", GOLDEN,
-                         ids=["sample-exact", "sample-fast", "moments-fast", "expand"])
+                         ids=["sample-exact", "sample-fast", "sample-fast-product",
+                              "moments-fast", "expand"])
 def test_artifact_digests(tmp_path, argv, digests):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(PRODUCT_SPEC))
+    argv = [str(spec) if a == SPEC_FILE else a for a in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -123,9 +123,6 @@ def test_constrained_sum_guards():
     spec = DensitySpec(mode="sum", phis=(phi_from_poly([1, 1]),))
     with pytest.raises(ValueError):
         constrained_frequency_sum(spec, 2)
-    dep = DensitySpec(mode="product", phis=(phi_from_poly([1, 1]),), independent=False)
-    with pytest.raises(ValueError):
-        constrained_frequency_sum(dep, 2)
 
 
 def test_l_j_fixtures():
