@@ -60,7 +60,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        try:
+            return cls(**json.loads(text))
+        except TypeError as exc:  # not an object, an unknown or missing field, a bad type
+            raise ValueError(f"config: {exc}") from None
 
 
 def _parse_radius(text: str) -> counting.RadiusPoint:
@@ -254,6 +257,9 @@ def _fixtures():
         spec = spectra.DensitySpec(mode="product", phis=(phi,))
         for j in (2, 4, 6):
             assert spectra.constrained_frequency_sum(spec, j) == spectra.construction_moment(spec, j)
+        cx = spectra.DensitySpec(mode="product", phis=(spectra.phi_from_poly([1, 1j]),
+                                                         spectra.phi_from_poly([2, 1])))
+        assert spectra.constrained_frequency_sum(cx, 4) == spectra.construction_moment(cx, 4)
         assert [spectra.predicted_moment(None, j) for j in (2, 4, 6)] == [1.0, 3.0, 15.0]
 
     def gap_forms():

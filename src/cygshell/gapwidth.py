@@ -272,10 +272,11 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
 # ---------------------------------------------------------------------------
 
 def _parse_polys(obj) -> tuple:
-    polys = []
-    for coeffs in obj:
-        polys.append(tuple(complex(re, im) for re, im in coeffs))
-    return tuple(polys)
+    """The "polys" field: a list of polynomials, each a list of [re, im] pairs."""
+    try:
+        return tuple(tuple(complex(re, im) for re, im in coeffs) for coeffs in obj)
+    except TypeError:
+        raise ValueError('"polys" must be a list of lists of [re, im] number pairs') from None
 
 
 def gap_from_json(obj: dict) -> GapWidth:

@@ -8,7 +8,6 @@ rational arithmetic; floats only appear when evaluating densities.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,10 +54,6 @@ def _cx(value) -> _Cx:
 
 def _cmul(a: _Cx, b: _Cx) -> _Cx:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _cadd(a: _Cx, b: _Cx) -> _Cx:
-    return a[0] + b[0], a[1] + b[1]
 
 
 def _conj(a: _Cx) -> _Cx:
@@ -115,11 +110,8 @@ def phi_from_poly(coeffs: Sequence) -> TrigPolyModulus:
     d = len(cs) - 1
     out = []
     for m in range(-d, d + 1):
-        acc = _CZERO
-        for k in range(len(cs)):
-            if 0 <= k + m < len(cs):
-                acc = _cadd(acc, _cmul(cs[k + m], _conj(cs[k])))
-        out.append(acc)
+        terms = [_cmul(cs[k + m], _conj(cs[k])) for k in range(len(cs)) if 0 <= k + m < len(cs)]
+        out.append((sum(t[0] for t in terms), sum(t[1] for t in terms)))
     phi = TrigPolyModulus(degree=d, coeffs=tuple(out))
     _validate_phi(phi)
     return phi
@@ -135,35 +127,44 @@ def _validate_phi(phi: TrigPolyModulus) -> None:
         raise ValueError("phi is negative on the reference grid")
 
 
-def _convolve(a: list, b: list) -> list:
-    out = [_CZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == _CZERO:
-            continue
-        for j, bj in enumerate(b):
-            if bj == _CZERO:
-                continue
-            out[i + j] = _cadd(out[i + j], _cmul(ai, bj))
-    return out
+def _power_centre(terms: dict[int, _Cx], j: int) -> Fraction:
+    """Constant term of (sum_e c_e z^e)^j for j >= 1, exactly.
+
+    Kronecker substitution: with denominators cleared, the real and the
+    imaginary integer parts become base-2^w digits of two Python ints, and j
+    Gaussian-integer products raise the pair to the j-th power.  Every digit
+    of the power is below (sum |re| + |im|)^j < 2^(w - 2) in magnitude, so the
+    centre digit reads back as the balanced residue once half the lower span
+    is added and the lower digits are shifted out.
+    """
+    den = math.lcm(*(x.denominator for c in terms.values() for x in c))
+    ints = {e: (int(c[0] * den), int(c[1] * den)) for e, c in terms.items()}
+    w = j * sum(abs(a) + abs(b) for a, b in ints.values()).bit_length() + 2
+    lo = min(0, *ints)
+    re = sum(a << (w * (e - lo)) for e, (a, _) in ints.items())
+    im = sum(b << (w * (e - lo)) for e, (_, b) in ints.items())
+    pr, pi = re, im
+    for _ in range(j - 1):
+        pr, pi = pr * re - pi * im, pr * im + pi * re
+    shift = -j * lo * w
+    half, top = (1 << shift) >> 1, 1 << (w - 1)
+    centre = [(v + half) >> shift for v in (pr, pi)]
+    real, imag = ((c + top) % (2 * top) - top for c in centre)
+    if imag:
+        raise AssertionError("constant term has a nonzero imaginary part")
+    return Fraction(real, den ** j)
 
 
 def phi_moment(phi: TrigPolyModulus, j: int) -> Fraction:
     """Exact integral of phi(t)^j over one period: the constant coefficient of
-    the j-fold self-convolution of the coefficient array."""
+    the j-th power of phi's Laurent polynomial."""
     if j < 0:
         raise ValueError("moment order must be >= 0")
     if j == 0:
         return Fraction(1)
     if j * phi.degree > _COEFF_SPAN_CAP:
         raise ValueError("coefficient span too large")
-    base = list(phi.coeffs)
-    acc = base
-    for _ in range(j - 1):
-        acc = _convolve(acc, base)
-    centre = acc[(len(acc) - 1) // 2]
-    if centre[1] != 0:
-        raise AssertionError("moment has a nonzero imaginary part")
-    return centre[0]
+    return _power_centre({m - phi.degree: c for m, c in enumerate(phi.coeffs)}, j)
 
 
 @dataclass(frozen=True)
@@ -241,9 +242,10 @@ def _compositions(total: int, parts: int):
 def constrained_frequency_sum(spec: DensitySpec, j: int) -> Fraction:
     """Sum of prod_i a_{f_i} over j-tuples of frequency vectors summing to zero.
 
-    Frequencies are integer vectors (one exponent per coordinate), so the
-    zero test is exact; the tuple sum is accumulated as a j-fold tensor
-    convolution over the integer lattice.
+    Frequencies are integer vectors (one exponent per coordinate).  Each is
+    packed into one integer with mixed-radix strides prod_{l' < l}(2 j d_l' + 1),
+    so a sum of j of them packs to 0 exactly when it is the zero vector, and
+    the tuple sum is the constant term of a 1-D power.
     """
     if spec.mode != "product":
         raise ValueError("constrained frequency sums are defined for product specs")
@@ -251,34 +253,14 @@ def constrained_frequency_sum(spec: DensitySpec, j: int) -> Fraction:
         raise ValueError("j must be >= 0")
     if j == 0:
         return Fraction(1)
-    base = {}
-    dims = tuple(phi.degree for phi in spec.phis)
-    for mvec in itertools.product(*(range(-d, d + 1) for d in dims)):
-        # coefficient of the product construction at this frequency vector
-        parts = [phi.coeff(m) for phi, m in zip(spec.phis, mvec)]
-        c = parts[0]
-        for p in parts[1:]:
-            c = _cmul(c, p)
-        if c != _CZERO:
-            base[mvec] = c
-    acc = base
-    for _ in range(j - 1):
-        acc = _dict_convolve(acc, base)
-    zero = tuple(0 for _ in dims)
-    val = acc.get(zero, _CZERO)
-    if val[1] != 0:
-        raise AssertionError("constrained sum has a nonzero imaginary part")
-    return val[0]
-
-
-def _dict_convolve(a: dict, b: dict) -> dict:
-    out = {}
-    for va, ca in a.items():
-        for vb, cb in b.items():
-            key = tuple(x + y for x, y in zip(va, vb))
-            prev = out.get(key, _CZERO)
-            out[key] = _cadd(prev, _cmul(ca, cb))
-    return {k: v for k, v in out.items() if v != _CZERO}
+    terms = {0: (Fraction(1), Fraction(0))}
+    stride = 1
+    for phi in spec.phis:
+        d = phi.degree
+        terms = {e + m * stride: _cmul(c, phi.coeff(m))
+                 for e, c in terms.items() for m in range(-d, d + 1)}
+        stride *= 2 * j * d + 1
+    return _power_centre(terms, j)
 
 
 def l_j(spec: DensitySpec, j: int) -> Fraction:
@@ -352,7 +334,7 @@ def density_eval(spec: DensitySpec, alpha: float) -> float:
     weights, sigmas, _ = mixture_components(spec)
     z = alpha / sigmas
     vals = np.exp(-0.5 * z * z) / (sigmas * math.sqrt(2 * math.pi))
-    return float(np.dot(weights, vals))
+    return float((weights * vals).sum())  # not np.dot, which spins BLAS threads
 
 
 def _alpha_cutoff(spec: DensitySpec) -> float:

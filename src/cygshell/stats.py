@@ -205,7 +205,7 @@ def mixture_cdf(spec: DensitySpec, alpha: float) -> float:
     weights, sigmas, _ = mixture_components(spec)
     z = alpha / sigmas
     vals = 0.5 * (1.0 + np.array([math.erf(v) for v in z / math.sqrt(2.0)]))
-    return float(np.dot(weights, vals))
+    return float((weights * vals).sum())  # not np.dot, which spins BLAS threads
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,21 @@ A pure-integer ball count (cross-checks counting.count_ball_fast above the
 brute-force cap), the j = 2 diagonal sum in its plain-sum form and in the
 literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
 and the Fourier-side evaluation of an almost-periodic gap width and of its
-first two derivatives (cross-check the factor-value evaluation in gapwidth).
+first two derivatives (cross-check the factor-value evaluation in gapwidth),
+and the constrained frequency sum as a j-fold tensor convolution over the
+frequency lattice (cross-checks the packed power in spectra).
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from cygshell.arith import R2Table
 from cygshell.counting import RadiusPoint
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
+from cygshell.spectra import DensitySpec, _cmul
 from cygshell.voronoi import _cores_upto
 
 
@@ -138,3 +143,39 @@ def fourier_derivatives(gap: GapWidth, x) -> tuple[np.ndarray, np.ndarray]:
                + A * np.multiply.outer(u * u, (2 * math.pi * freqs) ** 2))
     d2 = (phase * bracket).sum(axis=-1) * (-A / (x * x * L ** (A + 2)))
     return _real(d1, scale), _real(d2, scale)
+
+
+def _cadd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+_CZERO = (Fraction(0), Fraction(0))
+
+
+def _dict_convolve(a: dict, b: dict) -> dict:
+    out = {}
+    for va, ca in a.items():
+        for vb, cb in b.items():
+            key = tuple(x + y for x, y in zip(va, vb))
+            out[key] = _cadd(out.get(key, _CZERO), _cmul(ca, cb))
+    return {k: v for k, v in out.items() if v != _CZERO}
+
+
+def constrained_sum_convolution(spec: DensitySpec, j: int) -> Fraction:
+    """Sum of prod_i a_{f_i} over j-tuples of frequency vectors f_i summing
+    to zero, for j >= 1, as a j-fold tensor convolution of the product
+    construction's coefficients keyed by the frequency vectors themselves."""
+    base = {}
+    for mvec in itertools.product(*(range(-phi.degree, phi.degree + 1) for phi in spec.phis)):
+        c = (Fraction(1), Fraction(0))
+        for phi, m in zip(spec.phis, mvec):
+            c = _cmul(c, phi.coeff(m))
+        if c != _CZERO:
+            base[mvec] = c
+    acc = base
+    for _ in range(j - 1):
+        acc = _dict_convolve(acc, base)
+    val = acc.get((0,) * len(spec.phis), _CZERO)
+    if val[1] != 0:
+        raise AssertionError("constrained sum has a nonzero imaginary part")
+    return val[0]

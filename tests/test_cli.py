@@ -44,6 +44,24 @@ def test_exactness_cap_fails_before_table(tmp_path, monkeypatch, capsys):
     assert "exactness cap" in capsys.readouterr().err
 
 
+def test_config_unknown_field_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"omega": {"kind": "inv_log"}, "X": 100.0,
+                                    "samples": 20, "mode": "fast", "bogus": 1}))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bogus" in err
+
+
+def test_malformed_coefficient_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "product", "polys": [[1, 2]],
+                                     "lambdas": [1.0], "A": 2}))
+    assert main(["density", "--spec", str(spec_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "polys" in err
+
+
 def test_config_round_trip():
     cfg = ExperimentConfig(omega={"kind": "inv_log"}, X=100.0, samples=50,
                            Q=64, mode="fast", j_max=4, phase=0.25,

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-
 from cygshell.spectra import (DensitySpec, construction_moment,
                               constrained_frequency_sum, density_eval,
                               density_moment, gauss_moment, l_j,
                               mixture_components, phi_from_poly, phi_moment,
                               predicted_moment)
+
+from oracles import constrained_sum_convolution
 
 
 def spec_1plusz(n=1, quad=64):
@@ -98,8 +99,26 @@ def test_constrained_sum_equals_construction_moment():
                 assert constrained_frequency_sum(spec, j) == construction_moment(spec, j)
 
 
+ORACLE_SPECS = {
+    "dyadic_three_factor": ([0.5, 1 + 0.25j], [1, -0.75j, 0.5], [3, 1]),
+    "thirds_and_fifths": ([(Fraction(1, 3), 0), (Fraction(-2, 3), Fraction(1, 5))],),
+    "double_root_times_complex": ([1, -2, 1], [1, 1j]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+@pytest.mark.parametrize("j", (1, 2, 3, 5, 6))
+def test_packed_power_matches_convolution_oracle(name, j):
+    phis = tuple(phi_from_poly(p) for p in ORACLE_SPECS[name])
+    spec = DensitySpec(mode="product", phis=phis)
+    assert constrained_frequency_sum(spec, j) == constrained_sum_convolution(spec, j)
+    for phi in phis:
+        one = DensitySpec(mode="product", phis=(phi,))
+        assert phi_moment(phi, j) == constrained_sum_convolution(one, j)
+
+
 def test_constrained_sum_literal_enumeration_small():
-    # cross-check the tensor convolution against literal tuple enumeration
+    # cross-check the packed power against literal tuple enumeration
     spec = spec_1plusz(n=1)
     phi = spec.phis[0]
     for j in (2, 3, 4):
