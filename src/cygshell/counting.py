@@ -9,6 +9,7 @@ m = a^2 + b^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,11 +40,14 @@ _MAX_K = 1 << 26
 
 _BRUTE_RADIUS_CAP = 60.0
 
-_KERNEL_CHUNK = 1 << 21
+# Nonzero slices per kernel pass: a 512 KB float64 chunk, so the handful of
+# temporaries of one pass stay in L2.
+_KERNEL_CHUNK = 1 << 16
 
 # Half-width of the near-integer band that gets re-checked in exact integer
-# arithmetic.  Float error of the scaled sqrt is < 2^-46 * x^2, several orders
-# below this for any admissible radius.
+# arithmetic.  With k^2 <= 2^52 and m Q^2 <= k^2, the float64 operands k^2,
+# m Q^2 and k^2 -+ m Q^2 are exact integers; only the product, the sqrt and
+# the 1/Q^2 scaling round, by a few ulp relative to sqrt(x^4 - m^2) <= x^2.
 _BAND = 1e-6
 
 
@@ -117,11 +121,13 @@ def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
     """Yield (lo, hi, s, band) over the nonzero slices 1 <= m <= x^2 in chunks
     of _KERNEL_CHUNK, with s[i] ~ sqrt(x^4 - m^2) for m = r2.nonzero_m[lo + i].
 
-    s is the float sqrt of the exact int64 factorisation
-    (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2.  band lists (i, k^4 - m^2 Q^4)
-    for the entries within _BAND of an integer, which the caller re-decides
-    in exact arithmetic.  Raises before the first chunk when the table does
-    not reach floor(x^2).
+    s is the float64 sqrt of (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2.  Both
+    factors are exact float64 integers (k^2 <= 2^52 by the numerator cap, and
+    mQ^2 <= k^2), so only the product, the sqrt and the scaling round: a few
+    ulp relative to x^2.  band lists (i, k^4 - m^2 Q^4) for the entries
+    within _BAND of an integer, which the caller re-decides in exact
+    arithmetic.  Raises before the first chunk when the table does not reach
+    floor(x^2).
     """
     mmax = x.floor_sq
     if mmax > r2.limit:
@@ -129,15 +135,21 @@ def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
     k2 = x.k * x.k
     Q2 = x.Q * x.Q
     k4, Q4 = k2 * k2, Q2 * Q2
+    fk2, fq2 = float(k2), float(Q2)
     inv_q2 = 1.0 / Q2
     n = r2.nonzero_count_upto(mmax)
     for lo in range(0, n, _KERNEL_CHUNK):
         hi = min(n, lo + _KERNEL_CHUNK)
-        w = r2.nonzero_m[lo:hi] * Q2
-        a = (k2 - w).astype(np.float64)
-        b = (k2 + w).astype(np.float64)
-        s = np.sqrt(a * b) * inv_q2
-        near = np.flatnonzero(np.abs(s - np.rint(s)) < _BAND)
+        w = r2.nonzero_m[lo:hi].astype(np.float64)
+        w *= fq2
+        s = fk2 - w
+        w += fk2
+        s *= w
+        np.sqrt(s, out=s)
+        s *= inv_q2
+        dist = np.rint(s, out=w)  # w is spent; reuse it for |rint(s) - s|
+        dist -= s
+        near = np.flatnonzero(np.abs(dist, out=dist) < _BAND)
         ms = r2.nonzero_m[lo + near].tolist()
         yield lo, hi, s, [(i, k4 - m * m * Q4) for i, m in zip(near.tolist(), ms)]
 
@@ -147,21 +159,22 @@ def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
 
     The m = 0 slice is the integer 2*floor(x^2) + 1.  For m >= 1 the inner
     floor is computed as isqrt(k^4 - m^2 Q^4) // Q^2 via a float sqrt of the
-    exact int64 factorisation (k^2 - mQ^2)(k^2 + mQ^2); entries landing in the
-    near-integer band are re-done in exact big-int arithmetic.  Agrees with
+    exact factorisation (k^2 - mQ^2)(k^2 + mQ^2); entries landing in the
+    near-integer band are re-done in exact big-int arithmetic.  Each chunk's
+    sum is an int64 dot, totalled as a Python int.  Agrees with
     count_ball_brute everywhere both run.
     """
     Q2 = x.Q * x.Q
     vnz = r2.nonzero_values
-    total = 0
+    total = 2 * x.floor_sq + 1  # the m = 0 slice: |c| <= floor(x^2)
     for lo, hi, s, band in _sqrt_chunks(x, r2):
-        t = np.floor(s).astype(np.int64)
+        t = s.astype(np.int64)  # s >= 0, so truncation is the floor
         for i, v in band:
             t[i] = math.isqrt(v) // Q2
-        total += 2 * int(np.dot(vnz[lo:hi], t))
-    # the "+1" of every slice m >= 1, then the m = 0 slice: |c| <= floor(x^2)
-    ones = int(r2.nonzero_prefix[r2.nonzero_count_upto(x.floor_sq)])
-    return total + ones + 2 * x.floor_sq + 1
+        t *= 2
+        t += 1
+        total += int(np.dot(vnz[lo:hi], t))
+    return total
 
 
 def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
@@ -169,16 +182,24 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
 
     psi evaluates to -1/2 at exact integer arguments (the literal formula).
     The m = 0 slice is excluded: the series convention starts at m = 1.
+    One fsum runs over the products of every chunk, then the band
+    corrections are added in slice order, so the result does not depend on
+    _KERNEL_CHUNK.
     """
     Q2 = x.Q * x.Q
     vnz = r2.nonzero_values
-    total = 0.0
-    for lo, hi, s, band in _sqrt_chunks(x, r2):
-        psi = s - np.floor(s) - 0.5
-        vals = vnz[lo:hi].astype(np.float64)
-        total += math.fsum(vals * psi)
-        for i, v in band:
-            total += float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i])
+    corrections = []
+
+    def products():
+        for lo, hi, s, band in _sqrt_chunks(x, r2):
+            psi = s - np.floor(s) - 0.5
+            corrections.extend(float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i])
+                               for i, v in band)
+            yield (vnz[lo:hi] * psi).tolist()
+
+    total = math.fsum(itertools.chain.from_iterable(products()))
+    for c in corrections:
+        total += c
     return total
 
 

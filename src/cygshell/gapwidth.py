@@ -279,20 +279,30 @@ def _parse_polys(obj) -> tuple:
         raise ValueError('"polys" must be a list of lists of [re, im] number pairs') from None
 
 
+def _spec_kind(obj) -> str:
+    """The "kind" of a JSON spec, which must be an object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a spec must be a JSON object, not {type(obj).__name__}")
+    return obj["kind"]
+
+
 def gap_from_json(obj: dict) -> GapWidth:
     """Build a gap width from the JSON spec: slowly varying kinds need only
     "kind"; product/sum kinds carry polys, lambdas and A.  Other keys are
     ignored."""
-    kind = obj["kind"]
+    kind = _spec_kind(obj)
     if kind in SLOWLY_VARYING_KINDS:
         return make_slowly_varying(kind)
     if kind in ("product", "sum"):
-        spec = AlmostPeriodicGap(
-            polys=_parse_polys(obj["polys"]),
-            lambdas=tuple(float(v) for v in obj["lambdas"]),
-            exponent=int(obj["A"]),
-            mode=kind,
-        )
+        try:
+            lambdas = tuple(float(v) for v in obj["lambdas"])
+        except TypeError:
+            raise ValueError('"lambdas" must be a list of numbers') from None
+        exponent = obj["A"]
+        if isinstance(exponent, bool) or not isinstance(exponent, int):
+            raise ValueError(f'"A" must be an integer, not {exponent!r}')
+        spec = AlmostPeriodicGap(polys=_parse_polys(obj["polys"]), lambdas=lambdas,
+                                 exponent=exponent, mode=kind)
         return make_almost_periodic(spec)
     raise ValueError(f"unknown gap-width kind {kind!r}")
 
@@ -300,7 +310,7 @@ def gap_from_json(obj: dict) -> GapWidth:
 def density_spec_from_json(obj: dict, quad_points: int) -> DensitySpec:
     """The density-side reading of the same schema (lambdas and A do not enter
     the limiting density); quad_points is the tensor quadrature size."""
-    kind = obj["kind"]
+    kind = _spec_kind(obj)
     if kind not in ("product", "sum"):
         raise ValueError("density specs require a product or sum kind")
     phis = tuple(phi_from_poly(c) for c in _parse_polys(obj["polys"]))

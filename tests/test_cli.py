@@ -62,6 +62,29 @@ def test_malformed_coefficient_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "polys" in err
 
 
+def test_gap_spec_bad_field_type_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    for field, bad in (("A", [2]), ("A", 2.5), ("lambdas", 1)):
+        spec = {"kind": "product", "polys": [[[1, 0], [1, 0]]], "lambdas": [1.0], "A": 2}
+        spec_path.write_text(json.dumps({**spec, field: bad}))
+        assert main(["sample", "--mode", "fast", "--X", "50", "--samples", "10",
+                     "--omega-spec", str(spec_path),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE, (field, bad)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f'"{field}"' in err, (field, bad)
+
+
+def test_gap_spec_not_an_object_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(["inv_log"]))
+    for argv in (["sample", "--mode", "fast", "--X", "50", "--samples", "10",
+                  "--omega-spec", str(spec_path), "--out", str(tmp_path / "out")],
+                 ["density", "--spec", str(spec_path)]):
+        assert main(argv) == cli.EXIT_USAGE, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "object" in err, argv[0]
+
+
 def test_config_round_trip():
     cfg = ExperimentConfig(omega={"kind": "inv_log"}, X=100.0, samples=50,
                            Q=64, mode="fast", j_max=4, phase=0.25,

@@ -89,6 +89,29 @@ def test_fast_equals_isqrt_oracle():
         assert counting.count_ball_fast(x, r2) == count_ball_isqrt(x, r2), x
 
 
+def test_chunk_size_does_not_change_results(monkeypatch):
+    r2 = arith.build_r2(300 ** 2)
+    refined_q = 64 << counting.OUTER_REFINE_SHIFT
+    radii = [
+        RadiusPoint(65, 1),  # sphere points, see test_fast_equals_isqrt_oracle
+        RadiusPoint(9_631, 64), RadiusPoint(12_345, 49), RadiusPoint(299, 1),
+        counting.snap_outer_radius(RadiusPoint(15_000, 64), 0.21)[0],
+        # refined outer radii whose sawtooth moved with the chunk size when
+        # each chunk took its own fsum (2 of 3787 random refined radii)
+        RadiusPoint(528_511, refined_q), RadiusPoint(574_901, refined_q),
+    ]
+
+    def results():
+        return [(counting.count_ball_fast(x, r2), counting.sawtooth_ball_sum(x, r2).hex())
+                for x in radii]
+
+    default = results()
+    monkeypatch.setattr(counting, "_KERNEL_CHUNK", 1000)
+    for x in radii:
+        assert r2.nonzero_count_upto(x.floor_sq) > 1000, x
+    assert results() == default
+
+
 def test_counts_odd_and_monotone(r2_10k):
     prev = 0
     for k in range(1, 120):
