@@ -85,13 +85,15 @@ class TrigPolyModulus:
         sum_m (2 pi i m)^order a_m e^{2 pi i m t} (the imaginary part is zero
         by the reality symmetry)."""
         acc = np.zeros_like(t, dtype=np.complex128)
-        for m in range(-self.degree, self.degree + 1):
-            c = self.coeff(m)
-            a = complex(float(c[0]), float(c[1]))
+        for m, a in zip(range(-self.degree, self.degree + 1), self._float_coeffs):
             if order:
                 a *= (2j * math.pi * m) ** order
             acc += a * np.exp(2j * math.pi * m * t)
         return acc.real
+
+    @cached_property
+    def _float_coeffs(self) -> tuple:
+        return tuple(complex(float(re), float(im)) for re, im in self.coeffs)
 
     @cached_property
     def grid_min(self) -> float:
@@ -193,8 +195,7 @@ class DensitySpec:
         weights = None
         for v in vals_1d:
             if field_vals is None:
-                field_vals = v.copy()
-                weights = w.copy()
+                field_vals, weights = v, w
             else:
                 if self.mode == "product":
                     field_vals = np.multiply.outer(field_vals, v).ravel()
@@ -303,9 +304,46 @@ _SINGULAR_NODE_FLOOR = 1e-9
 _ALPHA_NODES = 768  # Gauss-Legendre nodes of the density_moment integral
 
 
-@lru_cache(maxsize=32)
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x.copy()
+    for m in range(2, n + 1):
+        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
+@lru_cache(maxsize=8)
+def _legendre_rule(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only arrays.
+
+    Newton iteration on the recurrence from the guesses
+    cos(pi (i - 1/4)/(n + 1/2)) for the nonnegative roots, as in fast
+    Gauss-Legendre rules (Hale & Townsend), instead of a dense eigensolve;
+    the weights are 2/((1 - x^2) P_n'(x)^2) and the rule is mirrored, so
+    it is exactly symmetric."""
+    i = np.arange(1, (n + 1) // 2 + 1)
+    x = np.cos(math.pi * (i - 0.25) / (n + 0.5))  # descending; x[-1] = 0 for odd n
+    for _ in range(20):  # about 5 steps from these guesses
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.abs(step).max() < 1e-12:  # quadratic convergence: x is now exact to rounding
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes for n = {n} did not converge")
+    if n % 2:
+        x[-1] = 0.0
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    nodes = np.concatenate([-x[:n // 2], x[::-1]])
+    weights = np.concatenate([w[:n // 2], w[::-1]])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _gl_nodes(n: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -332,9 +370,13 @@ def density_eval(spec: DensitySpec, alpha: float) -> float:
     """The limiting density: a weight-averaged mixture of centred normals with
     standard deviations sigma(t)."""
     weights, sigmas, _ = mixture_components(spec)
-    z = alpha / sigmas
-    vals = np.exp(-0.5 * z * z) / (sigmas * math.sqrt(2 * math.pi))
-    return float((weights * vals).sum())  # not np.dot, which spins BLAS threads
+    z = alpha / sigmas  # the one temporary; every step below is in place
+    np.square(z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    z /= sigmas
+    z *= weights
+    return float(z.sum()) / math.sqrt(2 * math.pi)  # not np.dot, which spins BLAS threads
 
 
 def _alpha_cutoff(spec: DensitySpec) -> float:

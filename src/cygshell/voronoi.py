@@ -39,7 +39,7 @@ def series_with_gap(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
     amp = r2.nonzero_values[:n] / m.astype(np.float64)
     s = r2.nonzero_sqrt[:n]
     terms = amp * np.sin(math.pi * s * gap) * np.sin(math.pi * s * (2.0 * x + gap))
-    return SERIES_PREFACTOR * math.fsum(terms)
+    return SERIES_PREFACTOR * math.fsum(terms.tolist())
 
 
 def expansion_rhs(x: RadiusPoint, X: float, omega: GapWidth, r2: R2Table) -> float:

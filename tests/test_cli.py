@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +228,13 @@ def test_diagnose_command(capsys):
 
 def test_missing_spec_file_exits_2(capsys):
     assert main(["density", "--spec", "/nonexistent.json"]) == cli.EXIT_USAGE
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test extra; a runtime import would add about 0.3 s and
+    # 24 MB to every CLI run
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = f"import sys; sys.path.insert(0, {src!r}); import cygshell.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cygshell import spectra
 from cygshell.spectra import (DensitySpec, construction_moment,
                               constrained_frequency_sum, density_eval,
                               density_moment, gauss_moment, l_j,
@@ -228,3 +229,43 @@ def test_random_poly_moment_identity(coeffs):
     vals = phi.values(grid)
     quad = float(np.mean(vals ** 2))
     assert abs(quad - float(phi_moment(phi, 2))) <= 1e-7 * max(1.0, quad)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 768, 1024])
+def test_legendre_rule_matches_leggauss(n):
+    x, w = spectra._legendre_rule(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - xr).max() <= 4e-16
+    # relative to the largest weight: leggauss's own end weights are off by
+    # about 1e-9 relative at n = 768 (test_legendre_rule_end_weights)
+    assert np.abs(w - wr).max() <= 1e-10 * wr.max()
+    assert abs(w.sum() - 2.0) <= 1e-15
+    assert abs(np.dot(w, x ** (2 * n - 2)) - 2.0 / (2 * n - 1)) <= 1e-13
+
+
+def test_legendre_rule_odd_and_symmetric():
+    for n in (1, 2, 17):
+        x, w = spectra._legendre_rule(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and abs(w.sum() - 2.0) <= 1e-15
+    assert spectra._legendre_rule(17)[0][8] == 0.0
+    with pytest.raises(ValueError):
+        spectra._legendre_rule(17)[0][0] = 1.0  # the cached rule is read-only
+
+
+def test_legendre_rule_end_weights():
+    mpmath = pytest.importorskip("mpmath")
+    n = 768
+    x, w = spectra._legendre_rule(n)
+    with mpmath.workdps(40):
+        for i in (0, 1, 5):
+            r = mpmath.mpf(float(x[i]))
+            for _ in range(3):  # Newton on P_n in 40 digits
+                p, q = mpmath.legendre(n, r), mpmath.legendre(n - 1, r)
+                dp = n * (q - r * p) / (1 - r * r)
+                r -= p / dp
+            q = mpmath.legendre(n - 1, r)
+            dp = n * q / (1 - r * r)
+            exact = 2 / ((1 - r * r) * dp * dp)
+            assert abs(float(r) - x[i]) <= 1e-16
+            assert abs(w[i] / float(exact) - 1.0) <= 1e-11

@@ -179,6 +179,51 @@ def test_mixture_cdf_consistent_with_density():
         assert abs(deriv - spectra.density_eval(spec, a)) < 1e-6
 
 
+def test_ndtr_matches_math_erf():
+    grid = np.linspace(-40.0, 40.0, 400_001)
+    want = np.array([0.5 * (1.0 + math.erf(a / math.sqrt(2.0))) for a in grid.tolist()])
+    assert np.abs(stats._ndtr(grid) - want).max() <= 4.5e-16
+
+
+def test_ndtr_matches_scipy_in_both_tails():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    # up to the erfc clamp at |x| = 8, where Cephes changes its approximation
+    lower = np.linspace(-11.3, -1.0, 20_001)
+    assert np.abs(stats._ndtr(lower) / ndtr(lower) - 1.0).max() <= 2e-15
+    assert np.abs((1.0 - stats._ndtr(-lower)) - ndtr(lower)).max() <= 2.3e-16
+    # past the erfc clamp at |x| = 8 the lower tail reads erfc(8)/2 < 6e-30
+    far = np.linspace(-40.0, -8.0 * math.sqrt(2.0), 101)
+    assert np.all(stats._ndtr(far) < 6e-30) and np.all(stats._ndtr(-far) == 1.0)
+
+
+def _two_factor_spec():
+    return spectra.DensitySpec(mode="product", phis=(spectra.phi_from_poly([1, 1]),
+                                                     spectra.phi_from_poly([2, 1])))
+
+
+@pytest.mark.parametrize("n", [1, 17, 4000])
+def test_mixture_cdf_array_equals_scalar_calls(n):
+    # 4096 components: 16 alpha per block, so 4000 alpha span 250 blocks
+    spec = _two_factor_spec()
+    alpha = np.sort(np.random.default_rng(n).normal(scale=1.5, size=n))
+    batch = mixture_cdf(spec, alpha)
+    assert batch.shape == (n,)
+    assert np.array_equal(batch, [mixture_cdf(spec, a) for a in alpha.tolist()])
+
+
+def test_mixture_cdf_scalar_returns_float():
+    spec = _two_factor_spec()
+    for a in (0.3, np.float64(0.3), np.array(0.3)):
+        assert type(mixture_cdf(spec, a)) is float
+    assert mixture_cdf(spec, np.array([[0.3]])).shape == (1, 1)
+
+
+def test_normal_cdf_array_equals_scalar_calls():
+    alpha = np.random.default_rng(5).normal(size=257)
+    assert np.array_equal(normal_cdf(alpha), [normal_cdf(a) for a in alpha.tolist()])
+    assert type(normal_cdf(0.3)) is float
+
+
 def test_csv_and_json_determinism(tmp_path, r2_10k, inv_log):
     grid = SampleGrid(X=30.0, S=20, Q=64)
     vals = sample_errors(inv_log, grid, r2_10k, mode="exact")
