@@ -48,8 +48,8 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 10")
         if self.Q < 1:
             raise ValueError("Q must be >= 1")
-        if self.j_max % 2 or self.j_max > 8:
-            raise ValueError("j_max must be even and <= 8")
+        if self.j_max not in (2, 4, 6, 8):
+            raise ValueError("j_max must be one of 2, 4, 6, 8")
         if self.mode not in ("exact", "fast"):
             raise ValueError("mode must be exact or fast")
         if not 1 <= self.threads <= MAX_THREADS:
@@ -103,13 +103,15 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _experiment(cfg: ExperimentConfig):
     """The gap width, sample grid and r2 table of a sampling experiment; in
-    exact mode the top grid point's shell is snapped first, so a radius past
-    the exactness cap fails before the table is allocated."""
+    exact mode the top grid point's shell is snapped and checked first, so a
+    radius past the exactness cap or the float exactness bound fails before
+    the table is allocated."""
     omega = gapwidth.gap_from_json(cfg.omega)
     grid = stats.SampleGrid(X=cfg.X, S=cfg.samples, Q=cfg.Q, phase=cfg.phase)
     if cfg.mode == "exact":
         top = grid.points[-1]
-        counting.snap_outer_radius(top, float(omega.value(top.value)))
+        counting.check_float_exactness(
+            counting.snap_outer_radius(top, float(omega.value(top.value)))[0])
     return omega, grid, arith.build_r2(stats.r2_limit(cfg.X, cfg.mode))
 
 
@@ -117,6 +119,7 @@ def cmd_count(args) -> int:
     x = _parse_radius(args.x)
     results = {}
     if args.both or args.method == "fast":
+        counting.check_float_exactness(x)
         r2 = arith.build_r2(x.floor_sq + 1)
         results["fast"] = counting.count_ball_fast(x, r2)
     if args.both or args.method == "brute":
@@ -215,17 +218,7 @@ def cmd_density(args) -> int:
 def cmd_diagnose(args) -> int:
     omega = gapwidth.gap_from_json(_gap_json(args))
     diag = gapwidth.omega_diagnostics(omega, args.X, scan_points=args.scan_points)
-    obj = {
-        "X": diag.X,
-        "u_count": diag.u_count,
-        "v_count": diag.v_count,
-        "cond3a_ratio": diag.cond3a_ratio,
-        "m2": diag.m2,
-        "tau_estimate": diag.tau_estimate,
-        "lj_estimates": {str(j): v for j, v in sorted(diag.lj_estimates.items())},
-        "carleman_partial": list(diag.carleman_partial),
-    }
-    print(stats.dump_json(obj))
+    print(stats.dump_json(asdict(diag)))
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "BALL_VOLUME",
     "RadiusPoint",
     "ShellSample",
+    "check_float_exactness",
     "count_ball_brute",
     "count_ball_fast",
     "sawtooth_ball_sum",
@@ -49,6 +50,8 @@ _KERNEL_CHUNK = 1 << 16
 # m Q^2 and k^2 -+ m Q^2 are exact integers; only the product, the sqrt and
 # the 1/Q^2 scaling round, by a few ulp relative to sqrt(x^4 - m^2) <= x^2.
 _BAND = 1e-6
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -117,18 +120,35 @@ def count_ball_brute(x: RadiusPoint) -> int:
     return total
 
 
+def check_float_exactness(x: RadiusPoint) -> None:
+    """Raise ValueError unless the float error of the kernel stays inside the
+    fixup band at radius x.
+
+    One rounding each in the product, the sqrt, 1/Q^2 and the scaling bounds
+    the error of s by 4u x^2 (u = 2^-53).  A floor can only go wrong where
+    an integer lies within that error of s, so every such entry falls inside
+    the band while 4u x^2 < _BAND; the check keeps a factor 4 in hand,
+    which caps x near 23 700.
+    """
+    if 4.0 * _UNIT_ROUNDOFF * x.k * x.k / (x.Q * x.Q) >= _BAND / 4:
+        raise ValueError(f"radius {x.value} is past the count kernel's float64 exactness "
+                         f"bound (4u x^2 must stay below {_BAND / 4:g})")
+
+
 def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
     """Yield (lo, hi, s, band) over the nonzero slices 1 <= m <= x^2 in chunks
     of _KERNEL_CHUNK, with s[i] ~ sqrt(x^4 - m^2) for m = r2.nonzero_m[lo + i].
 
     s is the float64 sqrt of (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2.  Both
     factors are exact float64 integers (k^2 <= 2^52 by the numerator cap, and
-    mQ^2 <= k^2), so only the product, the sqrt and the scaling round: a few
-    ulp relative to x^2.  band lists (i, k^4 - m^2 Q^4) for the entries
-    within _BAND of an integer, which the caller re-decides in exact
-    arithmetic.  Raises before the first chunk when the table does not reach
+    mQ^2 <= k^2), so only the product, the sqrt, 1/Q^2 and the scaling
+    round: at most 4u x^2 (check_float_exactness).  band lists
+    (i, k^4 - m^2 Q^4) for the entries within _BAND of an integer, which the
+    caller re-decides in exact arithmetic.  Raises before the first chunk
+    when x is past the float exactness bound or the table does not reach
     floor(x^2).
     """
+    check_float_exactness(x)
     mmax = x.floor_sq
     if mmax > r2.limit:
         raise ValueError(f"r2 table limit {r2.limit} < floor(x^2) = {mmax}")

@@ -1,12 +1,15 @@
-"""Gap-width functions with first and second derivatives.
+"""Gap-width functions omega(x) = h(log x) with first and second derivatives.
 
-Built-in slowly varying families plus the almost-periodic product/sum
-constructions phi_l(lambda_l (log x)^A) (log x)^(-A), whose derivatives come
-from the factors' derivative values by the chain and Leibniz rules.
+Each family supplies only the jet of h in L = log x: the built-in slowly
+varying families, and the almost-periodic product/sum constructions
+phi_l(lambda_l L^A) L^(-A), whose jets come from the factors' derivative
+values by the Leibniz rule.  One chain rule turns the L-jet into omega' and
+omega''.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,69 +39,54 @@ _ROOT_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class GapWidth:
-    """A positive gap width omega with closed-form derivatives.
+    """A positive gap width omega(x) = h(log x).
 
-    The callables accept scalars or numpy arrays.
+    jet(L, order) returns [h(L), ..., h^(order)(L)] for order <= 2; it and
+    the methods accept scalars or numpy arrays.
     """
 
     name: str
-    _value: Callable = field(repr=False)
-    _d1: Callable = field(repr=False)
-    _d2: Callable = field(repr=False)
+    jet: Callable = field(repr=False)
     spec: "AlmostPeriodicGap | None" = None
 
     def value(self, x):
-        return self._value(x)
+        return self.jet(np.log(x), 0)[0]
 
     def d1(self, x):
-        return self._d1(x)
+        """omega'(x) = h'(L) / x."""
+        x = np.asarray(x, dtype=np.float64)
+        return self.jet(np.log(x), 1)[1] / x
 
     def d2(self, x):
-        return self._d2(x)
+        """omega''(x) = (h''(L) - h'(L)) / x^2."""
+        x = np.asarray(x, dtype=np.float64)
+        _, h1, h2 = self.jet(np.log(x), 2)
+        return (h2 - h1) / (x * x)
 
 
-SLOWLY_VARYING_KINDS = ("inv_loglog", "inv_log", "exp_neg_sqrt_log")
+# kind -> (h, h', h'') as functions of L = log x, in the order --omega lists them
+_SLOWLY_VARYING = {
+    "inv_loglog": (lambda L: 1.0 / np.log(L),
+                   lambda L: -1.0 / (L * np.log(L) ** 2),
+                   lambda L: (np.log(L) + 2.0) / (L * L * np.log(L) ** 3)),
+    "inv_log": (lambda L: 1.0 / L,
+                lambda L: -1.0 / L ** 2,
+                lambda L: 2.0 / L ** 3),
+    "exp_neg_sqrt_log": (lambda L: np.exp(-np.sqrt(L)),
+                         lambda L: -np.exp(-np.sqrt(L)) / (2.0 * np.sqrt(L)),
+                         lambda L: (np.exp(-np.sqrt(L)) * (np.sqrt(L) + 1.0)
+                                    / (4.0 * L * np.sqrt(L)))),
+}
+SLOWLY_VARYING_KINDS = tuple(_SLOWLY_VARYING)
 
 
 def make_slowly_varying(kind: str) -> GapWidth:
     """One of the built-in slowly varying families: 1/log log x, 1/log x,
     exp(-sqrt(log x))."""
-    if kind == "inv_log":
-        return GapWidth(
-            name="inv_log",
-            _value=lambda x: 1.0 / np.log(x),
-            _d1=lambda x: -1.0 / (x * np.log(x) ** 2),
-            _d2=lambda x: (np.log(x) + 2.0) / (x * x * np.log(x) ** 3),
-        )
-    if kind == "inv_loglog":
-        def _val(x):
-            return 1.0 / np.log(np.log(x))
-
-        def _d1(x):
-            L = np.log(x)
-            return -1.0 / (x * L * np.log(L) ** 2)
-
-        def _d2(x):
-            L = np.log(x)
-            u = np.log(L)
-            return (1.0 + 1.0 / L + 2.0 / (L * u)) / (x * x * L * u * u)
-
-        return GapWidth(name="inv_loglog", _value=_val, _d1=_d1, _d2=_d2)
-    if kind == "exp_neg_sqrt_log":
-        def _val(x):
-            return np.exp(-np.sqrt(np.log(x)))
-
-        def _d1(x):
-            L = np.log(x)
-            return -np.exp(-np.sqrt(L)) / (2.0 * x * np.sqrt(L))
-
-        def _d2(x):
-            L = np.log(x)
-            w = np.exp(-np.sqrt(L))
-            return w / (4.0 * x * x * L) + w * (2.0 * L + 1.0) / (4.0 * x * x * L ** 1.5)
-
-        return GapWidth(name="exp_neg_sqrt_log", _value=_val, _d1=_d1, _d2=_d2)
-    raise ValueError(f"unknown slowly varying kind {kind!r}")
+    if kind not in _SLOWLY_VARYING:
+        raise ValueError(f"unknown slowly varying kind {kind!r}")
+    terms = _SLOWLY_VARYING[kind]
+    return GapWidth(name=kind, jet=lambda L, order: [t(L) for t in terms[:order + 1]])
 
 
 @dataclass(frozen=True)
@@ -139,12 +127,12 @@ def _leibniz(c: list, f: list) -> list:
 
 
 def make_almost_periodic(spec: AlmostPeriodicGap) -> GapWidth:
-    """omega(x) = C(u) * (log x)^(-A), u = (log x)^A, where C combines the
-    factors phi_l(lambda_l u).
+    """omega(x) = h(L) = C(u) * L^(-A), L = log x, u = L^A, where C combines
+    the factors phi_l(lambda_l u).
 
     The jet (C, C', C'') is folded from the factor jets
-    (phi_l, lambda_l phi_l', lambda_l^2 phi_l'') at lambda_l u; omega' and
-    omega'' follow from it by the chain rule in x.
+    (phi_l, lambda_l phi_l', lambda_l^2 phi_l'') at lambda_l u; the jet of h
+    follows from it by the chain and product rules in L.
     """
     phis = spec.to_phis()
     # the grid minimum of |p|^2 stands in for "no roots on the unit circle"
@@ -169,29 +157,20 @@ def make_almost_periodic(spec: AlmostPeriodicGap) -> GapWidth:
                 jet = [c + g for c, g in zip(jet, f)]
         return jet
 
-    def _val(x):
-        x = np.asarray(x, dtype=np.float64)
-        L = np.log(x)
-        return _jet(L ** A, 0)[0] * L ** (-A)
-
-    def _d1(x):
-        x = np.asarray(x, dtype=np.float64)
-        L = np.log(x)
+    def _h(L, order):
+        """[h(L), ..., h^(order)(L)] for order <= 2."""
         u = L ** A
-        c0, c1 = _jet(u, 1)
-        return (u * c1 - c0) * (A / (x * L ** (A + 1)))
-
-    def _d2(x):
-        x = np.asarray(x, dtype=np.float64)
-        L = np.log(x)
-        u = L ** A
-        c0, c1, c2 = _jet(u, 2)
-        bracket = (A + 1.0 + L) * (u * c1 - c0) - A * u * u * c2
-        return bracket * (-A / (x * x * L ** (A + 2)))
+        c = _jet(u, order)
+        h = [c[0] * L ** (-A)]
+        if order > 0:
+            w = u * c[1] - c[0]
+            h.append(w * (A / L ** (A + 1)))
+        if order > 1:
+            h.append((A * u * u * c[2] - (A + 1) * w) * (A / L ** (A + 2)))
+        return h
 
     mark = "x" if spec.mode == "product" else "+"
-    return GapWidth(name=f"almost_periodic_{mark}_n{len(phis)}_A{A}",
-                    _value=_val, _d1=_d1, _d2=_d2, spec=spec)
+    return GapWidth(name=f"almost_periodic_{mark}_n{len(phis)}_A{A}", jet=_h, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -240,21 +219,14 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
     v_count = _sign_changes(np.asarray(omega.d2(xs)))
     wlw = w * np.log(w)
     m2 = float(np.mean(wlw ** 2))
-    lj = {j: float(np.mean(wlw ** j)) / m2 ** (j / 2) for j in (2, 4, 6, 8)}
-    logm2 = []
-    logx = []
-    for mult in (1, 2, 4, 8):
-        logx.append(math.log(mult * X))
+    ratios = {j: float(np.mean(wlw ** j)) / m2 ** (j / 2) for j in range(2, 41, 2)}
+    logm2 = [math.log(m2)]
+    for mult in (2, 4, 8):
         wm = _scan(omega, mult * X, scan_points)[1]
         logm2.append(math.log(float(np.mean((wm * np.log(wm)) ** 2))))
-    slope = np.polyfit(logx, logm2, 1)[0]
-    partials = []
-    running = 0.0
-    for j in range(2, 41, 2):
-        ljr = float(np.mean(wlw ** j)) / m2 ** (j / 2)
-        moment_j = spectra.gauss_moment(j) * ljr
-        running += moment_j ** (-1.0 / j)
-        partials.append(running)
+    slope = np.polyfit([math.log(mult * X) for mult in (1, 2, 4, 8)], logm2, 1)[0]
+    partials = itertools.accumulate((spectra.gauss_moment(j) * r) ** (-1.0 / j)
+                                    for j, r in ratios.items())
     return OmegaDiagnostics(
         X=X,
         u_count=u_count,
@@ -262,7 +234,7 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
         cond3a_ratio=u_count * float(w.max()) / math.sqrt(X),
         m2=m2,
         tau_estimate=float(slope),
-        lj_estimates=lj,
+        lj_estimates={j: ratios[j] for j in (2, 4, 6, 8)},
         carleman_partial=tuple(partials),
     )
 

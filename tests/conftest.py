@@ -26,9 +26,8 @@ def constant_gap():
     """A test-only constant gap width (value 1/4, zero derivatives)."""
     return gapwidth.GapWidth(
         name="const_quarter",
-        _value=lambda x: np.full_like(np.asarray(x, dtype=float), 0.25),
-        _d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        _d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        jet=lambda L, order: ([np.full_like(np.asarray(L, dtype=float), 0.25)]
+                              + [np.zeros_like(np.asarray(L, dtype=float))] * order),
     )
 
 
@@ -37,9 +36,7 @@ def zero_gap():
     """Degenerate omega == 0, only for cancellation identities."""
     return gapwidth.GapWidth(
         name="zero",
-        _value=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        _d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        _d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        jet=lambda L, order: [np.zeros_like(np.asarray(L, dtype=float))] * (order + 1),
     )
 
 

@@ -68,8 +68,8 @@ def _expansion_residuals(X: float, r2, omega, S: int = 100) -> np.ndarray:
 
 def test_criterion_02_expansion_envelope(r2_big, inv_log):
     """Known-failing: the truncated expansion's remainder at X = 100 sits
-    around 2-6e-2 at the 95th percentile, an implied constant near 4, not the
-    0.5 the envelope asks for."""
+    near 8.0e-2 at the 95th percentile, an implied constant near 5 (5.04),
+    not the 0.5 the envelope asks for."""
     t0 = time.process_time()
     X = 100.0
     res = _expansion_residuals(X, r2_big, inv_log)

@@ -47,6 +47,23 @@ def test_exactness_cap_fails_before_table(tmp_path, monkeypatch, capsys):
     assert "exactness cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--x", "24000/1"],
+    ["sample", "--mode", "exact", "--Q", "8", "--X", "12000", "--samples", "100"],
+], ids=["count", "sample-exact"])
+def test_float_exactness_bound_fails_before_table(tmp_path, monkeypatch, capsys, argv):
+    # both radii lie past x ~ 23 700, where the kernel's float error bound
+    # reaches a quarter of the fixup band, but below the 2^26 numerator cap
+    def build_r2(limit):
+        raise AssertionError(f"build_r2({limit}) called before the bound check")
+
+    monkeypatch.setattr(arith, "build_r2", build_r2)
+    if argv[0] == "sample":
+        argv = argv + ["--out", str(tmp_path)]
+    assert main(argv) == cli.EXIT_USAGE
+    assert "exactness bound" in capsys.readouterr().err
+
+
 def test_config_unknown_field_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"omega": {"kind": "inv_log"}, "X": 100.0,
@@ -116,8 +133,21 @@ def test_threads_bounded(tmp_path, monkeypatch, capsys):
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(omega={"kind": "inv_log"}, X=5.0, samples=50)
-    with pytest.raises(ValueError):
-        ExperimentConfig(omega={"kind": "inv_log"}, X=100.0, samples=50, j_max=3)
+    for j_max in (-2, 0, 3, 10):
+        with pytest.raises(ValueError, match="j_max"):
+            ExperimentConfig(omega={"kind": "inv_log"}, X=100.0, samples=50, j_max=j_max)
+
+
+def test_j_max_outside_ladder_exits_2(tmp_path, capsys):
+    argv = ["moments", "--mode", "fast", "--X", "50", "--samples", "10", "--j-max", "-2"]
+    assert main(argv + ["--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert "j_max" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"omega": {"kind": "inv_log"}, "X": 50.0,
+                                    "samples": 10, "mode": "fast", "j_max": 0}))
+    assert main(["moments", "--config", str(cfg_path), "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert "j_max" in capsys.readouterr().err
+    assert not (tmp_path / "moments.json").exists()
 
 
 def test_sample_command_writes_artifacts(tmp_path, capsys):

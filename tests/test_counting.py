@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cygshell import arith, counting
 from cygshell.counting import RadiusPoint
@@ -89,6 +92,61 @@ def test_fast_equals_isqrt_oracle():
         assert counting.count_ball_fast(x, r2) == count_ball_isqrt(x, r2), x
 
 
+# The properties below draw radii x <= 400, so r2_200k covers every slice.
+_X_MAX = 400
+
+
+@functools.cache
+def _sphere_radii(limit: int) -> tuple:
+    """Integer radii n <= limit whose sphere carries a lattice point off the
+    c = 0 plane and the c axis: 0 < m = a^2 + b^2 < n^2 with n^4 - m^2 = c^2."""
+    r2 = arith.build_r2(limit * limit)
+    ms = r2.nonzero_m.astype(np.int64)
+    found = []
+    for n in range(2, limit + 1):
+        m = ms[:r2.nonzero_count_upto(n * n - 1)]
+        v = n ** 4 - m * m
+        t = np.rint(np.sqrt(v)).astype(np.int64)
+        if np.any(t * t == v):
+            found.append(n)
+    return tuple(found)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers((1 << 26) - (1 << 20), 1 << 26), st.integers(1, _X_MAX))
+def test_fast_matches_isqrt_near_numerator_cap(r2_200k, k, y):
+    x = RadiusPoint(k, -(-k // y))  # x <= y
+    assert counting.count_ball_fast(x, r2_200k) == count_ball_isqrt(x, r2_200k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 5000).filter(lambda q: q & (q - 1)), st.data())
+def test_fast_matches_isqrt_non_power_of_two_q(r2_200k, Q, data):
+    x = RadiusPoint(data.draw(st.integers(Q, _X_MAX * Q)), Q)
+    assert counting.count_ball_fast(x, r2_200k) == count_ball_isqrt(x, r2_200k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from((1, 7, 48, 64)), st.data(), st.floats(0.01, 1.0))
+def test_fast_matches_isqrt_refined_outer_radius(r2_200k, Q, data, gap):
+    x = RadiusPoint(data.draw(st.integers(Q, (_X_MAX - 1) * Q)), Q)
+    outer = counting.snap_outer_radius(x, gap)[0]
+    assert counting.count_ball_fast(outer, r2_200k) == count_ball_isqrt(outer, r2_200k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.deferred(lambda: st.sampled_from(_sphere_radii(_X_MAX))), st.integers(1, 4096))
+def test_fast_matches_isqrt_on_sphere_points(r2_200k, n, Q):
+    x = RadiusPoint(n * Q, Q)
+    assert counting.count_ball_fast(x, r2_200k) == count_ball_isqrt(x, r2_200k)
+
+
+def test_sphere_radii_fixture():
+    # 3380^2 + 2535^2 == 65^4 with 3380 = 2^2 5 13^2 a sum of two squares
+    assert 65 in _sphere_radii(_X_MAX)
+    assert 1 not in _sphere_radii(_X_MAX)
+
+
 def test_chunk_size_does_not_change_results(monkeypatch):
     r2 = arith.build_r2(300 ** 2)
     refined_q = 64 << counting.OUTER_REFINE_SHIFT
@@ -125,6 +183,15 @@ def test_fast_requires_table_coverage():
     small = arith.build_r2(10)
     with pytest.raises(ValueError):
         counting.count_ball_fast(RadiusPoint(10, 1), small)
+
+
+def test_float_exactness_bound():
+    # 4u x^2 reaches a quarter of the fixup band near x = 23 700
+    counting.check_float_exactness(RadiusPoint(23_700, 1))
+    small = arith.build_r2(10)
+    for kernel in (counting.count_ball_fast, counting.sawtooth_ball_sum):
+        with pytest.raises(ValueError, match="exactness bound"):
+            kernel(RadiusPoint(24_000, 1), small)
 
 
 def test_radius_cap():

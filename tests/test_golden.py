@@ -1,8 +1,10 @@
-"""Byte-for-byte pins of the artifacts of five small CLI runs.
+"""Byte-for-byte pins of the artifacts of five small CLI runs, and of the
+stdout of three diagnose runs.
 
 A reordered float operation in the counting kernel, the fast series, the
 sampling grid, the almost-periodic gap width or the serializers changes at
-least one of these digests.
+least one of these digests; diagnose is the only consumer of omega' and
+omega''.
 """
 
 import contextlib
@@ -58,3 +60,25 @@ def test_artifact_digests(tmp_path, argv, digests):
         data = (stdout.getvalue().encode() if name == "stdout"
                 else (tmp_path / name).read_bytes())
         assert hashlib.sha256(data).hexdigest() == want, name
+
+
+DIAGNOSE_GOLDEN = [
+    (["--omega", "inv_log", "--X", "1000"],
+     "244ad0a9128a829fcbaad341610eb4896636feedd2cd3710f166178b33579b15"),
+    (["--omega", "exp_neg_sqrt_log", "--X", "100000"],
+     "5fbac4a7b61b0052371687a98b6e3363352bae0b557706aca88358a013322648"),
+    (["--omega-spec", SPEC_FILE, "--X", "100"],
+     "1d0f5b5ba7fb8114d28b5908a5ab9d3515f465b282febbe1d8793d48e8b8e681"),
+]
+
+
+@pytest.mark.parametrize("argv, want", DIAGNOSE_GOLDEN,
+                         ids=["inv-log", "exp-neg-sqrt-log", "product"])
+def test_diagnose_stdout_digests(tmp_path, argv, want):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(PRODUCT_SPEC))
+    argv = [str(spec) if a == SPEC_FILE else a for a in argv]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["diagnose"] + argv) == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == want
