@@ -200,9 +200,11 @@ def cmd_expand(args) -> int:
 
 
 def cmd_density(args) -> int:
+    alphas = [float(a) for a in args.alpha]
+    if not all(math.isfinite(a) for a in alphas):
+        raise ValueError(f"--alpha must be finite, got {' '.join(args.alpha)}")
     spec_obj = json.loads(Path(args.spec).read_text())
     spec = gapwidth.density_spec_from_json(spec_obj, quad_points=args.quad_points)
-    alphas = [float(a) for a in args.alpha]
     values = {format(a, ".17g"): spectra.density_eval(spec, a) for a in alphas}
     summary = {
         "density": values,
@@ -372,8 +374,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return EXIT_RESOURCE
 
 

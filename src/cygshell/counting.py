@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import R2Table
+from .arith import R2Table, exact_parts
 
 __all__ = [
     "BALL_VOLUME",
@@ -202,9 +202,10 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
 
     psi evaluates to -1/2 at exact integer arguments (the literal formula).
     The m = 0 slice is excluded: the series convention starts at m = 1.
-    One fsum runs over the products of every chunk, then the band
-    corrections are added in slice order, so the result does not depend on
-    _KERNEL_CHUNK.
+    Each chunk's products are reduced to their exact partial sums
+    (arith.exact_parts) and one fsum rounds them all, which equals the fsum
+    over every product; then the band corrections are added in slice order,
+    so the result does not depend on _KERNEL_CHUNK.
     """
     Q2 = x.Q * x.Q
     vnz = r2.nonzero_values
@@ -215,7 +216,7 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
             psi = s - np.floor(s) - 0.5
             corrections.extend(float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i])
                                for i, v in band)
-            yield (vnz[lo:hi] * psi).tolist()
+            yield exact_parts(vnz[lo:hi] * psi)
 
     total = math.fsum(itertools.chain.from_iterable(products()))
     for c in corrections:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import R2Table, spf_sieve, squarefree_core
+from .arith import R2Table, exact_parts, spf_sieve, squarefree_core
 from .counting import RadiusPoint, sawtooth_ball_sum, snap_outer_radius
 from .gapwidth import GapWidth, midpoint_grid
 
@@ -31,7 +31,8 @@ SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi
 
 def series_with_gap(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
     """sum over 1 <= m <= cutoff of (2^{3/2}/pi) r2(m)/m sin(pi sqrt(m) gap)
-    sin(pi sqrt(m) (2x + gap)), compensated summation."""
+    sin(pi sqrt(m) (2x + gap)), the sum of the terms correctly rounded (the
+    fsum of their exact partial sums, arith.exact_parts)."""
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
     n = r2.nonzero_count_upto(cutoff)
@@ -39,7 +40,7 @@ def series_with_gap(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
     amp = r2.nonzero_values[:n] / m.astype(np.float64)
     s = r2.nonzero_sqrt[:n]
     terms = amp * np.sin(math.pi * s * gap) * np.sin(math.pi * s * (2.0 * x + gap))
-    return SERIES_PREFACTOR * math.fsum(terms.tolist())
+    return SERIES_PREFACTOR * math.fsum(exact_parts(terms))
 
 
 def expansion_rhs(x: RadiusPoint, X: float, omega: GapWidth, r2: R2Table) -> float:

@@ -3,10 +3,13 @@
 A pure-integer ball count (cross-checks counting.count_ball_fast above the
 brute-force cap), the j = 2 diagonal sum in its plain-sum form and in the
 literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
-and the Fourier-side evaluation of an almost-periodic gap width and of its
+the Fourier-side evaluation of an almost-periodic gap width and of its
 first two derivatives (cross-check the factor-value evaluation in gapwidth),
-and the constrained frequency sum as a j-fold tensor convolution over the
-frequency lattice (cross-checks the packed power in spectra).
+the constrained frequency sum as a j-fold tensor convolution over the
+frequency lattice (cross-checks the packed power in spectra), and the
+sawtooth correction and the main series summed by math.fsum over a Python
+list of every product or term (cross-check the exact partial sums of
+arith.exact_parts bit for bit).
 """
 
 import itertools
@@ -16,10 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from cygshell.arith import R2Table
-from cygshell.counting import RadiusPoint
+from cygshell.counting import RadiusPoint, _psi_exact, _sqrt_chunks
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.spectra import DensitySpec, _cmul
-from cygshell.voronoi import _cores_upto
+from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
 
 
 def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:
@@ -32,6 +35,33 @@ def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:
     ms = np.flatnonzero(r2.values[:x.floor_sq + 1])
     return sum(r * (2 * (math.isqrt(k4 - m * m * Q4) // Q2) + 1)
                for m, r in zip(ms.tolist(), r2.values[ms].tolist()))
+
+
+def sawtooth_ball_sum_fsum(x: RadiusPoint, r2: R2Table) -> float:
+    """counting.sawtooth_ball_sum with one fsum over the list of every
+    slice's product r2(m) psi(s), then the band corrections in slice order."""
+    Q2 = x.Q * x.Q
+    vnz = r2.nonzero_values
+    products, corrections = [], []
+    for lo, hi, s, band in _sqrt_chunks(x, r2):
+        psi = s - np.floor(s) - 0.5
+        corrections.extend(float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i])
+                           for i, v in band)
+        products.extend((vnz[lo:hi] * psi).tolist())
+    total = math.fsum(products)
+    for c in corrections:
+        total += c
+    return total
+
+
+def series_with_gap_fsum(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
+    """voronoi.series_with_gap with fsum over the list of its terms."""
+    n = r2.nonzero_count_upto(cutoff)
+    m = r2.nonzero_m[:n]
+    amp = r2.nonzero_values[:n] / m.astype(np.float64)
+    s = r2.nonzero_sqrt[:n]
+    terms = amp * np.sin(math.pi * s * gap) * np.sin(math.pi * s * (2.0 * x + gap))
+    return SERIES_PREFACTOR * math.fsum(terms.tolist())
 
 
 def diagonal_sum_direct_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,

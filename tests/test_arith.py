@@ -95,3 +95,76 @@ def test_core_and_mobius_consistency(m):
     # mobius vanishes exactly on the non-square-free integers
     assert (_mobius_brute(m) != 0) == (dec.k == 1)
     assert _mobius_brute(dec.core) in (-1, 1)
+
+
+def test_build_r2_refuses_more_than_physical_memory(monkeypatch):
+    monkeypatch.setattr(arith, "_physical_memory", lambda: 100_000)
+    with pytest.raises(MemoryError, match="physical memory"):
+        arith.build_r2(10_000)
+    assert arith.build_r2(1000).limit == 1000  # 13.6 KB estimated
+    monkeypatch.setattr(arith, "_physical_memory", lambda: None)
+    assert arith.build_r2(10_000).limit == 10_000
+
+
+def _fsum_outcome(values) -> str:
+    """math.fsum's result as hex (which keeps the sign of a zero and nan),
+    or the name of the exception it raises."""
+    try:
+        return math.fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _assert_parts_match_fsum(a: np.ndarray) -> None:
+    assert _fsum_outcome(arith.exact_parts(a.copy())) == _fsum_outcome(a.tolist())
+
+
+@st.composite
+def _mixed_arrays(draw):
+    """float64 arrays up to 2^17 entries: random signs and mantissas over a
+    drawn exponent range (subnormals included), optionally concatenated with
+    their negation, with a drawn share of entries set to +0.0 or -0.0."""
+    n = draw(st.integers(0, 1 << 17) | st.integers(0, 8))
+    lo = draw(st.integers(-1080, 600))
+    hi = draw(st.integers(lo, min(lo + 1200, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+    if draw(st.booleans()):
+        a = rng.permutation(np.concatenate([a, -a]))
+    zero_share = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    zeros = rng.random(a.size) < zero_share
+    a[zeros] = np.where(rng.random(a.size) < 0.5, 0.0, -0.0)[zeros]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_arrays())
+def test_exact_parts_matches_list_fsum(a):
+    _assert_parts_match_fsum(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), max_size=40))
+def test_exact_parts_matches_list_fsum_on_any_floats(values):
+    # every float64: nan, +-inf, +-0.0, subnormals and values near overflow
+    _assert_parts_match_fsum(np.array(values, dtype=np.float64))
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0],
+    [1e300, -1e300], [1e308, 1e308], [-1e308, -1e308, 1e308],
+    [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
+    [2.0 ** 900, 1.0], [2.0 ** 900 - 2.0 ** 847, 2.0 ** -1074],
+    [5e-324, -5e-324, 5e-324], [2.0 ** -1022, 2.0 ** -1074, -2.0 ** -1060],
+], ids=repr)
+def test_exact_parts_edge_cases(values):
+    _assert_parts_match_fsum(np.array(values, dtype=np.float64))
+
+
+def test_exact_parts_is_short():
+    rng = np.random.default_rng(7)
+    p = rng.standard_normal(1 << 16) * rng.integers(4, 64, 1 << 16)
+    want = math.fsum(p.tolist())
+    parts = arith.exact_parts(p)
+    assert len(parts) <= 4
+    assert math.fsum(parts) == want

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,37 @@ def test_density_command(tmp_path, capsys):
     want = spectra.density_eval(spec, 0.5)
     assert abs(obj["density"]["0.5"] - want) < 1e-6
     assert abs(obj["moment2"] - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_density_nonfinite_alpha_exits_2(tmp_path, capsys, alpha):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "product", "polys": [[[1.0, 0.0], [1.0, 0.0]]],
+                                     "lambdas": [1.0], "independent": True, "A": 2}))
+    assert main(["density", "--spec", str(spec_path), "--alpha", "0", alpha]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--x", "1000/1"],
+    ["sample", "--mode", "exact", "--X", "500", "--samples", "20"],
+], ids=["count", "sample-exact"])
+def test_table_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys, argv):
+    # both tables hold about 10^6 entries (4 MB of int32 values alone)
+    monkeypatch.setattr(arith, "_physical_memory", lambda: 1 << 20)
+    if argv[0] == "sample":
+        argv = argv + ["--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == cli.EXIT_RESOURCE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # refused before the table was allocated
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "samples.csv").exists()
 
 
 def test_diagnose_command(capsys):

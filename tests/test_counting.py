@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cygshell import arith, counting
 from cygshell.counting import RadiusPoint
-from oracles import count_ball_isqrt
+from oracles import count_ball_isqrt, sawtooth_ball_sum_fsum
 
 
 def triple_loop_count(k: int, Q: int) -> int:
@@ -168,6 +168,19 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     for x in radii:
         assert r2.nonzero_count_upto(x.floor_sq) > 1000, x
     assert results() == default
+
+
+def test_sawtooth_matches_list_fsum_oracle():
+    # the radii of test_chunk_size_does_not_change_results
+    r2 = arith.build_r2(300 ** 2)
+    refined_q = 64 << counting.OUTER_REFINE_SHIFT
+    radii = [
+        RadiusPoint(65, 1), RadiusPoint(9_631, 64), RadiusPoint(12_345, 49),
+        RadiusPoint(299, 1), counting.snap_outer_radius(RadiusPoint(15_000, 64), 0.21)[0],
+        RadiusPoint(528_511, refined_q), RadiusPoint(574_901, refined_q),
+    ]
+    for x in radii:
+        assert counting.sawtooth_ball_sum(x, r2).hex() == sawtooth_ball_sum_fsum(x, r2).hex(), x
 
 
 def test_counts_odd_and_monotone(r2_10k):

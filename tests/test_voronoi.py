@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from cygshell import arith, counting, voronoi
+from cygshell import arith, counting, stats, voronoi
 from cygshell.counting import RadiusPoint
 from cygshell.voronoi import (diagonal_sum, expansion_rhs, r2_squared_partial_sum_check,
                               series_with_gap, sum_sqrt_is_zero)
-from oracles import diagonal_sum_direct_j2, grouped_pair_sum_j2
+from oracles import diagonal_sum_direct_j2, grouped_pair_sum_j2, series_with_gap_fsum
 
 
 def test_series_empty_and_degenerate(r2_10k):
@@ -34,6 +34,17 @@ def test_series_matches_direct_sum(r2_10k):
                      * math.sin(math.pi * math.sqrt(m) * (2 * x + gap))
     total *= 2 ** 1.5 / math.pi
     assert abs(series_with_gap(x, gap, r2_10k, cutoff) - total) < 1e-12
+
+
+def test_series_matches_list_fsum_oracle(r2_200k, inv_log):
+    # a 200-point fast-mode grid at the fast cutoff 10^4 and at expand's X^2
+    X = 200.0
+    grid = stats.SampleGrid(X=X, S=200, Q=64)
+    for p in grid.points:
+        gap = float(inv_log.value(p.value))
+        for cutoff in (10_000, int(X * X)):
+            got = series_with_gap(p.value, gap, r2_200k, cutoff)
+            assert got.hex() == series_with_gap_fsum(p.value, gap, r2_200k, cutoff).hex(), p
 
 
 def test_sum_sqrt_fixtures():
