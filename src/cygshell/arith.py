@@ -1,8 +1,9 @@
-"""Exact integer arithmetic substrate: the r2 sieve, the smallest-prime-factor
-sieve and the square-free core decomposition.
+"""Exact arithmetic substrate: the r2 sieve, the exact partial sums of a
+float64 array and the square-free core decomposition.
 
 All tables are immutable after construction and safe to share across
-threads; every operation here is pure.
+threads; every operation here but exact_parts, which overwrites its
+argument, is pure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "build_r2",
     "exact_parts",
     "squarefree_core",
-    "spf_sieve",
 ]
 
 
@@ -145,39 +145,6 @@ def exact_parts(p: np.ndarray) -> list[float]:
     return parts
 
 
-def spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0)."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    return spf
-
-
-def _factor_squarefree_part(m: int, spf: np.ndarray | None):
-    """Yield (prime, exponent) pairs of m, using the spf table where it covers m."""
-    if spf is not None and m < len(spf):
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            yield p, e
-        return
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            yield d, e
-        d += 1 if d == 2 else 2
-    if m > 1:
-        yield m, 1
-
-
 class CoreDecomposition(NamedTuple):
     """The unique factorisation m = core * k^2 with core square-free."""
 
@@ -186,14 +153,19 @@ class CoreDecomposition(NamedTuple):
     k: int
 
 
-def squarefree_core(m: int, spf: np.ndarray | None = None) -> CoreDecomposition:
-    """Decompose m >= 1 as core * k^2 with core square-free."""
+def squarefree_core(m: int) -> CoreDecomposition:
+    """Decompose m >= 1 as core * k^2 with core square-free, by trial division."""
     if m < 1:
         raise ValueError("squarefree_core is defined for m >= 1")
-    core = 1
-    k = 1
-    for p, e in _factor_squarefree_part(m, spf):
+    rest, core, k = m, 1, 1
+    d = 2
+    while d * d <= rest:
+        e = 0
+        while rest % d == 0:
+            rest //= d
+            e += 1
         if e % 2:
-            core *= p
-        k *= p ** (e // 2)
-    return CoreDecomposition(m=m, core=core, k=k)
+            core *= d
+        k *= d ** (e // 2)
+        d += 1 if d == 2 else 2
+    return CoreDecomposition(m=m, core=core * rest, k=k)  # rest is 1 or a prime

@@ -42,8 +42,8 @@ class ExperimentConfig:
     out: str = "."
 
     def __post_init__(self):
-        if self.X < 10:
-            raise ValueError("X must be >= 10")
+        if not (math.isfinite(self.X) and self.X >= 10):
+            raise ValueError(f"X = {self.X} must be finite and >= 10")
         if self.samples < 10:
             raise ValueError("samples must be >= 10")
         if self.Q < 1:

@@ -241,17 +241,14 @@ def snap_outer_radius(x: RadiusPoint, gap: float) -> tuple[RadiusPoint, float]:
     """(outer, realised gap): x + gap rounded to the nearest multiple of
     1/(Q * 2**OUTER_REFINE_SHIFT), and outer - x, the gap that radius realises.
 
-    gap = 0 is allowed (degenerate empty shell, used by cancellation tests);
-    negative gaps are a domain error.
+    A gap below half that step realises 0: outer is x and the shell is empty
+    (a gap width near a root of its construction does this).  Negative gaps
+    are a domain error.
     """
     if gap < 0:
         raise ValueError("gap width must be nonnegative")
     inner = x.refined()
-    if gap == 0:
-        return inner, 0.0
-    ko = round((x.value + gap) * inner.Q)
-    if ko <= inner.k:
-        raise ValueError(f"gap {gap} rounds to an empty shell at x = {x.value}")
+    ko = max(inner.k, round((x.value + gap) * inner.Q))
     return RadiusPoint(k=ko, Q=inner.Q), (ko - inner.k) / inner.Q
 
 

@@ -210,8 +210,8 @@ def _sign_changes(vals: np.ndarray) -> int:
 
 def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> OmegaDiagnostics:
     """Sampled zero counts of omega', omega'' and the moment-ratio diagnostics."""
-    if X < X_MIN:
-        raise ValueError(f"X = {X} below the domain bound {X_MIN}")
+    if not (math.isfinite(X) and X >= X_MIN):
+        raise ValueError(f"X = {X} must be finite and >= the domain bound {X_MIN}")
     if scan_points < 1000:
         raise ValueError("scan_points must be >= 1000")
     xs, w = _scan(omega, X, scan_points)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import R2Table, exact_parts, spf_sieve, squarefree_core
+from .arith import R2Table, exact_parts, squarefree_core
 from .counting import RadiusPoint, sawtooth_ball_sum, snap_outer_radius
 from .gapwidth import GapWidth, midpoint_grid
 
@@ -59,8 +59,7 @@ def expansion_rhs(x: RadiusPoint, X: float, omega: GapWidth, r2: R2Table) -> flo
     return series - 2.0 / (x.value * x.value) * xi
 
 
-def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int],
-                     spf: np.ndarray | None = None) -> bool:
+def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int]) -> bool:
     """Exact decision of sum_i e_i sqrt(m_i) = 0.
 
     Write m_i = core_i * k_i^2; square roots of distinct square-free cores are
@@ -75,7 +74,7 @@ def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int],
             raise ValueError("ms must be positive")
         if e not in (-1, 1):
             raise ValueError("signs must be +-1")
-        dec = squarefree_core(m, spf)
+        dec = squarefree_core(m)
         groups[dec.core] = groups.get(dec.core, 0) + e * dec.k
     return all(v == 0 for v in groups.values())
 
@@ -97,11 +96,10 @@ def r2_squared_partial_sum_check(y: int, r2: R2Table) -> float:
 
 def _cores_upto(Y: int, r2: R2Table):
     """Group m <= Y by square-free core: core -> (k array, weight rows r2(c k^2)/(c k^2))."""
-    spf = spf_sieve(Y)
     cores: dict[int, list[tuple[int, float]]] = {}
     for i in range(r2.nonzero_count_upto(Y)):
         m = int(r2.nonzero_m[i])
-        dec = squarefree_core(m, spf)
+        dec = squarefree_core(m)
         cores.setdefault(dec.core, []).append((dec.k, float(r2.nonzero_values[i]) / m))
     return cores
 
@@ -141,14 +139,11 @@ def diagonal_sum(omega: GapWidth, X: float, j: int, Y: int, r2: R2Table,
         p2 += c2
         s22 += c2 * c2
         if j == 4:
-            kmax = int(ks.max())
-            # [z^0] g^4 via the full coefficient array of g (exponents -K..K)
-            coeff = np.zeros((2 * kmax + 1, samples))
-            for k, w_row in zip(ks, wk):
-                coeff[kmax + k] += w_row
-                coeff[kmax - k] -= w_row
-            sq2 = _self_convolve_mid(coeff)
-            p4 += sq2
+            # on |z| = 1, g_c = 2i sum_k w_k sin(k theta) and g_c^4 has degree
+            # 4 kmax, so its mean over 4 kmax + 1 equispaced theta is [z^0] g_c^4
+            n = 4 * int(ks.max()) + 1
+            theta = 2.0 * math.pi / n * np.arange(n)
+            p4 += 16.0 * np.mean((np.sin(np.multiply.outer(theta, ks)) @ wk) ** 4, axis=0)
     if j == 2:
         tuple_sum = p2
     else:
@@ -156,23 +151,3 @@ def diagonal_sum(omega: GapWidth, X: float, j: int, Y: int, r2: R2Table,
         tuple_sum = p4 + 3.0 * (p2 * p2 - s22)
     sign = -1.0 if (j // 2) % 2 else 1.0
     return sign * (math.sqrt(2.0) / math.pi) ** j * float(np.mean(tuple_sum))
-
-
-def _self_convolve_mid(coeff: np.ndarray) -> np.ndarray:
-    """[z^0] of (sum_e coeff[e] z^(e-K))^4 for every sample column.
-
-    Convolves the exponent axis with itself twice and reads the central
-    coefficient; the array is small (K <= 20) so the direct loop is fine.
-    """
-    n, samples = coeff.shape
-    sq = np.zeros((2 * n - 1, samples))
-    for i in range(n):
-        row = coeff[i]
-        if not row.any():
-            continue
-        sq[i:i + n] += row * coeff
-    centre = np.zeros(samples)
-    # [z^0] of the square of the squared polynomial: pair exponents e, -e
-    for i in range(2 * n - 1):
-        centre += sq[i] * sq[2 * n - 2 - i]
-    return centre

@@ -3,6 +3,8 @@
 A pure-integer ball count (cross-checks counting.count_ball_fast above the
 brute-force cap), the j = 2 diagonal sum in its plain-sum form and in the
 literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
+the j = 4 diagonal sum with each core's constant term taken from np.convolve
+(cross-checks the circle mean in voronoi.diagonal_sum),
 the Fourier-side evaluation of an almost-periodic gap width and of its
 first two derivatives (cross-check the factor-value evaluation in gapwidth),
 the constrained frequency sum as a j-fold tensor convolution over the
@@ -100,6 +102,28 @@ def grouped_pair_sum_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
                         if e1 * k1 + e2 * k2 == 0:
                             acc += (e1 * e2) * s1 * s2
     return float(np.mean(acc))
+
+
+def diagonal_sum_convolve_j4(omega: GapWidth, X: float, Y: int, r2: R2Table,
+                             samples: int) -> float:
+    """voronoi.diagonal_sum at j = 4, with [z^0] g_c^2 and [z^0] g_c^4 read
+    from np.convolve of the coefficient array of g_c (exponents -kmax..kmax)
+    at every sample point."""
+    om = np.asarray(omega.value(midpoint_grid(X, samples)), dtype=np.float64)
+    p2, p4, s22 = np.zeros(samples), np.zeros(samples), np.zeros(samples)
+    for core, rows in _cores_upto(Y, r2).items():
+        kmax = max(k for k, _ in rows)
+        for i, o in enumerate(om):
+            coeff = np.zeros(2 * kmax + 1)
+            for k, w in rows:
+                wk = w * math.sin(math.pi * math.sqrt(core) * k * o)
+                coeff[kmax + k] += wk
+                coeff[kmax - k] -= wk
+            sq = np.convolve(coeff, coeff)
+            p2[i] += sq[2 * kmax]
+            s22[i] += sq[2 * kmax] ** 2
+            p4[i] += np.convolve(sq, sq)[4 * kmax]
+    return (math.sqrt(2.0) / math.pi) ** 4 * float(np.mean(p4 + 3.0 * (p2 * p2 - s22)))
 
 
 _IMAG_TOL = 1e-10

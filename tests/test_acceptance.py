@@ -231,10 +231,9 @@ def _zero_tuple_count(j: int, M: int) -> int:
     """Combinatorial oracle: the number of (signs, ms) tuples of length j with
     m_i <= M whose signed square roots cancel, via per-core generating
     polynomials in the signed k-sum."""
-    spf = arith.spf_sieve(M)
     kmax_by_core: dict[int, int] = {}
     for m in range(1, M + 1):
-        dec = arith.squarefree_core(m, spf)
+        dec = arith.squarefree_core(m)
         kmax_by_core[dec.core] = max(kmax_by_core.get(dec.core, 0), dec.k)
 
     def z_count(kmax: int, t: int) -> int:
@@ -271,7 +270,6 @@ def test_criterion_10_zero_relation_exactness():
 
     t0 = time.process_time()
     M = 50
-    spf = arith.spf_sieve(M)
     roots = np.sqrt(np.arange(M + 1, dtype=np.float64))
     mpmath.mp.dps = 60
     mp_roots = [mpmath.sqrt(m) for m in range(M + 1)]
@@ -294,18 +292,18 @@ def test_criterion_10_zero_relation_exactness():
             found += len(zero_idx)
             for idx in zero_idx:
                 ms = [int(v) + 1 for v in idx]
-                assert voronoi.sum_sqrt_is_zero(es, ms, spf), (es, ms)
+                assert voronoi.sum_sqrt_is_zero(es, ms), (es, ms)
                 checked_zero += 1
             for idx in np.argwhere((mags >= 1e-9) & (mags < 1e-3)):
                 ms = [int(v) + 1 for v in idx]
                 high = abs(mpmath.fsum(e * mp_roots[m] for e, m in zip(es, ms)))
                 assert high > mpmath.mpf("1e-50"), (es, ms)
-                assert not voronoi.sum_sqrt_is_zero(es, ms, spf), (es, ms)
+                assert not voronoi.sum_sqrt_is_zero(es, ms), (es, ms)
                 checked_band += 1
             nonzero_idx = np.argwhere(mags >= 1e-3)
             for idx in nonzero_idx[::max(1, len(nonzero_idx) // 500)]:
                 ms = [int(v) + 1 for v in idx]
-                assert not voronoi.sum_sqrt_is_zero(es, ms, spf), (es, ms)
+                assert not voronoi.sum_sqrt_is_zero(es, ms), (es, ms)
                 checked_nonzero += 1
         assert found == expected_zero, (j, found, expected_zero)
         total_zero_float += found

@@ -77,9 +77,8 @@ def test_squarefree_core_fixtures():
 
 
 def test_squarefree_core_exhaustive():
-    spf = arith.spf_sieve(10_000)
     for m in range(1, 10_001):
-        dec = arith.squarefree_core(m, spf)
+        dec = arith.squarefree_core(m)
         assert dec.core * dec.k ** 2 == m
         p = 2
         while p * p <= dec.core:

@@ -258,6 +258,19 @@ def test_density_nonfinite_alpha_exits_2(tmp_path, capsys, alpha):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["sample", "diagnose"])
+@pytest.mark.parametrize("X", ["nan", "inf"])
+def test_nonfinite_X_exits_2(tmp_path, capsys, command, X):
+    argv = [command, "--X", X]
+    if command == "sample":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"X = {X} must be finite" in captured.err
+    assert not (tmp_path / "samples.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--x", "1000/1"],
     ["sample", "--mode", "exact", "--X", "500", "--samples", "20"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cygshell import arith, counting
+from cygshell import arith, counting, gapwidth
 from cygshell.counting import RadiusPoint
 from oracles import count_ball_isqrt, sawtooth_ball_sum_fsum
 
@@ -79,7 +79,8 @@ def test_fast_equals_brute_on_sevenths(r2_10k):
 
 
 def test_fast_equals_isqrt_oracle():
-    r2 = arith.build_r2(2048 ** 2)
+    # the table of exact sampling at X = 2000 (outer radii < 4001)
+    r2 = arith.build_r2((2 * 2000 + 2) ** 2)
     # 65 = 5 * 13: (m, c) = (20, 15) * 13^2 lies on the sphere, 65^4 = m^2 + c^2
     assert 3380 ** 2 + 2535 ** 2 == 65 ** 4
     radii = [
@@ -87,6 +88,9 @@ def test_fast_equals_isqrt_oracle():
         RadiusPoint(24_001, 48), RadiusPoint(7003, 7),  # Q not a power of two
         RadiusPoint(1_000_003, 64 << counting.OUTER_REFINE_SHIFT),  # refined denominator
         RadiusPoint((1 << 26) - 1, 1 << 15),  # numerator at the cap, x ~ 2048
+        RadiusPoint(191_999, 48),  # x ~ 4000, Q = 48
+        counting.snap_outer_radius(RadiusPoint(255_937, 64), 0.21)[0],  # x ~ 3999, Q = 64 * 2^6
+        RadiusPoint(21_001, 7),  # x ~ 3000, Q = 7
     ]
     for x in radii:
         assert counting.count_ball_fast(x, r2) == count_ball_isqrt(x, r2), x
@@ -280,3 +284,22 @@ def test_snap_outer_radius_refines():
     assert 0 < outer.value - x.value < 0.1 + 1.0 / outer.Q
     assert gap == (outer.k - x.refined().k) / outer.Q
     assert abs(gap - 0.1) <= 0.5 / outer.Q
+
+
+def test_snap_outer_radius_realises_zero_gap(r2_200k):
+    # the first zero-gap row of `sample --mode exact` with the product gap
+    # (1+z)(2+z), lambda = (1, sqrt 2), A = 2 at X = 60: omega = 3.26e-6
+    x = RadiusPoint(6605, 64)
+    step = 1.0 / x.refined().Q
+    for gap in (0.0, 3.262311298112491e-06, 0.49 * step):
+        assert counting.snap_outer_radius(x, gap) == (x.refined(), 0.0)
+    outer, gap = counting.snap_outer_radius(x, 0.51 * step)
+    assert outer.k == x.refined().k + 1 and gap == step
+    with pytest.raises(ValueError):
+        counting.snap_outer_radius(x, -step)
+    tiny = gapwidth.GapWidth(name="tiny", jet=lambda L, order: (
+        [np.full_like(np.asarray(L, dtype=float), 1e-6)]
+        + [np.zeros_like(np.asarray(L, dtype=float))] * order))
+    s = counting.shell_sample(x, tiny, r2_200k)
+    assert (s.omega_x, s.shell_count, s.error, s.normalized) == (0.0, 0, 0.0, 0.0)
+    assert s.n_outer == s.n_inner == counting.count_ball_fast(x, r2_200k)

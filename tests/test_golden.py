@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of the artifacts of five small CLI runs, and of the
+"""Byte-for-byte pins of the artifacts of six small CLI runs, and of the
 stdout of three diagnose runs.
 
 A reordered float operation in the counting kernel, the fast series, the
@@ -26,6 +26,13 @@ GOLDEN = [
         "distribution.csv": "5849064756ecd3f867e431995d6eda352d624c6fc53aaf6203f3b8b99973f6c1",
         "summary.json": "685389c62423b1eee11e7378168e9aca629650c2a41957129211a36c6fda8dc5",
     }),
+    # two grid points fall where the product gap nearly vanishes (|1 + z|^2
+    # has a root on the unit circle); their shells snap to zero width
+    (["sample", "--mode", "exact", "--X", "60", "--samples", "200", "--omega-spec", SPEC_FILE], {
+        "samples.csv": "65912f1588ffe144ec9f5a3b64f1d8e5e50d5a6180403250e04520430d6c33a4",
+        "distribution.csv": "62a8f6278885da50010be707aac10a552abbd3b8d0313835a5274f8f95cad894",
+        "summary.json": "b09b2f0c4b6c32e547d20f046276b8698a9b0c67b2b3b6bd2b975afb9447d478",
+    }),
     (["sample", "--mode", "fast", "--X", "200", "--samples", "200"], {
         "samples.csv": "ed755eb7fcd588049c6a02bd44f0f413cf4c5fec4786c71f9abde908a19ebac7",
         "distribution.csv": "16405f899cd6d7fd76f76cf647c566c830279448d9207b5348a33b609412a887",
@@ -47,8 +54,8 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv, digests", GOLDEN,
-                         ids=["sample-exact", "sample-fast", "sample-fast-product",
-                              "moments-fast", "expand"])
+                         ids=["sample-exact", "sample-exact-product", "sample-fast",
+                              "sample-fast-product", "moments-fast", "expand"])
 def test_artifact_digests(tmp_path, argv, digests):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(PRODUCT_SPEC))
