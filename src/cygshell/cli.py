@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -42,6 +43,11 @@ class ExperimentConfig:
     out: str = "."
 
     def __post_init__(self):
+        for name in ("samples", "Q", "j_max", "threads", "X", "phase"):
+            value = getattr(self, name)
+            kind, what = (numbers.Real, "a number") if name in ("X", "phase") else (int, "an integer")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
         if not (math.isfinite(self.X) and self.X >= 10):
             raise ValueError(f"X = {self.X} must be finite and >= 10")
         if self.samples < 10:
@@ -71,6 +77,8 @@ def _parse_radius(text: str) -> counting.RadiusPoint:
         num, den = text.split("/", 1)
         return counting.RadiusPoint(k=int(num), Q=int(den))
     value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"--x must be finite, not {text!r}")
     if value == int(value):
         return counting.RadiusPoint(k=int(value), Q=1)
     return counting.RadiusPoint.from_value(value, 64)

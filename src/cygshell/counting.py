@@ -93,7 +93,8 @@ def count_ball_brute(x: RadiusPoint) -> int:
     """Count lattice points by direct enumeration over (a, b) with an exact
     integer comparison for the third coordinate.
 
-    Independent of the r2 sieve; cost O(x^4), capped at x <= 60.
+    Independent of the r2 sieve; O(x^2) exact isqrt calls, one per pair
+    a, b >= 0 with a^2 + b^2 <= x^2, capped at x <= 60.
     """
     if x.value > _BRUTE_RADIUS_CAP:
         raise ValueError(f"brute-force counting is capped at x <= {_BRUTE_RADIUS_CAP}")

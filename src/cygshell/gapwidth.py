@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -108,11 +107,7 @@ class AlmostPeriodicGap:
             raise ValueError("need one lambda per polynomial")
 
     def to_phis(self) -> tuple:
-        return self._phis
-
-    @cached_property
-    def _phis(self) -> tuple:
-        """The factors phi_l = |p_l|^2, built (and grid-checked) once per spec."""
+        """The factors phi_l = |p_l|^2, built exactly."""
         return tuple(phi_from_poly(c) for c in self.polys)
 
 

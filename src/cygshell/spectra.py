@@ -33,7 +33,6 @@ __all__ = [
 
 _COEFF_SPAN_CAP = 10_000
 _SURROGATE_GRID = 4096
-_NONNEG_FLOOR = -1e-9
 
 # Exact complex numbers as (re, im) Fraction pairs.
 _Cx = tuple[Fraction, Fraction]
@@ -98,14 +97,18 @@ class TrigPolyModulus:
     @cached_property
     def grid_min(self) -> float:
         """Minimum of phi over the cell midpoints of a 4096-cell grid on [0, 1),
-        so exact roots at rational t do not mask near-root decay; computed once
-        for the nonnegativity check and the gap widths' no-roots check."""
+        so exact roots at rational t do not mask near-root decay; computed on
+        first use, by the gap widths' no-roots check."""
         t = (np.arange(_SURROGATE_GRID) + 0.5) / _SURROGATE_GRID
         return float(self.values(t).min())
 
 
 def phi_from_poly(coeffs: Sequence) -> TrigPolyModulus:
-    """Autocorrelation a_m = sum_k c_{k+m} conj(c_k) of the polynomial coefficients."""
+    """Autocorrelation a_m = sum_k c_{k+m} conj(c_k) of the polynomial coefficients.
+
+    Exact arithmetic makes phi real (a_{-m} = conj(a_m)), nonnegative
+    (|p|^2) and of positive mean (a_0 = sum |c_k|^2) by construction.
+    """
     cs = [_cx(c) for c in coeffs]
     if all(c == _CZERO for c in cs):
         raise ValueError("polynomial must have a nonzero coefficient")
@@ -114,23 +117,11 @@ def phi_from_poly(coeffs: Sequence) -> TrigPolyModulus:
     for m in range(-d, d + 1):
         terms = [_cmul(cs[k + m], _conj(cs[k])) for k in range(len(cs)) if 0 <= k + m < len(cs)]
         out.append((sum(t[0] for t in terms), sum(t[1] for t in terms)))
-    phi = TrigPolyModulus(degree=d, coeffs=tuple(out))
-    _validate_phi(phi)
-    return phi
-
-
-def _validate_phi(phi: TrigPolyModulus) -> None:
-    for m in range(0, phi.degree + 1):
-        if phi.coeff(-m) != _conj(phi.coeff(m)):
-            raise ValueError("coefficients break the reality symmetry")
-    if not phi.coeff(0)[0] > 0:  # a_0, the integral of phi over one period
-        raise ValueError("phi must have positive mean")
-    if phi.grid_min < _NONNEG_FLOOR:
-        raise ValueError("phi is negative on the reference grid")
+    return TrigPolyModulus(degree=d, coeffs=tuple(out))
 
 
 def _power_centre(terms: dict[int, _Cx], j: int) -> Fraction:
-    """Constant term of (sum_e c_e z^e)^j for j >= 1, exactly.
+    """Constant term of (sum_e c_e z^e)^j for j >= 0, exactly.
 
     Kronecker substitution: with denominators cleared, the real and the
     imaginary integer parts become base-2^w digits of two Python ints, and j
@@ -145,8 +136,8 @@ def _power_centre(terms: dict[int, _Cx], j: int) -> Fraction:
     lo = min(0, *ints)
     re = sum(a << (w * (e - lo)) for e, (a, _) in ints.items())
     im = sum(b << (w * (e - lo)) for e, (_, b) in ints.items())
-    pr, pi = re, im
-    for _ in range(j - 1):
+    pr, pi = 1, 0
+    for _ in range(j):
         pr, pi = pr * re - pi * im, pr * im + pi * re
     shift = -j * lo * w
     half, top = (1 << shift) >> 1, 1 << (w - 1)
@@ -162,8 +153,6 @@ def phi_moment(phi: TrigPolyModulus, j: int) -> Fraction:
     the j-th power of phi's Laurent polynomial."""
     if j < 0:
         raise ValueError("moment order must be >= 0")
-    if j == 0:
-        return Fraction(1)
     if j * phi.degree > _COEFF_SPAN_CAP:
         raise ValueError("coefficient span too large")
     return _power_centre({m - phi.degree: c for m, c in enumerate(phi.coeffs)}, j)
@@ -208,60 +197,54 @@ class DensitySpec:
         return weights, field_vals / norm2, norm2
 
 
+def _packed(spec: DensitySpec, j: int) -> dict[int, _Cx]:
+    """The construction as a 1-D Laurent polynomial in one packed exponent.
+
+    A frequency vector (one exponent per coordinate) packs into one integer
+    with mixed-radix strides prod_{l' < l}(2 j d_l' + 1), so a sum of j of
+    them packs to 0 exactly when it is the zero vector.  Product mode
+    multiplies the factors' coefficients; sum mode adds each factor's
+    coefficients at its own stride.
+    """
+    product = spec.mode == "product"
+    terms = {0: (Fraction(1), Fraction(0))} if product else {}
+    stride = 1
+    for phi in spec.phis:
+        d = phi.degree
+        if j * d > _COEFF_SPAN_CAP:
+            raise ValueError("coefficient span too large")
+        if product:
+            terms = {e + m * stride: _cmul(c, phi.coeff(m))
+                     for e, c in terms.items() for m in range(-d, d + 1)}
+        else:
+            for m in range(-d, d + 1):
+                c, a = terms.get(m * stride, _CZERO), phi.coeff(m)
+                terms[m * stride] = (c[0] + a[0], c[1] + a[1])
+        stride *= 2 * j * d + 1
+    return terms
+
+
 def construction_moment(spec: DensitySpec, j: int) -> Fraction:
     """Exact j-th moment of the construction over the torus.
 
-    Product mode: prod_l int phi_l^j.  Sum mode: the multinomial expansion of
-    E[(X_1 + ... + X_n)^j] with independent coordinates.
+    Product mode: prod_l int phi_l^j.  Sum mode: E[(phi_1 + ... + phi_n)^j]
+    over independent coordinates, the constant term of the packed power.
     """
     if j < 0:
         raise ValueError("moment order must be >= 0")
     if spec.mode == "product":
-        out = Fraction(1)
-        for phi in spec.phis:
-            out *= phi_moment(phi, j)
-        return out
-    moments = [[phi_moment(phi, k) for k in range(j + 1)] for phi in spec.phis]
-    total = Fraction(0)
-    for comp in _compositions(j, len(spec.phis)):
-        term = Fraction(math.factorial(j))
-        for jl, phi_moms in zip(comp, moments):
-            term = term / math.factorial(jl) * phi_moms[jl]
-        total += term
-    return total
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+        return math.prod((phi_moment(phi, j) for phi in spec.phis), start=Fraction(1))
+    return _power_centre(_packed(spec, j), j)
 
 
 def constrained_frequency_sum(spec: DensitySpec, j: int) -> Fraction:
-    """Sum of prod_i a_{f_i} over j-tuples of frequency vectors summing to zero.
-
-    Frequencies are integer vectors (one exponent per coordinate).  Each is
-    packed into one integer with mixed-radix strides prod_{l' < l}(2 j d_l' + 1),
-    so a sum of j of them packs to 0 exactly when it is the zero vector, and
-    the tuple sum is the constant term of a 1-D power.
-    """
+    """Sum of prod_i a_{f_i} over j-tuples of frequency vectors summing to zero:
+    the constant term of the j-th power of the packed construction."""
     if spec.mode != "product":
         raise ValueError("constrained frequency sums are defined for product specs")
     if j < 0:
         raise ValueError("j must be >= 0")
-    if j == 0:
-        return Fraction(1)
-    terms = {0: (Fraction(1), Fraction(0))}
-    stride = 1
-    for phi in spec.phis:
-        d = phi.degree
-        terms = {e + m * stride: _cmul(c, phi.coeff(m))
-                 for e, c in terms.items() for m in range(-d, d + 1)}
-        stride *= 2 * j * d + 1
-    return _power_centre(terms, j)
+    return _power_centre(_packed(spec, j), j)
 
 
 def l_j(spec: DensitySpec, j: int) -> Fraction:

@@ -8,7 +8,9 @@ the j = 4 diagonal sum with each core's constant term taken from np.convolve
 the Fourier-side evaluation of an almost-periodic gap width and of its
 first two derivatives (cross-check the factor-value evaluation in gapwidth),
 the constrained frequency sum as a j-fold tensor convolution over the
-frequency lattice (cross-checks the packed power in spectra), and the
+frequency lattice (cross-checks the packed power in spectra), the sum-mode
+construction moment by the multinomial expansion over per-factor moments
+(cross-checks the sum-mode packed power in spectra), and the
 sawtooth correction and the main series summed by math.fsum over a Python
 list of every product or term (cross-check the exact partial sums of
 arith.exact_parts bit for bit).
@@ -23,7 +25,7 @@ import numpy as np
 from cygshell.arith import R2Table
 from cygshell.counting import RadiusPoint, _psi_exact, _sqrt_chunks
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
-from cygshell.spectra import DensitySpec, _cmul
+from cygshell.spectra import DensitySpec, _cmul, phi_moment
 from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
 
 
@@ -233,3 +235,18 @@ def constrained_sum_convolution(spec: DensitySpec, j: int) -> Fraction:
     if val[1] != 0:
         raise AssertionError("constrained sum has a nonzero imaginary part")
     return val[0]
+
+
+def construction_moment_multinomial(spec: DensitySpec, j: int) -> Fraction:
+    """E[(phi_1 + ... + phi_n)^j] over independent coordinates: the sum over
+    compositions j_1 + ... + j_n = j of j!/(j_1! ... j_n!) prod_l int phi_l^j_l."""
+    moments = [[phi_moment(phi, k) for k in range(j + 1)] for phi in spec.phis]
+    total = Fraction(0)
+    for comp in itertools.product(range(j + 1), repeat=len(spec.phis)):
+        if sum(comp) != j:
+            continue
+        term = Fraction(math.factorial(j))
+        for jl, phi_moms in zip(comp, moments):
+            term = term / math.factorial(jl) * phi_moms[jl]
+        total += term
+    return total

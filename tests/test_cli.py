@@ -31,6 +31,13 @@ def test_count_bad_radius_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+def test_count_non_finite_radius_exits_2(capsys, text):
+    assert main(["count", "--x", text]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--x" in err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -72,6 +79,20 @@ def test_config_unknown_field_exits_2(tmp_path, capsys):
     assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bogus" in err
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("samples", 20.5), ("samples", True), ("Q", "64"), ("j_max", 4.0),
+    ("threads", 1.5), ("X", "100"), ("X", True), ("phase", "x"), ("phase", None),
+])
+def test_config_field_type_exits_2(tmp_path, capsys, field, bad):
+    cfg = {"omega": {"kind": "inv_log"}, "X": 100, "samples": 20, "mode": "fast"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, field: bad}))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "samples.csv").exists()
 
 
 def test_malformed_coefficient_exits_2(tmp_path, capsys):

@@ -13,7 +13,7 @@ from cygshell.spectra import (DensitySpec, construction_moment,
                               mixture_components, phi_from_poly, phi_moment,
                               predicted_moment)
 
-from oracles import constrained_sum_convolution
+from oracles import constrained_sum_convolution, construction_moment_multinomial
 
 
 def spec_1plusz(n=1, quad=64):
@@ -80,6 +80,43 @@ def test_construction_moment_sum():
     assert construction_moment(spec, 2) == 20
     # E[(X+Y)^4] = 70 + 4*20*2 + 6*6*6 + 4*2*20 + 70
     assert construction_moment(spec, 4) == 676
+
+
+SUM_SPECS = {
+    "one_thirds_and_fifths": ([(Fraction(1, 3), 0), (Fraction(-2, 3), Fraction(1, 5))],),
+    "two_dyadic_and_quadratic": ([0.5, 1 + 0.25j], [1, 2, 1]),
+    "three_complex_and_gapped": ([1, 1], [1, 1j], [2, 0, 1]),
+    # the packed span grows as prod_l (2 j d_l + 1): four linear factors keep it small
+    "four_linear": ([1, 1], [2, 1], [1, -1], [3, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_SPECS))
+def test_sum_moment_matches_multinomial_oracle(name):
+    spec = DensitySpec(mode="sum", phis=tuple(phi_from_poly(p) for p in SUM_SPECS[name]))
+    for j in range(9):
+        assert construction_moment(spec, j) == construction_moment_multinomial(spec, j)
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_rationals, _rationals), min_size=1, max_size=5)
+       .filter(lambda cs: any(c != (0, 0) for c in cs)))
+def test_phi_invariants_hold_by_construction(coeffs):
+    # phi_from_poly checks none of these at run time: the reality symmetry,
+    # a positive mean a_0 = sum |c_k|^2, and phi = |p|^2 >= 0
+    phi = phi_from_poly(coeffs)
+    for m in range(phi.degree + 1):
+        re, im = phi.coeff(m)
+        assert phi.coeff(-m) == (re, -im)
+    a0 = sum(re * re + im * im for re, im in coeffs)
+    assert phi.coeff(0) == (a0, 0) and a0 > 0
+    t = (np.arange(64) + 0.5) / 64
+    z = np.exp(2j * math.pi * t)
+    p = sum(complex(re, im) * z ** k for k, (re, im) in enumerate(coeffs))
+    assert np.abs(phi.values(t) - np.abs(p) ** 2).max() <= 1e-12 * float(a0)
 
 
 def test_constrained_sum_fixtures():
