@@ -197,54 +197,45 @@ class DensitySpec:
         return weights, field_vals / norm2, norm2
 
 
-def _packed(spec: DensitySpec, j: int) -> dict[int, _Cx]:
-    """The construction as a 1-D Laurent polynomial in one packed exponent.
-
-    A frequency vector (one exponent per coordinate) packs into one integer
-    with mixed-radix strides prod_{l' < l}(2 j d_l' + 1), so a sum of j of
-    them packs to 0 exactly when it is the zero vector.  Product mode
-    multiplies the factors' coefficients; sum mode adds each factor's
-    coefficients at its own stride.
-    """
-    product = spec.mode == "product"
-    terms = {0: (Fraction(1), Fraction(0))} if product else {}
-    stride = 1
-    for phi in spec.phis:
-        d = phi.degree
-        if j * d > _COEFF_SPAN_CAP:
-            raise ValueError("coefficient span too large")
-        if product:
-            terms = {e + m * stride: _cmul(c, phi.coeff(m))
-                     for e, c in terms.items() for m in range(-d, d + 1)}
-        else:
-            for m in range(-d, d + 1):
-                c, a = terms.get(m * stride, _CZERO), phi.coeff(m)
-                terms[m * stride] = (c[0] + a[0], c[1] + a[1])
-        stride *= 2 * j * d + 1
-    return terms
-
-
 def construction_moment(spec: DensitySpec, j: int) -> Fraction:
     """Exact j-th moment of the construction over the torus.
 
     Product mode: prod_l int phi_l^j.  Sum mode: E[(phi_1 + ... + phi_n)^j]
-    over independent coordinates, the constant term of the packed power.
+    over independent coordinates, folded in one factor at a time by the
+    binomial expansion of the per-factor moments.
     """
     if j < 0:
         raise ValueError("moment order must be >= 0")
     if spec.mode == "product":
         return math.prod((phi_moment(phi, j) for phi in spec.phis), start=Fraction(1))
-    return _power_centre(_packed(spec, j), j)
+    moms = [Fraction(1)] + [Fraction(0)] * j
+    for phi in spec.phis:
+        m = [phi_moment(phi, k) for k in range(j + 1)]
+        moms = [sum(math.comb(k, i) * moms[i] * m[k - i] for i in range(k + 1))
+                for k in range(j + 1)]
+    return moms[j]
 
 
 def constrained_frequency_sum(spec: DensitySpec, j: int) -> Fraction:
-    """Sum of prod_i a_{f_i} over j-tuples of frequency vectors summing to zero:
-    the constant term of the j-th power of the packed construction."""
+    """Sum of prod_i a_{f_i} over j-tuples of frequency vectors summing to zero.
+
+    Frequencies are integer vectors (one exponent per coordinate).  Each is
+    packed into one integer with mixed-radix strides prod_{l' < l}(2 j d_l' + 1),
+    so a sum of j of them packs to 0 exactly when it is the zero vector, and
+    the tuple sum is the constant term of a 1-D power.
+    """
     if spec.mode != "product":
         raise ValueError("constrained frequency sums are defined for product specs")
     if j < 0:
         raise ValueError("j must be >= 0")
-    return _power_centre(_packed(spec, j), j)
+    terms = {0: (Fraction(1), Fraction(0))}
+    stride = 1
+    for phi in spec.phis:
+        d = phi.degree
+        terms = {e + m * stride: _cmul(c, phi.coeff(m))
+                 for e, c in terms.items() for m in range(-d, d + 1)}
+        stride *= 2 * j * d + 1
+    return _power_centre(terms, j)
 
 
 def l_j(spec: DensitySpec, j: int) -> Fraction:

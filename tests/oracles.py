@@ -10,7 +10,7 @@ first two derivatives (cross-check the factor-value evaluation in gapwidth),
 the constrained frequency sum as a j-fold tensor convolution over the
 frequency lattice (cross-checks the packed power in spectra), the sum-mode
 construction moment by the multinomial expansion over per-factor moments
-(cross-checks the sum-mode packed power in spectra), and the
+(cross-checks the binomial fold in spectra), and the
 sawtooth correction and the main series summed by math.fsum over a Python
 list of every product or term (cross-check the exact partial sums of
 arith.exact_parts bit for bit).

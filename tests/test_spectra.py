@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -86,16 +87,22 @@ SUM_SPECS = {
     "one_thirds_and_fifths": ([(Fraction(1, 3), 0), (Fraction(-2, 3), Fraction(1, 5))],),
     "two_dyadic_and_quadratic": ([0.5, 1 + 0.25j], [1, 2, 1]),
     "three_complex_and_gapped": ([1, 1], [1, 1j], [2, 0, 1]),
-    # the packed span grows as prod_l (2 j d_l + 1): four linear factors keep it small
     "four_linear": ([1, 1], [2, 1], [1, -1], [3, 1]),
+    "four_mixed_degree": ([1, 2, 1], [1, 0, 1, 1], [2, 1], [1, 1j]),
+    "four_high_degree": tuple([Fraction((-1) ** k * (k % 5 + 1), k % 3 + 1) for k in range(d + 1)]
+                              for d in (20, 15, 12, 10)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SUM_SPECS))
 def test_sum_moment_matches_multinomial_oracle(name):
     spec = DensitySpec(mode="sum", phis=tuple(phi_from_poly(p) for p in SUM_SPECS[name]))
-    for j in range(9):
-        assert construction_moment(spec, j) == construction_moment_multinomial(spec, j)
+    t0 = time.process_time()
+    moments = [construction_moment(spec, j) for j in range(9)]
+    # per-factor moments keep the cost polynomial in the degrees and the
+    # factor count (about 0.04 s CPU for the high-degree case)
+    assert time.process_time() - t0 < 2.0
+    assert moments == [construction_moment_multinomial(spec, j) for j in range(9)]
 
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
