@@ -3,7 +3,7 @@ float64 array and the square-free core decomposition.
 
 All tables are immutable after construction and safe to share across
 threads; every operation here but exact_parts, which overwrites its
-argument, is pure.
+arguments, is pure.
 """
 
 from __future__ import annotations
@@ -31,31 +31,45 @@ class R2Table:
     `values[0] == 1` (the pair (0,0)).  Besides the dense table the
     constructor stores a compressed view over the m >= 1 with r2(m) > 0
     (roughly a 0.2 fraction at desk scale), which the counting kernels and
-    the series iterate over; the m = 0 slice is never part of it.
+    the series iterate over; the m = 0 slice is never part of it.  The
+    counts are uint16 (the largest r2 is 192 at 1.6 * 10^7 and 256 at
+    6.4 * 10^7) and the compressed m are uint32, which caps the limit at
+    2^32 - 1; the prefix sums and square roots are 8 bytes wide.
     """
 
     limit: int
-    values: np.ndarray                      # int32, len == limit + 1
-    nonzero_m: np.ndarray = field(init=False, repr=False)       # int64
-    nonzero_values: np.ndarray = field(init=False, repr=False)  # int64
+    values: np.ndarray                      # uint16, len == limit + 1
+    nonzero_m: np.ndarray = field(init=False, repr=False)       # uint32
+    nonzero_values: np.ndarray = field(init=False, repr=False)  # uint16
     nonzero_prefix: np.ndarray = field(init=False, repr=False)  # int64, cumulative r2 over nonzero_m
     nonzero_sqrt: np.ndarray = field(init=False, repr=False)    # float64 sqrt of nonzero_m
 
     def __post_init__(self):
-        mnz = np.nonzero(self.values[1:])[0].astype(np.int64) + 1
-        vnz = self.values[mnz].astype(np.int64)
+        # the one full-size transient: the int64 indices of the nonzero m >= 1
+        idx = np.flatnonzero(self.values[1:])
+        idx += 1
+        vnz = self.values[idx]
+        mnz = idx.astype(np.uint32)
+        del idx
+        prefix = np.zeros(len(vnz) + 1, dtype=np.int64)
+        np.cumsum(vnz, dtype=np.int64, out=prefix[1:])
         object.__setattr__(self, "nonzero_m", mnz)
         object.__setattr__(self, "nonzero_values", vnz)
-        object.__setattr__(self, "nonzero_prefix",
-                           np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(vnz)]))
-        object.__setattr__(self, "nonzero_sqrt", np.sqrt(mnz.astype(np.float64)))
+        object.__setattr__(self, "nonzero_prefix", prefix)
+        object.__setattr__(self, "nonzero_sqrt", np.sqrt(mnz, dtype=np.float64))
         for arr in (self.values, self.nonzero_m, self.nonzero_values,
                     self.nonzero_prefix, self.nonzero_sqrt):
             arr.setflags(write=False)
 
     def nonzero_count_upto(self, y: int) -> int:
         """Number of compressed entries with 1 <= m <= y."""
-        return int(np.searchsorted(self.nonzero_m, y, side="right"))
+        if y < 1:
+            return 0
+        if y >= self.limit:
+            return len(self.nonzero_m)
+        # a key of the array's own dtype: a Python int would make NumPy cast
+        # the whole array to int64 on every call
+        return int(np.searchsorted(self.nonzero_m, self.nonzero_m.dtype.type(y), side="right"))
 
     def sum_upto(self, y: int) -> int:
         """Sum of r2(m) for 0 <= m <= y (exact)."""
@@ -64,10 +78,16 @@ class R2Table:
         return 1 + int(self.nonzero_prefix[self.nonzero_count_upto(y)])  # r2(0) = 1
 
 
-# Table bytes per entry: the int32 dense value plus the four 8-byte
-# compressed arrays over a nonzero share of at most 0.3 (it measures 0.275
-# at 10^4 and 0.19 at 1.6 * 10^7).
-_TABLE_BYTES_PER_ENTRY = 4 + 32 * 0.3
+# The largest limit the uint32 nonzero_m can index.
+_MAX_LIMIT = 2 ** 32 - 1
+
+# Bytes per entry of a table and its build: the uint16 dense value, then per
+# nonzero entry the uint32 m, the uint16 r2, the int64 prefix and the
+# float64 sqrt it keeps plus the build's int64 index transient, over a
+# nonzero share of at most 0.3 (it measures 0.275 at 10^4 and 0.19 at
+# 1.6 * 10^7).  The transient is freed before the prefix and sqrt exist, so
+# the measured peak stays below this.
+_TABLE_BYTES_PER_ENTRY = 2 + (4 + 2 + 8 + 8 + 8) * 0.3
 
 
 def _physical_memory() -> int | None:
@@ -81,22 +101,26 @@ def _physical_memory() -> int | None:
 def build_r2(limit: int) -> R2Table:
     """Sieve r2(m) for all 0 <= m <= limit by the double loop over a^2 + b^2.
 
-    O(limit) memory, O(limit) time.  Entries are int32; r2(m) stays far below
-    2^31 for any feasible table size.  Raises MemoryError before allocating
-    when the table's estimated size exceeds physical memory.
+    O(limit) memory, O(limit) time.  Raises ValueError for a limit past
+    2^32 - 1, which the uint32 compressed m cannot index, and MemoryError
+    when the table's estimated peak size exceeds physical memory; both
+    before allocating.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    if limit > _MAX_LIMIT:
+        raise ValueError(f"r2 table limit {limit} exceeds {_MAX_LIMIT}, "
+                         "the largest a uint32 index holds")
     need = (limit + 1) * _TABLE_BYTES_PER_ENTRY
     have = _physical_memory()
     if have is not None and need > have:
         raise MemoryError(f"an r2 table to {limit} needs about {need / 2 ** 20:.0f} MiB, "
                           f"more than the {have / 2 ** 20:.0f} MiB of physical memory")
-    values = np.zeros(limit + 1, dtype=np.int32)
+    values = np.zeros(limit + 1, dtype=np.uint16)
     for a in range(math.isqrt(limit) + 1):
         bmax = math.isqrt(limit - a * a)
         b = np.arange(bmax + 1, dtype=np.int64)
-        weights = np.full(b.shape, 4 if a > 0 else 2, dtype=np.int32)
+        weights = np.full(b.shape, 4 if a > 0 else 2, dtype=np.uint16)
         weights[0] //= 2  # b == 0 contributes half the sign choices
         np.add.at(values, a * a + b * b, weights)
     return R2Table(limit=limit, values=values)
@@ -109,7 +133,7 @@ _EXTRACT_CEILING = 2.0 ** 900
 _EXTRACT_FLOOR = 2.0 ** -1000
 
 
-def exact_parts(p: np.ndarray) -> list[float]:
+def exact_parts(p: np.ndarray, q: np.ndarray | None = None) -> list[float]:
     """A short list of floats whose exact sum is the exact sum of the float64
     array p, so math.fsum(exact_parts(p)) == math.fsum(p.tolist()) bit for bit.
 
@@ -119,11 +143,13 @@ def exact_parts(p: np.ndarray) -> list[float]:
     multiple of 2^-53 sigma with |sum q| < sigma, so q.sum() is exact in any
     order and p - q is exact.  Each level appends q.sum() and moves sigma
     down by 2^(53 - M) until p is all zero; what is left below
-    _EXTRACT_FLOOR is appended as it is.  Overwrites p.
+    _EXTRACT_FLOOR is appended as it is.  Overwrites p, and q, a scratch
+    array of p's shape and dtype, when one is given.
     """
     if p.size == 0:
         return []
-    q = np.empty_like(p)
+    if q is None:
+        q = np.empty_like(p)
     top = float(np.abs(p, out=q).max())
     if not top < _EXTRACT_CEILING:
         return p.tolist()

@@ -73,10 +73,17 @@ class ExperimentConfig:
 
 
 def _parse_radius(text: str) -> counting.RadiusPoint:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return counting.RadiusPoint(k=int(num), Q=int(den))
-    value = float(text)
+    num, slash, den = text.partition("/")
+    try:
+        if slash:
+            k, Q = int(num), int(den)
+        else:
+            value = float(text)
+    except ValueError:
+        raise ValueError(f"--x must be a number or a ratio k/Q of integers, "
+                         f"not {text!r}") from None
+    if slash:
+        return counting.RadiusPoint(k=k, Q=Q)
     if not math.isfinite(value):
         raise ValueError(f"--x must be finite, not {text!r}")
     if value == int(value):

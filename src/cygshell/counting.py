@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +43,8 @@ _MAX_K = 1 << 26
 
 _BRUTE_RADIUS_CAP = 60.0
 
-# Nonzero slices per kernel pass: a 512 KB float64 chunk, so the handful of
-# temporaries of one pass stay in L2.
+# Nonzero slices per kernel pass: a 512 KB float64 chunk, so each thread's
+# handful of chunk buffers (_buffers) stays in L2.
 _KERNEL_CHUNK = 1 << 16
 
 # Half-width of the near-integer band that gets re-checked in exact integer
@@ -136,6 +138,34 @@ def check_float_exactness(x: RadiusPoint) -> None:
                          f"bound (4u x^2 must stay below {_BAND / 4:g})")
 
 
+class _Buffers(NamedTuple):
+    """One thread's chunk buffers, _KERNEL_CHUNK entries each."""
+
+    s: np.ndarray     # float64 sqrt(x^4 - m^2), yielded by _sqrt_chunks
+    w: np.ndarray     # float64 work space of _sqrt_chunks
+    near: np.ndarray  # bool band mask
+    t: np.ndarray     # int64 floors of count_ball_fast
+    psi: np.ndarray   # float64 products of sawtooth_ball_sum
+    q: np.ndarray     # float64 scratch of exact_parts
+
+
+_local = threading.local()
+
+
+def _buffers() -> _Buffers:
+    """This thread's buffers, made on first use (or when _KERNEL_CHUNK has
+    changed).  Threads run the kernels concurrently, so each owns a set; a
+    thread runs one chunk pass at a time."""
+    bufs = getattr(_local, "bufs", None)
+    if bufs is None or len(bufs.s) != _KERNEL_CHUNK:
+        n = _KERNEL_CHUNK
+        bufs = _local.bufs = _Buffers(s=np.empty(n), w=np.empty(n),
+                                      near=np.empty(n, dtype=bool),
+                                      t=np.empty(n, dtype=np.int64),
+                                      psi=np.empty(n), q=np.empty(n))
+    return bufs
+
+
 def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
     """Yield (lo, hi, s, band) over the nonzero slices 1 <= m <= x^2 in chunks
     of _KERNEL_CHUNK, with s[i] ~ sqrt(x^4 - m^2) for m = r2.nonzero_m[lo + i].
@@ -145,9 +175,10 @@ def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
     mQ^2 <= k^2), so only the product, the sqrt, 1/Q^2 and the scaling
     round: at most 4u x^2 (check_float_exactness).  band lists
     (i, k^4 - m^2 Q^4) for the entries within _BAND of an integer, which the
-    caller re-decides in exact arithmetic.  Raises before the first chunk
-    when x is past the float exactness bound or the table does not reach
-    floor(x^2).
+    caller re-decides in exact arithmetic.  s is a view of this thread's
+    _buffers().s, valid until the next chunk.  Raises before the first
+    chunk when x is past the float exactness bound or the table does not
+    reach floor(x^2).
     """
     check_float_exactness(x)
     mmax = x.floor_sq
@@ -158,21 +189,23 @@ def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
     k4, Q4 = k2 * k2, Q2 * Q2
     fk2, fq2 = float(k2), float(Q2)
     inv_q2 = 1.0 / Q2
+    bufs = _buffers()
     n = r2.nonzero_count_upto(mmax)
     for lo in range(0, n, _KERNEL_CHUNK):
         hi = min(n, lo + _KERNEL_CHUNK)
-        w = r2.nonzero_m[lo:hi].astype(np.float64)
-        w *= fq2
-        s = fk2 - w
+        w, s, near = bufs.w[:hi - lo], bufs.s[:hi - lo], bufs.near[:hi - lo]
+        np.multiply(r2.nonzero_m[lo:hi], fq2, out=w)
+        np.subtract(fk2, w, out=s)
         w += fk2
         s *= w
         np.sqrt(s, out=s)
         s *= inv_q2
-        dist = np.rint(s, out=w)  # w is spent; reuse it for |rint(s) - s|
-        dist -= s
-        near = np.flatnonzero(np.abs(dist, out=dist) < _BAND)
-        ms = r2.nonzero_m[lo + near].tolist()
-        yield lo, hi, s, [(i, k4 - m * m * Q4) for i, m in zip(near.tolist(), ms)]
+        np.rint(s, out=w)  # w is spent; reuse it for |rint(s) - s|
+        w -= s
+        np.less(np.abs(w, out=w), _BAND, out=near)
+        idx = np.flatnonzero(near)
+        ms = r2.nonzero_m[lo + idx].tolist()
+        yield lo, hi, s, [(i, k4 - m * m * Q4) for i, m in zip(idx.tolist(), ms)]
 
 
 def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
@@ -182,19 +215,22 @@ def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
     floor is computed as isqrt(k^4 - m^2 Q^4) // Q^2 via a float sqrt of the
     exact factorisation (k^2 - mQ^2)(k^2 + mQ^2); entries landing in the
     near-integer band are re-done in exact big-int arithmetic.  Each chunk's
-    sum is an int64 dot, totalled as a Python int.  Agrees with
+    sum is an int64 sum, totalled as a Python int.  Agrees with
     count_ball_brute everywhere both run.
     """
     Q2 = x.Q * x.Q
     vnz = r2.nonzero_values
+    bufs = _buffers()
     total = 2 * x.floor_sq + 1  # the m = 0 slice: |c| <= floor(x^2)
     for lo, hi, s, band in _sqrt_chunks(x, r2):
-        t = s.astype(np.int64)  # s >= 0, so truncation is the floor
+        t = bufs.t[:hi - lo]
+        np.copyto(t, s, casting="unsafe")  # s >= 0, so truncation is the floor
         for i, v in band:
             t[i] = math.isqrt(v) // Q2
         t *= 2
         t += 1
-        total += int(np.dot(vnz[lo:hi], t))
+        t *= vnz[lo:hi]
+        total += int(t.sum())
     return total
 
 
@@ -210,14 +246,19 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
     """
     Q2 = x.Q * x.Q
     vnz = r2.nonzero_values
+    bufs = _buffers()
     corrections = []
 
     def products():
         for lo, hi, s, band in _sqrt_chunks(x, r2):
-            psi = s - np.floor(s) - 0.5
+            psi = bufs.psi[:hi - lo]
+            np.floor(s, out=psi)
+            np.subtract(s, psi, out=psi)
+            psi -= 0.5
             corrections.extend(float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i])
                                for i, v in band)
-            yield exact_parts(vnz[lo:hi] * psi)
+            psi *= vnz[lo:hi]
+            yield exact_parts(psi, bufs.q[:hi - lo])
 
     total = math.fsum(itertools.chain.from_iterable(products()))
     for c in corrections:

@@ -85,7 +85,8 @@ def r2_squared_partial_sum_check(y: int, r2: R2Table) -> float:
         raise ValueError("y must be >= 2")
     if y > r2.limit:
         raise ValueError(f"y = {y} exceeds the r2 table limit {r2.limit}")
-    v = r2.nonzero_values[:r2.nonzero_count_upto(y)]
+    # int64: a dot of the uint16 counts would wrap modulo 2^16
+    v = r2.nonzero_values[:r2.nonzero_count_upto(y)].astype(np.int64)
     total = int(np.dot(v, v))
     return total / (4.0 * y * math.log(y))
 

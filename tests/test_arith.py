@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cygshell import arith
+from cygshell import arith, counting
 from conftest import r2_direct_enumeration
 
 
@@ -100,9 +101,75 @@ def test_build_r2_refuses_more_than_physical_memory(monkeypatch):
     monkeypatch.setattr(arith, "_physical_memory", lambda: 100_000)
     with pytest.raises(MemoryError, match="physical memory"):
         arith.build_r2(10_000)
-    assert arith.build_r2(1000).limit == 1000  # 13.6 KB estimated
+    assert arith.build_r2(1000).limit == 1000  # 11 KB estimated
     monkeypatch.setattr(arith, "_physical_memory", lambda: None)
     assert arith.build_r2(10_000).limit == 10_000
+
+
+def _table_arrays(table):
+    return (table.values, table.nonzero_m, table.nonzero_values,
+            table.nonzero_prefix, table.nonzero_sqrt)
+
+
+def test_r2_table_dtypes(r2_10k):
+    assert [a.dtype for a in _table_arrays(r2_10k)] == [
+        np.uint16, np.uint32, np.uint16, np.int64, np.float64]
+    m = r2_10k.nonzero_m.astype(np.int64)
+    assert np.array_equal(r2_10k.nonzero_sqrt, np.sqrt(m.astype(np.float64)))
+    assert np.array_equal(r2_10k.nonzero_prefix[1:],
+                          np.cumsum(r2_10k.nonzero_values.astype(np.int64)))
+
+
+def test_build_r2_rejects_limit_past_uint32(monkeypatch):
+    monkeypatch.setattr(arith, "_physical_memory", lambda: None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="uint32"):
+            arith.build_r2(2 ** 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # refused before the table was allocated
+    # the largest uint32 limit passes this guard and meets the memory check
+    monkeypatch.setattr(arith, "_physical_memory", lambda: 1)
+    with pytest.raises(MemoryError):
+        arith.build_r2(2 ** 32 - 1)
+
+
+def test_nonzero_count_upto_outside_the_table(r2_10k):
+    n = len(r2_10k.nonzero_m)
+    for y in (-2 ** 40, -1, 0):
+        assert r2_10k.nonzero_count_upto(y) == 0
+    for y in (10_000, 10_001, 2 ** 32, 2 ** 70):
+        assert r2_10k.nonzero_count_upto(y) == n
+    for y in (1, 2, 3, 9_999):
+        assert r2_10k.nonzero_count_upto(y) == int(np.count_nonzero(r2_10k.values[1:y + 1]))
+
+
+def test_nonzero_count_upto_does_not_allocate():
+    table = arith.build_r2(10 ** 6)
+    ys = (1, 500_000, 999_999)
+    expected = [int(np.count_nonzero(table.values[1:y + 1])) for y in ys]
+    tracemalloc.start()
+    try:
+        counts = [table.nonzero_count_upto(y) for y in ys]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == expected
+    assert peak < counting._KERNEL_CHUNK * 8
+
+
+@pytest.mark.parametrize("limit", [10_000, 200_000, 10 ** 6])
+def test_memory_estimate_covers_the_build(limit):
+    tracemalloc.start()
+    try:
+        table = arith.build_r2(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = (limit + 1) * arith._TABLE_BYTES_PER_ENTRY
+    assert sum(a.nbytes for a in _table_arrays(table)) <= peak <= estimate
 
 
 def _fsum_outcome(values) -> str:

@@ -38,6 +38,13 @@ def test_count_non_finite_radius_exits_2(capsys, text):
     assert err.startswith("error:") and "--x" in err
 
 
+@pytest.mark.parametrize("text", ["abc", "3/x"])
+def test_count_malformed_radius_exits_2(capsys, text):
+    assert main(["count", "--x", text]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--x" in err and repr(text) in err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -297,7 +304,7 @@ def test_nonfinite_X_exits_2(tmp_path, capsys, command, X):
     ["sample", "--mode", "exact", "--X", "500", "--samples", "20"],
 ], ids=["count", "sample-exact"])
 def test_table_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys, argv):
-    # both tables hold about 10^6 entries (4 MB of int32 values alone)
+    # both tables hold about 10^6 entries (2 MB of uint16 values alone)
     monkeypatch.setattr(arith, "_physical_memory", lambda: 1 << 20)
     if argv[0] == "sample":
         argv = argv + ["--out", str(tmp_path)]

@@ -1,5 +1,8 @@
 import functools
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -172,6 +175,39 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     for x in radii:
         assert r2.nonzero_count_upto(x.floor_sq) > 1000, x
     assert results() == default
+
+
+def test_kernels_do_not_allocate_per_chunk():
+    r2 = arith.build_r2(10 ** 6)
+    x = RadiusPoint(999 * 64 + 1, 64)
+    assert r2.nonzero_count_upto(x.floor_sq) > 3 * counting._KERNEL_CHUNK
+    kernels = (counting.count_ball_fast, counting.sawtooth_ball_sum)
+    warm = [kernel(x, r2) for kernel in kernels]  # makes this thread's buffers
+    for kernel, expected in zip(kernels, warm):
+        tracemalloc.start()
+        try:
+            assert kernel(x, r2) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < counting._KERNEL_CHUNK * 8, kernel.__name__
+
+
+def test_threads_keep_their_own_buffers():
+    r2 = arith.build_r2(300 ** 2)
+    radii = [RadiusPoint(k, 64) for k in range(12_000, 19_000, 500)]
+
+    def both(x):
+        return counting.count_ball_fast(x, r2), counting.sawtooth_ball_sum(x, r2).hex()
+
+    serial = [both(x) for x in radii]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:  # more threads than cores
+            assert list(ex.map(both, radii * 3, timeout=120)) == serial * 3
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sawtooth_matches_list_fsum_oracle():

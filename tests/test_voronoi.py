@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cygshell import counting, stats, voronoi
+from cygshell import arith, counting, stats, voronoi
 from cygshell.counting import RadiusPoint
 from cygshell.voronoi import (diagonal_sum, expansion_rhs, r2_squared_partial_sum_check,
                               series_with_gap, sum_sqrt_is_zero)
@@ -140,6 +140,15 @@ def test_r2_squared_fixture(r2_10k):
     assert n10 == 208
     ratio = r2_squared_partial_sum_check(10, r2_10k)
     assert abs(ratio - 208 / (40 * math.log(10))) < 1e-12
+
+
+def test_r2_squared_sum_does_not_wrap():
+    # the uint16 counts square past 2^16 in their sum; the check must not wrap
+    table = arith.build_r2(10 ** 6)
+    for y in (10 ** 4, 10 ** 6):
+        exact = sum(v * v for v in table.values[1:y + 1].tolist())
+        assert exact > 2 ** 16
+        assert r2_squared_partial_sum_check(y, table) == exact / (4.0 * y * math.log(y))
 
 
 def test_r2_squared_trend_small(r2_10k):
