@@ -197,9 +197,9 @@ def cmd_expand(args) -> int:
     omega, grid, r2 = _experiment(cfg)
     X = cfg.X
     rows = []
-    for p, s in zip(grid.points, stats.sample_shells(omega, grid, r2, "exact", cfg.threads)):
-        rhs = voronoi.expansion_rhs(p, X, omega, r2)
-        rows.append((p.value, s.normalized, rhs, abs(s.normalized - rhs)))
+    for s in stats.sample_shells(omega, grid, r2, "exact", cfg.threads, sawtooth=True):
+        rhs = voronoi.expansion_rhs(s, X, r2)
+        rows.append((s.x, s.normalized, rhs, abs(s.normalized - rhs)))
     resid = np.array([r[3] for r in rows])
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,6 @@ m = a^2 + b^2.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -144,8 +143,8 @@ class _Buffers(NamedTuple):
     s: np.ndarray     # float64 sqrt(x^4 - m^2), yielded by _sqrt_chunks
     w: np.ndarray     # float64 work space of _sqrt_chunks
     near: np.ndarray  # bool band mask
-    t: np.ndarray     # int64 floors of count_ball_fast
-    psi: np.ndarray   # float64 products of sawtooth_ball_sum
+    t: np.ndarray     # int64 count terms of count_ball_fast and sawtooth_ball_sum
+    psi: np.ndarray   # float64 floors, then psi products, of sawtooth_ball_sum
     q: np.ndarray     # float64 scratch of exact_parts
 
 
@@ -234,12 +233,13 @@ def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
     return total
 
 
-def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
-    """sum_{1 <= m <= x^2} r2(m) * psi(sqrt(x^4 - m^2)) with psi(t) = t - [t] - 1/2.
+def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> tuple[int, float]:
+    """(N(x), sum_{1 <= m <= x^2} r2(m) * psi(sqrt(x^4 - m^2))) with psi(t) = t - [t] - 1/2.
 
-    psi evaluates to -1/2 at exact integer arguments (the literal formula).
-    The m = 0 slice is excluded: the series convention starts at m = 1.
-    Each chunk's products are reduced to their exact partial sums
+    One pass: N(x) is count_ball_fast's, from the floors that give psi.  psi
+    evaluates to -1/2 at exact integer arguments (the literal formula).  The
+    sawtooth excludes m = 0: the series convention starts at m = 1.  Each
+    chunk's products are reduced to their exact partial sums
     (arith.exact_parts) and one fsum rounds them all, which equals the fsum
     over every product; then the band corrections are added in slice order,
     so the result does not depend on _KERNEL_CHUNK.
@@ -247,23 +247,25 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> float:
     Q2 = x.Q * x.Q
     vnz = r2.nonzero_values
     bufs = _buffers()
-    corrections = []
-
-    def products():
-        for lo, hi, s, band in _sqrt_chunks(x, r2):
-            psi = bufs.psi[:hi - lo]
-            np.floor(s, out=psi)
-            np.subtract(s, psi, out=psi)
-            psi -= 0.5
-            corrections.extend(float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i])
-                               for i, v in band)
-            psi *= vnz[lo:hi]
-            yield exact_parts(psi, bufs.q[:hi - lo])
-
-    total = math.fsum(itertools.chain.from_iterable(products()))
+    # N(x) = sum r2(m) (2 f_m + 1), f_m = floor(sqrt(x^4 - m^2)); floors sums m >= 1
+    floors, parts, corrections = 0, [], []
+    for lo, hi, s, band in _sqrt_chunks(x, r2):
+        psi, t = bufs.psi[:hi - lo], bufs.t[:hi - lo]
+        np.floor(s, out=psi)
+        np.copyto(t, psi, casting="unsafe")
+        np.subtract(s, psi, out=psi)
+        psi -= 0.5
+        for i, v in band:
+            t[i] = math.isqrt(v) // Q2
+            corrections.append(float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i]))
+        t *= vnz[lo:hi]
+        floors += int(t.sum())
+        psi *= vnz[lo:hi]
+        parts.extend(exact_parts(psi, bufs.q[:hi - lo]))
+    total = math.fsum(parts)
     for c in corrections:
         total += c
-    return total
+    return r2.sum_upto(x.floor_sq) + 2 * (x.floor_sq + floors), total
 
 
 def _psi_exact(v: int, q2: int) -> float:
@@ -299,6 +301,7 @@ class ShellSample:
     """One exact shell measurement at inner radius x and snapped gap omega_x.
 
     Fast-mode sampling rows reuse this record with the counts set to None.
+    sawtooth, the shell's sawtooth correction, is set only by sawtooth=True.
     """
 
     x: float
@@ -308,6 +311,7 @@ class ShellSample:
     shell_count: int | None
     error: float
     normalized: float
+    sawtooth: float | None = None
 
 
 def _shell_volume(x: float, gap: float) -> float:
@@ -315,19 +319,23 @@ def _shell_volume(x: float, gap: float) -> float:
                              for j in (1, 2, 3, 4))
 
 
-def shell_sample(x: RadiusPoint, omega, r2: R2Table) -> ShellSample:
+def shell_sample(x: RadiusPoint, omega, r2: R2Table, sawtooth: bool = False) -> ShellSample:
     """Exact shell count and error term at inner radius x.
 
     The outer radius x + omega(x) is snapped onto the refined grid; the same
     snapped gap is used in the volume subtraction, so the reported error is
-    an exact algebraic identity in the realised radii.
+    an exact algebraic identity in the realised radii.  sawtooth=True takes
+    each ball's count and sawtooth from one sawtooth_ball_sum pass.
     """
     gap = float(omega.value(x.value))
     if not gap > 0:
         raise ValueError(f"omega(x) = {gap} must be positive at x = {x.value}")
     outer, snapped_gap = snap_outer_radius(x, gap)
-    n_inner = count_ball_fast(x, r2)
-    n_outer = count_ball_fast(outer, r2)
+    if sawtooth:
+        (n_inner, saw_in), (n_outer, saw_out) = (sawtooth_ball_sum(p, r2) for p in (x, outer))
+        xi = saw_out - saw_in
+    else:
+        n_inner, n_outer, xi = count_ball_fast(x, r2), count_ball_fast(outer, r2), None
     shell = n_outer - n_inner
     err = shell - _shell_volume(x.value, snapped_gap)
     return ShellSample(
@@ -338,4 +346,5 @@ def shell_sample(x: RadiusPoint, omega, r2: R2Table) -> ShellSample:
         shell_count=shell,
         error=err,
         normalized=err / (x.value * x.value),
+        sawtooth=xi,
     )

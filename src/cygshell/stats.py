@@ -113,15 +113,16 @@ def r2_limit(X: float, mode: str) -> int:
 
 
 def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
-                  threads: int | None) -> list[ShellSample]:
+                  threads: int | None, sawtooth: bool = False) -> list[ShellSample]:
     """One ShellSample per grid point, in grid order.
 
-    exact: two exact ball counts per point (data-parallel over points when
-    threads > 1; each row is integers plus one float identity, so scheduling
-    cannot change the output).  fast: the truncated main series at cutoff
-    max(10^4, X), no sawtooth term; opt-in bias documented by the
-    exact-vs-fast tests.  Fast rows carry the unsnapped omega(x) and no
-    counts (n_inner, n_outer and shell_count are None).
+    exact: two exact ball counts per point, and the shell's sawtooth when
+    sawtooth is set (data-parallel over points when threads > 1; each row
+    depends only on its own point, so scheduling cannot change the output).
+    fast: the truncated main series at cutoff max(10^4, X), no sawtooth
+    term; opt-in bias documented by the exact-vs-fast tests.  Fast rows
+    carry the unsnapped omega(x) and no counts (n_inner, n_outer,
+    shell_count and sawtooth are None).
     """
     if mode == "fast":
         cutoff = max(FAST_CUTOFF_FLOOR, int(grid.X))
@@ -137,8 +138,8 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda p: shell_sample(p, omega, r2), grid.points))
-    return [shell_sample(p, omega, r2) for p in grid.points]
+            return list(ex.map(lambda p: shell_sample(p, omega, r2, sawtooth), grid.points))
+    return [shell_sample(p, omega, r2, sawtooth) for p in grid.points]
 
 
 def sample_errors(omega: GapWidth, grid: SampleGrid, r2: R2Table,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import R2Table, exact_parts, squarefree_core
-from .counting import RadiusPoint, sawtooth_ball_sum, snap_outer_radius
+from .counting import ShellSample
 from .gapwidth import GapWidth, midpoint_grid
 
 __all__ = [
@@ -43,20 +43,20 @@ def series_with_gap(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
     return SERIES_PREFACTOR * math.fsum(exact_parts(terms))
 
 
-def expansion_rhs(x: RadiusPoint, X: float, omega: GapWidth, r2: R2Table) -> float:
+def expansion_rhs(sample: ShellSample, X: float, r2: R2Table) -> float:
     """Main series at cutoff floor(X^2) minus the exact sawtooth correction
-    of the shell, sawtooth_ball_sum(outer) - sawtooth_ball_sum(x).
+    of the shell, 2 xi / x^2 with xi = sample.sawtooth.
 
-    The outer radius and the gap width are the snapped values the exact
-    shell count realises, so the residual against
-    shell_sample(...).normalized probes only the expansion remainder.
+    The sample is shell_sample(..., sawtooth=True): its gap and sawtooth are
+    those of the snapped outer radius the exact shell count realises, so the
+    residual against sample.normalized probes only the expansion remainder.
     """
-    if not X < x.value < 2 * X:
-        raise ValueError(f"x = {x.value} outside the dyadic window ({X}, {2 * X})")
-    outer, snapped_gap = snap_outer_radius(x, float(omega.value(x.value)))
-    series = series_with_gap(x.value, snapped_gap, r2, int(X * X))
-    xi = sawtooth_ball_sum(outer, r2) - sawtooth_ball_sum(x, r2)
-    return series - 2.0 / (x.value * x.value) * xi
+    if not X < sample.x < 2 * X:
+        raise ValueError(f"x = {sample.x} outside the dyadic window ({X}, {2 * X})")
+    if sample.sawtooth is None:
+        raise ValueError("sample has no sawtooth: take it with shell_sample(..., sawtooth=True)")
+    series = series_with_gap(sample.x, sample.omega_x, r2, int(X * X))
+    return series - 2.0 / (sample.x * sample.x) * sample.sawtooth
 
 
 def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int]) -> bool:

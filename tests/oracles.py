@@ -42,8 +42,9 @@ def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:
 
 
 def sawtooth_ball_sum_fsum(x: RadiusPoint, r2: R2Table) -> float:
-    """counting.sawtooth_ball_sum with one fsum over the list of every
-    slice's product r2(m) psi(s), then the band corrections in slice order."""
+    """The sawtooth sum of counting.sawtooth_ball_sum, with one fsum over the
+    list of every slice's product r2(m) psi(s), then the band corrections in
+    slice order."""
     Q2 = x.Q * x.Q
     vnz = r2.nonzero_values
     products, corrections = [], []

@@ -61,9 +61,8 @@ def test_criterion_01_counting_oracle_equivalence(r2_big):
 
 def _expansion_residuals(X: float, r2, omega, S: int = 100) -> np.ndarray:
     grid = stats.SampleGrid(X=X, S=S, Q=64)
-    rows = stats.sample_shells(omega, grid, r2, "exact", 1)
-    return np.array([abs(s.normalized - voronoi.expansion_rhs(p, X, omega, r2))
-                     for p, s in zip(grid.points, rows)])
+    rows = stats.sample_shells(omega, grid, r2, "exact", 1, sawtooth=True)
+    return np.array([abs(s.normalized - voronoi.expansion_rhs(s, X, r2)) for s in rows])
 
 
 def test_criterion_02_expansion_envelope(r2_big, inv_log):

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,10 +155,9 @@ def test_sphere_radii_fixture():
     assert 1 not in _sphere_radii(_X_MAX)
 
 
-def test_chunk_size_does_not_change_results(monkeypatch):
-    r2 = arith.build_r2(300 ** 2)
+def _chunk_radii():
     refined_q = 64 << counting.OUTER_REFINE_SHIFT
-    radii = [
+    return [
         RadiusPoint(65, 1),  # sphere points, see test_fast_equals_isqrt_oracle
         RadiusPoint(9_631, 64), RadiusPoint(12_345, 49), RadiusPoint(299, 1),
         counting.snap_outer_radius(RadiusPoint(15_000, 64), 0.21)[0],
@@ -166,8 +166,13 @@ def test_chunk_size_does_not_change_results(monkeypatch):
         RadiusPoint(528_511, refined_q), RadiusPoint(574_901, refined_q),
     ]
 
+
+def test_chunk_size_does_not_change_results(monkeypatch):
+    r2 = arith.build_r2(300 ** 2)
+    radii = _chunk_radii()
+
     def results():
-        return [(counting.count_ball_fast(x, r2), counting.sawtooth_ball_sum(x, r2).hex())
+        return [(counting.count_ball_fast(x, r2), counting.sawtooth_ball_sum(x, r2)[1].hex())
                 for x in radii]
 
     default = results()
@@ -198,7 +203,8 @@ def test_threads_keep_their_own_buffers():
     radii = [RadiusPoint(k, 64) for k in range(12_000, 19_000, 500)]
 
     def both(x):
-        return counting.count_ball_fast(x, r2), counting.sawtooth_ball_sum(x, r2).hex()
+        n, saw = counting.sawtooth_ball_sum(x, r2)
+        return counting.count_ball_fast(x, r2), n, saw.hex()
 
     serial = [both(x) for x in radii]
     interval = sys.getswitchinterval()
@@ -211,16 +217,21 @@ def test_threads_keep_their_own_buffers():
 
 
 def test_sawtooth_matches_list_fsum_oracle():
-    # the radii of test_chunk_size_does_not_change_results
     r2 = arith.build_r2(300 ** 2)
-    refined_q = 64 << counting.OUTER_REFINE_SHIFT
-    radii = [
-        RadiusPoint(65, 1), RadiusPoint(9_631, 64), RadiusPoint(12_345, 49),
-        RadiusPoint(299, 1), counting.snap_outer_radius(RadiusPoint(15_000, 64), 0.21)[0],
-        RadiusPoint(528_511, refined_q), RadiusPoint(574_901, refined_q),
-    ]
-    for x in radii:
-        assert counting.sawtooth_ball_sum(x, r2).hex() == sawtooth_ball_sum_fsum(x, r2).hex(), x
+    for x in _chunk_radii():
+        assert counting.sawtooth_ball_sum(x, r2)[1].hex() == sawtooth_ball_sum_fsum(x, r2).hex(), x
+
+
+@pytest.mark.parametrize("chunk", [counting._KERNEL_CHUNK, 1000])
+def test_one_pass_kernel_matches_count_and_sawtooth_oracles(monkeypatch, chunk):
+    # RadiusPoint(65, 1) has slices in the fixup band, so both band re-decisions run
+    r2 = arith.build_r2(300 ** 2)
+    assert any(band for *_, band in counting._sqrt_chunks(RadiusPoint(65, 1), r2))
+    monkeypatch.setattr(counting, "_KERNEL_CHUNK", chunk)
+    for x in _chunk_radii():
+        n, saw = counting.sawtooth_ball_sum(x, r2)
+        assert n == counting.count_ball_fast(x, r2) == count_ball_isqrt(x, r2), x
+        assert saw.hex() == sawtooth_ball_sum_fsum(x, r2).hex(), x
 
 
 def test_counts_odd_and_monotone(r2_10k):
@@ -279,20 +290,30 @@ def test_shell_error_identity(r2_200k, inv_log):
         assert s.normalized == s.error / s.x ** 2
 
 
+def test_shell_sample_sawtooth_keeps_the_counts(r2_200k, inv_log):
+    # sawtooth=True takes the counts from the one-pass kernel and adds only the sawtooth
+    for k in (6433, 7171, 9015):
+        x = RadiusPoint(k, 64)
+        s = counting.shell_sample(x, inv_log, r2_200k, sawtooth=True)
+        assert s.sawtooth is not None
+        assert replace(s, sawtooth=None) == counting.shell_sample(x, inv_log, r2_200k)
+        assert s.sawtooth == sawtooth_shell_sum(x, float(inv_log.value(x.value)), r2_200k)
+
+
 def test_shell_rejects_nonpositive_gap(r2_10k, zero_gap):
     with pytest.raises(ValueError):
         counting.shell_sample(RadiusPoint(2, 1), zero_gap, r2_10k)
 
 
 def test_sawtooth_single_ball_fixture(r2_10k):
-    # at x = 1 only m = 1 contributes: r2(1) * psi(0) = 4 * (-1/2)
-    assert counting.sawtooth_ball_sum(RadiusPoint(1, 1), r2_10k) == -2.0
+    # at x = 1 only m = 1 contributes: r2(1) * psi(0) = 4 * (-1/2); N(1) = 7
+    assert counting.sawtooth_ball_sum(RadiusPoint(1, 1), r2_10k) == (7, -2.0)
 
 
 def sawtooth_shell_sum(x, gap, r2):
     """The sawtooth correction of the shell (x, x + gap] at the snapped outer radius."""
     outer, _ = counting.snap_outer_radius(x, gap)
-    return counting.sawtooth_ball_sum(outer, r2) - counting.sawtooth_ball_sum(x, r2)
+    return counting.sawtooth_ball_sum(outer, r2)[1] - counting.sawtooth_ball_sum(x, r2)[1]
 
 
 def test_sawtooth_zero_gap_cancels(r2_10k):

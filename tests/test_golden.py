@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of the artifacts of six small CLI runs, and of the
+"""Byte-for-byte pins of the artifacts of seven small CLI runs, and of the
 stdout of three diagnose runs.
 
 A reordered float operation in the counting kernel, the fast series, the
@@ -19,6 +19,8 @@ from cygshell.cli import main
 SPEC_FILE = "<product spec file>"
 PRODUCT_SPEC = {"kind": "product", "polys": [[[1.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]],
                 "lambdas": [1.0, 1.4142135623730951], "A": 2}
+
+EXPAND_PRODUCT = ["expand", "--X", "60", "--samples", "200", "--omega-spec", SPEC_FILE]
 
 GOLDEN = [
     (["sample", "--mode", "exact", "--X", "30", "--samples", "20", "--threads", "2"], {
@@ -50,23 +52,42 @@ GOLDEN = [
         "expansion.csv": "cb47c127b18a79c872a8fd8422fb9ffe46aa035cd2046924402dcd1d6268a5bb",
         "stdout": "967b110db1b2bba129122a1053b73408ff711b1da1e2fb9bbb558651b1023c1e",
     }),
+    # the grid of sample-exact-product: its two zero-gap shells write rows x,0,0,0
+    (EXPAND_PRODUCT, {
+        "expansion.csv": "e25225a86e4e9c8992f4da02cfc837d916fce8954256b3070d8ff0f007d1094a",
+        "stdout": "a2cd47d59310b55fdcd01889de7addf1871e59a95b370a9cce1afe47b7e35879",
+    }),
 ]
 
 
 @pytest.mark.parametrize("argv, digests", GOLDEN,
                          ids=["sample-exact", "sample-exact-product", "sample-fast",
-                              "sample-fast-product", "moments-fast", "expand"])
+                              "sample-fast-product", "moments-fast", "expand",
+                              "expand-product"])
 def test_artifact_digests(tmp_path, argv, digests):
-    spec = tmp_path / "spec.json"
+    outputs = _run(tmp_path, argv, digests)
+    for name, want in digests.items():
+        assert hashlib.sha256(outputs[name]).hexdigest() == want, name
+
+
+def _run(out, argv, names):
+    """The bytes of each named artifact ("stdout" for the printed text) of
+    one CLI run writing into out."""
+    out.mkdir(exist_ok=True)
+    spec = out / "spec.json"
     spec.write_text(json.dumps(PRODUCT_SPEC))
     argv = [str(spec) if a == SPEC_FILE else a for a in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-    for name, want in digests.items():
-        data = (stdout.getvalue().encode() if name == "stdout"
-                else (tmp_path / name).read_bytes())
-        assert hashlib.sha256(data).hexdigest() == want, name
+        assert main(argv + ["--out", str(out)]) == 0
+    return {name: (stdout.getvalue().encode() if name == "stdout"
+                   else (out / name).read_bytes()) for name in names}
+
+
+def test_expand_threads_write_the_same_bytes(tmp_path):
+    names = ("expansion.csv", "stdout")
+    serial = _run(tmp_path / "t1", EXPAND_PRODUCT + ["--threads", "1"], names)
+    assert _run(tmp_path / "t2", EXPAND_PRODUCT + ["--threads", "2"], names) == serial
 
 
 DIAGNOSE_GOLDEN = [

@@ -3,9 +3,10 @@
 perfbench/tracer.py wraps package functions by name and reads attributes
 off their arguments and results.  A renamed function or a changed signature
 does not fail a benchmark run: the metric goes absent or its attributes
-turn None.  This test runs the tracer over a small `expand` in a fresh
-interpreter (the wrappers patch module namespaces for good) and fails
-instead.
+turn None.  This test runs the tracer over a small `sample --mode exact`
+(the count-only kernel) and a small `expand` (the one-pass count and
+sawtooth kernel) in a fresh interpreter (the wrappers patch module
+namespaces for good) and fails instead.
 """
 
 import json
@@ -22,27 +23,38 @@ import cygshell, cygshell.cli
 import tracer
 trace = tracer.Tracer()
 trace.install()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cygshell.cli.main(["expand", "--X", "60", "--samples", "30", "--out", {out!r}])
-attrs = {{}}
-for span in trace.spans:
-    attrs.setdefault(span[1], []).append(span[6])
-print(json.dumps({{"code": code, "absent": trace.absent, "attrs": attrs}}))
+runs = {{}}
+for name, argv in {runs!r}.items():
+    first = len(trace.spans)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cygshell.cli.main(argv)
+    attrs = {{}}
+    for span in trace.spans[first:]:
+        attrs.setdefault(span[1], []).append(span[6])
+    runs[name] = {{"code": code, "attrs": attrs}}
+print(json.dumps({{"absent": trace.absent, "runs": runs}}))
 """
 
-CHECKED = ("arith.build_r2", "counting.count_ball_fast", "counting.shell_sample",
-           "voronoi.series_with_gap")
+# run -> (argv, the traced names whose spans must carry attributes)
+RUNS = {
+    "sample": (["sample", "--mode", "exact", "--X", "30", "--samples", "20"],
+               ("arith.build_r2", "counting.count_ball_fast", "counting.shell_sample")),
+    "expand": (["expand", "--X", "60", "--samples", "30"],
+               ("arith.build_r2", "counting.sawtooth_ball_sum", "counting.shell_sample",
+                "voronoi.series_with_gap")),
+}
 
 
 def test_tracer_sees_every_traced_name(tmp_path):
-    script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"),
-                           out=str(tmp_path))
+    runs = {name: argv + ["--out", str(tmp_path / name)] for name, (argv, _) in RUNS.items()}
+    script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"), runs=runs)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, check=True)
     report = json.loads(proc.stdout)
-    assert report["code"] == 0
     assert report["absent"] == []
-    for name in CHECKED:
-        spans = report["attrs"].get(name, [])
-        assert spans, name
-        assert all(a is not None for a in spans), name
+    for run, (_, checked) in RUNS.items():
+        assert report["runs"][run]["code"] == 0, run
+        for name in checked:
+            spans = report["runs"][run]["attrs"].get(name, [])
+            assert spans, (run, name)
+            assert all(a is not None for a in spans), (run, name)

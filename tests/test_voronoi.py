@@ -18,8 +18,11 @@ def test_series_empty_and_degenerate(r2_10k):
 
 
 def test_series_window_and_cutoff_guards(r2_10k, inv_log):
+    gap = float(inv_log.value(350.0))
+    outside = counting.ShellSample(x=350.0, omega_x=gap, n_inner=None, n_outer=None,
+                                   shell_count=None, error=0.0, normalized=0.0, sawtooth=0.0)
     with pytest.raises(ValueError):
-        expansion_rhs(RadiusPoint(350, 1), 100.0, inv_log, r2_10k)
+        expansion_rhs(outside, 100.0, r2_10k)
     with pytest.raises(ValueError):
         series_with_gap(150.0, 1.0 / math.log(150.0), r2_10k, 20_000)
 
@@ -177,8 +180,8 @@ def test_expansion_rhs_consistency(r2_200k, inv_log):
     resid = []
     for k in (6433, 6561, 7041, 7717, 8539, 9215, 10881, 12223):
         p = RadiusPoint(k, 64)
-        s = counting.shell_sample(p, inv_log, r2_200k)
-        rhs = expansion_rhs(p, X, inv_log, r2_200k)
+        s = counting.shell_sample(p, inv_log, r2_200k, sawtooth=True)
+        rhs = expansion_rhs(s, X, r2_200k)
         resid.append(abs(s.normalized - rhs))
     assert np.median(resid) < 0.05
     assert max(resid) < 0.2
@@ -186,4 +189,12 @@ def test_expansion_rhs_consistency(r2_200k, inv_log):
 
 def test_expansion_rhs_window_guard(r2_10k, inv_log):
     with pytest.raises(ValueError):
-        expansion_rhs(RadiusPoint(50, 1), 100.0, inv_log, r2_10k)
+        expansion_rhs(counting.shell_sample(RadiusPoint(50, 1), inv_log, r2_10k, sawtooth=True),
+                      100.0, r2_10k)
+
+
+def test_expansion_rhs_needs_the_sawtooth(r2_200k, inv_log):
+    # a count-only sample inside the window: the cause is named, not a TypeError on None
+    s = counting.shell_sample(RadiusPoint(6433, 64), inv_log, r2_200k)
+    with pytest.raises(ValueError, match="sawtooth=True"):
+        expansion_rhs(s, 100.0, r2_200k)
