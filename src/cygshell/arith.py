@@ -8,6 +8,7 @@ arguments, is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -34,32 +35,46 @@ class R2Table:
     the series iterate over; the m = 0 slice is never part of it.  The
     counts are uint16 (the largest r2 is 192 at 1.6 * 10^7 and 256 at
     6.4 * 10^7) and the compressed m are uint32, which caps the limit at
-    2^32 - 1; the prefix sums and square roots are 8 bytes wide.
+    2^32 - 1.  The 8-byte prefix sums and square roots are built on first
+    read; two threads reading one at once may both build the same array.
     """
 
     limit: int
     values: np.ndarray                      # uint16, len == limit + 1
     nonzero_m: np.ndarray = field(init=False, repr=False)       # uint32
     nonzero_values: np.ndarray = field(init=False, repr=False)  # uint16
-    nonzero_prefix: np.ndarray = field(init=False, repr=False)  # int64, cumulative r2 over nonzero_m
-    nonzero_sqrt: np.ndarray = field(init=False, repr=False)    # float64 sqrt of nonzero_m
 
     def __post_init__(self):
-        # the one full-size transient: the int64 indices of the nonzero m >= 1
-        idx = np.flatnonzero(self.values[1:])
-        idx += 1
-        vnz = self.values[idx]
-        mnz = idx.astype(np.uint32)
-        del idx
-        prefix = np.zeros(len(vnz) + 1, dtype=np.int64)
-        np.cumsum(vnz, dtype=np.int64, out=prefix[1:])
+        # one block of `values` at a time, at most 1/64 of the table, so a
+        # block's int64 index is the only transient
+        step = min(_COMPRESS_BLOCK, self.limit // 64 + 1)
+        mnz = np.empty(int(np.count_nonzero(self.values[1:])), dtype=np.uint32)
+        vnz = np.empty(len(mnz), dtype=np.uint16)
+        at = 0
+        for lo in range(1, self.limit + 1, step):
+            idx = np.flatnonzero(self.values[lo:lo + step])
+            idx += lo
+            mnz[at:at + len(idx)], vnz[at:at + len(idx)] = idx, self.values[idx]
+            at += len(idx)
+        for arr in (self.values, mnz, vnz):
+            arr.setflags(write=False)
         object.__setattr__(self, "nonzero_m", mnz)
         object.__setattr__(self, "nonzero_values", vnz)
-        object.__setattr__(self, "nonzero_prefix", prefix)
-        object.__setattr__(self, "nonzero_sqrt", np.sqrt(mnz, dtype=np.float64))
-        for arr in (self.values, self.nonzero_m, self.nonzero_values,
-                    self.nonzero_prefix, self.nonzero_sqrt):
-            arr.setflags(write=False)
+
+    @functools.cached_property
+    def nonzero_prefix(self) -> np.ndarray:
+        """int64 cumulative r2 over nonzero_m after a leading 0 (read by sum_upto)."""
+        prefix = np.zeros(len(self.nonzero_values) + 1, dtype=np.int64)
+        np.cumsum(self.nonzero_values, dtype=np.int64, out=prefix[1:])
+        prefix.setflags(write=False)
+        return prefix
+
+    @functools.cached_property
+    def nonzero_sqrt(self) -> np.ndarray:
+        """float64 square roots of nonzero_m (read by the series)."""
+        sqrt = np.sqrt(self.nonzero_m, dtype=np.float64)
+        sqrt.setflags(write=False)
+        return sqrt
 
     def nonzero_count_upto(self, y: int) -> int:
         """Number of compressed entries with 1 <= m <= y."""
@@ -78,16 +93,17 @@ class R2Table:
         return 1 + int(self.nonzero_prefix[self.nonzero_count_upto(y)])  # r2(0) = 1
 
 
+# The largest block of `values` R2Table compresses at once.
+_COMPRESS_BLOCK = 1 << 16
+
 # The largest limit the uint32 nonzero_m can index.
 _MAX_LIMIT = 2 ** 32 - 1
 
-# Bytes per entry of a table and its build: the uint16 dense value, then per
-# nonzero entry the uint32 m, the uint16 r2, the int64 prefix and the
-# float64 sqrt it keeps plus the build's int64 index transient, over a
-# nonzero share of at most 0.3 (it measures 0.275 at 10^4 and 0.19 at
-# 1.6 * 10^7).  The transient is freed before the prefix and sqrt exist, so
-# the measured peak stays below this.
-_TABLE_BYTES_PER_ENTRY = 2 + (4 + 2 + 8 + 8 + 8) * 0.3
+# Bytes per entry of a table: the uint16 dense value, then per nonzero entry
+# the uint32 m and uint16 r2 it keeps and the int64 prefix and float64 sqrt
+# it builds on first read, over a nonzero share of at most 0.3 (it measures
+# 0.275 at 10^4 and 0.19 at 1.6 * 10^7).
+_TABLE_BYTES_PER_ENTRY = 2 + (4 + 2 + 8 + 8) * 0.3
 
 
 def _physical_memory() -> int | None:
@@ -99,7 +115,8 @@ def _physical_memory() -> int | None:
 
 
 def build_r2(limit: int) -> R2Table:
-    """Sieve r2(m) for all 0 <= m <= limit by the double loop over a^2 + b^2.
+    """Sieve r2(m) for all 0 <= m <= limit by the double loop over a^2 + b^2,
+    0 <= a <= b, with weights 8 (0 < a < b), 4 (0 = a < b or 0 < a = b), 1 (origin).
 
     O(limit) memory, O(limit) time.  Raises ValueError for a limit past
     2^32 - 1, which the uint32 compressed m cannot index, and MemoryError
@@ -117,12 +134,12 @@ def build_r2(limit: int) -> R2Table:
         raise MemoryError(f"an r2 table to {limit} needs about {need / 2 ** 20:.0f} MiB, "
                           f"more than the {have / 2 ** 20:.0f} MiB of physical memory")
     values = np.zeros(limit + 1, dtype=np.uint16)
-    for a in range(math.isqrt(limit) + 1):
-        bmax = math.isqrt(limit - a * a)
-        b = np.arange(bmax + 1, dtype=np.int64)
-        weights = np.full(b.shape, 4 if a > 0 else 2, dtype=np.uint16)
-        weights[0] //= 2  # b == 0 contributes half the sign choices
-        np.add.at(values, a * a + b * b, weights)
+    squares = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
+    for a in range(math.isqrt(limit // 2) + 1):
+        # the m = a^2 + b^2 of one row are distinct, so += adds each once
+        row = squares[a:math.isqrt(limit - a * a) + 1] + a * a
+        values[row[0]] += 4 if a else 1
+        values[row[1:]] += 8 if a else 4
     return R2Table(limit=limit, values=values)
 
 

@@ -259,6 +259,8 @@ def _fixtures():
         r2 = arith.build_r2(25)
         assert list(r2.values[:11]) == [1, 4, 4, 0, 4, 8, 0, 0, 4, 4, 8]
         assert r2.values[25] == 12
+        assert list(r2.nonzero_m[:6]) == [1, 2, 4, 5, 8, 9]
+        assert list(r2.nonzero_values[:6]) == [4, 4, 4, 8, 4, 4]
         assert sum(int(v) ** 2 for v in r2.values[1:11]) == 208
 
     def spectra_exact():

@@ -325,17 +325,20 @@ def shell_sample(x: RadiusPoint, omega, r2: R2Table, sawtooth: bool = False) -> 
     The outer radius x + omega(x) is snapped onto the refined grid; the same
     snapped gap is used in the volume subtraction, so the reported error is
     an exact algebraic identity in the realised radii.  sawtooth=True takes
-    each ball's count and sawtooth from one sawtooth_ball_sum pass.
+    each ball's count and sawtooth from one sawtooth_ball_sum pass.  A gap
+    that realises 0 takes one pass: the outer ball is the inner one.
     """
     gap = float(omega.value(x.value))
     if not gap > 0:
         raise ValueError(f"omega(x) = {gap} must be positive at x = {x.value}")
     outer, snapped_gap = snap_outer_radius(x, gap)
     if sawtooth:
-        (n_inner, saw_in), (n_outer, saw_out) = (sawtooth_ball_sum(p, r2) for p in (x, outer))
+        n_inner, saw_in = sawtooth_ball_sum(x, r2)
+        n_outer, saw_out = sawtooth_ball_sum(outer, r2) if snapped_gap else (n_inner, saw_in)
         xi = saw_out - saw_in
     else:
-        n_inner, n_outer, xi = count_ball_fast(x, r2), count_ball_fast(outer, r2), None
+        n_inner, xi = count_ball_fast(x, r2), None
+        n_outer = count_ball_fast(outer, r2) if snapped_gap else n_inner
     shell = n_outer - n_inner
     err = shell - _shell_volume(x.value, snapped_gap)
     return ShellSample(

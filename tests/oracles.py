@@ -1,6 +1,8 @@
 """Independent oracles that only the tests use.
 
-A pure-integer ball count (cross-checks counting.count_ball_fast above the
+The full-plane r2 sieve with a full-size compression index (cross-checks
+arith.build_r2's half-plane sieve and block-wise compression), a
+pure-integer ball count (cross-checks counting.count_ball_fast above the
 brute-force cap), the j = 2 diagonal sum in its plain-sum form and in the
 literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
 the j = 4 diagonal sum with each core's constant term taken from np.convolve
@@ -27,6 +29,20 @@ from cygshell.counting import RadiusPoint, _psi_exact, _sqrt_chunks
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.spectra import DensitySpec, _cmul, phi_moment
 from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
+
+
+def r2_full_plane(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, nonzero_m, nonzero_values) of the r2 table to limit: np.add.at
+    over every a >= 0 and b >= 0 with weight 4 (2 on an axis, 1 at the
+    origin), then one int64 index of all nonzero m >= 1."""
+    values = np.zeros(limit + 1, dtype=np.uint16)
+    for a in range(math.isqrt(limit) + 1):
+        b = np.arange(math.isqrt(limit - a * a) + 1, dtype=np.int64)
+        weights = np.full(b.shape, 4 if a > 0 else 2, dtype=np.uint16)
+        weights[0] //= 2  # b == 0 contributes half the sign choices
+        np.add.at(values, a * a + b * b, weights)
+    idx = np.flatnonzero(values[1:]) + 1
+    return values, idx.astype(np.uint32), values[idx]
 
 
 def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:

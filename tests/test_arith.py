@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cygshell import arith, counting
+from cygshell import arith, counting, voronoi
 from conftest import r2_direct_enumeration
+from oracles import r2_full_plane
 
 
 def test_r2_base_values(r2_10k):
@@ -98,10 +100,10 @@ def test_core_and_mobius_consistency(m):
 
 
 def test_build_r2_refuses_more_than_physical_memory(monkeypatch):
-    monkeypatch.setattr(arith, "_physical_memory", lambda: 100_000)
+    monkeypatch.setattr(arith, "_physical_memory", lambda: 50_000)
     with pytest.raises(MemoryError, match="physical memory"):
-        arith.build_r2(10_000)
-    assert arith.build_r2(1000).limit == 1000  # 11 KB estimated
+        arith.build_r2(10_000)  # 86 KB estimated
+    assert arith.build_r2(1000).limit == 1000  # 8.6 KB estimated
     monkeypatch.setattr(arith, "_physical_memory", lambda: None)
     assert arith.build_r2(10_000).limit == 10_000
 
@@ -168,8 +170,41 @@ def test_memory_estimate_covers_the_build(limit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = (limit + 1) * arith._TABLE_BYTES_PER_ENTRY
-    assert sum(a.nbytes for a in _table_arrays(table)) <= peak <= estimate
+    eager = table.values.nbytes + table.nonzero_m.nbytes + table.nonzero_values.nbytes
+    on_demand = table.nonzero_prefix.nbytes + table.nonzero_sqrt.nbytes
+    assert eager <= peak
+    assert peak + on_demand <= (limit + 1) * arith._TABLE_BYTES_PER_ENTRY
+
+
+@pytest.mark.parametrize("block", [7, None], ids=["block7", "default"])
+@pytest.mark.parametrize("limit", [0, 1, 2, 25, 10_000, 200_000])
+def test_build_r2_matches_full_plane_oracle(limit, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(arith, "_COMPRESS_BLOCK", block)
+    table = arith.build_r2(limit)
+    got = (table.values, table.nonzero_m, table.nonzero_values)
+    for g, want in zip(got, r2_full_plane(limit)):
+        assert g.dtype == want.dtype
+        assert np.array_equal(g, want)
+
+
+def test_prefix_and_sqrt_are_built_on_first_read():
+    table = arith.build_r2(10_000)
+    lazy = {"nonzero_prefix", "nonzero_sqrt"}
+    assert counting.count_ball_fast(counting.RadiusPoint(99, 1), table) > 0
+    assert not lazy & table.__dict__.keys()
+    assert table.sum_upto(5000) == 1 + int(table.values[1:5001].sum())
+    assert "nonzero_prefix" in table.__dict__ and "nonzero_sqrt" not in table.__dict__
+    voronoi.series_with_gap(40.0, 0.3, table, 2000)
+    assert lazy <= table.__dict__.keys()
+    prefix, sqrt = table.nonzero_prefix, table.nonzero_sqrt
+    assert prefix[0] == 0
+    assert np.array_equal(prefix[1:], np.cumsum(table.nonzero_values, dtype=np.int64))
+    assert np.array_equal(sqrt, np.sqrt(table.nonzero_m, dtype=np.float64))
+    assert table.nonzero_prefix is prefix and table.nonzero_sqrt is sqrt
+    assert not (prefix.flags.writeable or sqrt.flags.writeable)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.nonzero_sqrt = sqrt
 
 
 def _fsum_outcome(values) -> str:

@@ -191,6 +191,15 @@ def test_sample_command_writes_artifacts(tmp_path, capsys):
     assert header == "x,omega_x,shell_count,error,normalized"
 
 
+def test_exact_sample_leaves_the_on_demand_columns_unbuilt(tmp_path, monkeypatch):
+    tables, build_r2 = [], arith.build_r2
+    monkeypatch.setattr(arith, "build_r2", lambda limit: tables.append(build_r2(limit)) or tables[-1])
+    assert main(["sample", "--omega", "inv_log", "--X", "30", "--samples", "20",
+                 "--mode", "exact", "--out", str(tmp_path)]) == 0
+    assert len(tables) == 1
+    assert not {"nonzero_prefix", "nonzero_sqrt"} & tables[0].__dict__.keys()
+
+
 def test_sample_command_deterministic(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"

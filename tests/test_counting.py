@@ -343,6 +343,12 @@ def test_snap_outer_radius_refines():
     assert abs(gap - 0.1) <= 0.5 / outer.Q
 
 
+def _constant_gap(value):
+    return gapwidth.GapWidth(name="constant", jet=lambda L, order: (
+        [np.full_like(np.asarray(L, dtype=float), value)]
+        + [np.zeros_like(np.asarray(L, dtype=float))] * order))
+
+
 def test_snap_outer_radius_realises_zero_gap(r2_200k):
     # the first zero-gap row of `sample --mode exact` with the product gap
     # (1+z)(2+z), lambda = (1, sqrt 2), A = 2 at X = 60: omega = 3.26e-6
@@ -354,9 +360,26 @@ def test_snap_outer_radius_realises_zero_gap(r2_200k):
     assert outer.k == x.refined().k + 1 and gap == step
     with pytest.raises(ValueError):
         counting.snap_outer_radius(x, -step)
-    tiny = gapwidth.GapWidth(name="tiny", jet=lambda L, order: (
-        [np.full_like(np.asarray(L, dtype=float), 1e-6)]
-        + [np.zeros_like(np.asarray(L, dtype=float))] * order))
-    s = counting.shell_sample(x, tiny, r2_200k)
+    s = counting.shell_sample(x, _constant_gap(1e-6), r2_200k)
     assert (s.omega_x, s.shell_count, s.error, s.normalized) == (0.0, 0, 0.0, 0.0)
     assert s.n_outer == s.n_inner == counting.count_ball_fast(x, r2_200k)
+
+
+@pytest.mark.parametrize("sawtooth", [False, True])
+def test_zero_gap_row_makes_one_kernel_pass(r2_200k, monkeypatch, sawtooth):
+    x = RadiusPoint(6605, 64)
+    calls = []
+    for name in ("count_ball_fast", "sawtooth_ball_sum"):
+        kernel = getattr(counting, name)
+        monkeypatch.setattr(counting, name,
+                            lambda p, r2, kernel=kernel: calls.append(p) or kernel(p, r2))
+    s = counting.shell_sample(x, _constant_gap(1e-6), r2_200k, sawtooth=sawtooth)
+    assert calls == [x]
+    assert (s.omega_x, s.shell_count, s.n_outer) == (0.0, 0, s.n_inner)
+    if sawtooth:
+        assert math.copysign(1.0, s.sawtooth) == 1.0 and s.sawtooth == 0.0
+    calls.clear()
+    step = 1.0 / x.refined().Q
+    s = counting.shell_sample(x, _constant_gap(0.51 * step), r2_200k, sawtooth=sawtooth)
+    assert calls == [x, RadiusPoint(x.refined().k + 1, x.refined().Q)]
+    assert s.omega_x == step
