@@ -35,8 +35,9 @@ class R2Table:
     the series iterate over; the m = 0 slice is never part of it.  The
     counts are uint16 (the largest r2 is 192 at 1.6 * 10^7 and 256 at
     6.4 * 10^7) and the compressed m are uint32, which caps the limit at
-    2^32 - 1.  The 8-byte prefix sums and square roots are built on first
-    read; two threads reading one at once may both build the same array.
+    2^32 - 1.  Only the benchmark tracer and tests read the 8-byte prefix
+    sums and square roots, built on first read; two threads reading one at
+    once may both build the same array.
     """
 
     limit: int
@@ -63,7 +64,8 @@ class R2Table:
 
     @functools.cached_property
     def nonzero_prefix(self) -> np.ndarray:
-        """int64 cumulative r2 over nonzero_m after a leading 0 (read by sum_upto)."""
+        """int64 cumulative r2 over nonzero_m after a leading 0; no reader in
+        the package, kept only for the benchmark tracer's table size."""
         prefix = np.zeros(len(self.nonzero_values) + 1, dtype=np.int64)
         np.cumsum(self.nonzero_values, dtype=np.int64, out=prefix[1:])
         prefix.setflags(write=False)
@@ -71,7 +73,8 @@ class R2Table:
 
     @functools.cached_property
     def nonzero_sqrt(self) -> np.ndarray:
-        """float64 square roots of nonzero_m (read by the series)."""
+        """float64 square roots of nonzero_m; no reader in the package (the
+        series takes its own), kept only for the benchmark tracer's table size."""
         sqrt = np.sqrt(self.nonzero_m, dtype=np.float64)
         sqrt.setflags(write=False)
         return sqrt
@@ -85,12 +88,6 @@ class R2Table:
         # a key of the array's own dtype: a Python int would make NumPy cast
         # the whole array to int64 on every call
         return int(np.searchsorted(self.nonzero_m, self.nonzero_m.dtype.type(y), side="right"))
-
-    def sum_upto(self, y: int) -> int:
-        """Sum of r2(m) for 0 <= m <= y (exact)."""
-        if y > self.limit:
-            raise ValueError(f"r2 table limit {self.limit} < requested {y}")
-        return 1 + int(self.nonzero_prefix[self.nonzero_count_upto(y)])  # r2(0) = 1
 
 
 # The largest block of `values` R2Table compresses at once.

@@ -243,58 +243,69 @@ def cmd_diagnose(args) -> int:
 # selftest fixtures
 # ---------------------------------------------------------------------------
 
+def _check(ok: bool, what: str) -> None:
+    """Raise AssertionError(what) unless ok; unlike assert, -O keeps it."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _fixtures():
     def counts():
         r2 = arith.build_r2(120)
-        assert counting.count_ball_brute(counting.RadiusPoint(1, 1)) == 7
-        assert counting.count_ball_fast(counting.RadiusPoint(1, 1), r2) == 7
-        assert counting.count_ball_fast(counting.RadiusPoint(1, 2), r2) == 1
-        assert counting.count_ball_brute(counting.RadiusPoint(2, 1)) == 69
-        assert counting.count_ball_fast(counting.RadiusPoint(2, 1), r2) == 69
-        for k in (3, 10, 31, 59):
-            p = counting.RadiusPoint(k, 7)
-            assert counting.count_ball_fast(p, r2) == counting.count_ball_brute(p)
+        for k, Q, n in ((1, 1, 7), (1, 2, 1), (2, 1, 69)):
+            p = counting.RadiusPoint(k, Q)
+            _check(counting.count_ball_fast(p, r2) == counting.sawtooth_ball_sum(p, r2)[0] == n,
+                   f"both kernels count N({k}/{Q}) = {n}")
+        for k, Q in ((1, 1), (2, 1), (3, 7), (10, 7), (31, 7), (59, 7)):
+            p = counting.RadiusPoint(k, Q)
+            _check(counting.count_ball_fast(p, r2) == counting.count_ball_brute(p),
+                   f"N({k}/{Q}) = brute force")
+        one = counting.RadiusPoint(1, 1)
+        _check(counting.sawtooth_ball_sum(one, r2) == (7, -2.0), "sawtooth pass at 1 = (7, -2)")
+        outer, gap = counting.snap_outer_radius(one, 0.0)
+        _check(outer.value == 1.0 and gap == 0.0, "a zero gap snaps to the inner radius")
 
     def r2_values():
         r2 = arith.build_r2(25)
-        assert list(r2.values[:11]) == [1, 4, 4, 0, 4, 8, 0, 0, 4, 4, 8]
-        assert r2.values[25] == 12
-        assert list(r2.nonzero_m[:6]) == [1, 2, 4, 5, 8, 9]
-        assert list(r2.nonzero_values[:6]) == [4, 4, 4, 8, 4, 4]
-        assert sum(int(v) ** 2 for v in r2.values[1:11]) == 208
+        _check(list(r2.values[:11]) == [1, 4, 4, 0, 4, 8, 0, 0, 4, 4, 8], "r2(0..10)")
+        _check(r2.values[25] == 12, "r2(25) = 12")
+        _check(list(r2.nonzero_m[:6]) == [1, 2, 4, 5, 8, 9], "compressed m")
+        _check(list(r2.nonzero_values[:6]) == [4, 4, 4, 8, 4, 4], "compressed r2")
+        _check(sum(int(v) ** 2 for v in r2.values[1:11]) == 208, "sum of r2^2 to 10")
+        p = [1e16, 1.0, -1e16, 0.1, -0.3, 3.0 * 2 ** -60]  # a plain sum loses the 1.0
+        _check(math.fsum(arith.exact_parts(np.array(p))) == math.fsum(p), "exact_parts fsum")
 
     def spectra_exact():
         phi = spectra.phi_from_poly([1, 1])
-        assert [spectra.phi_moment(phi, j) for j in (1, 2, 3, 4)] == [2, 6, 20, 70]
+        _check([spectra.phi_moment(phi, j) for j in (1, 2, 3, 4)] == [2, 6, 20, 70], "phi moments")
         spec = spectra.DensitySpec(mode="product", phis=(phi,))
-        for j in (2, 4, 6):
-            assert spectra.constrained_frequency_sum(spec, j) == spectra.construction_moment(spec, j)
         cx = spectra.DensitySpec(mode="product", phis=(spectra.phi_from_poly([1, 1j]),
                                                          spectra.phi_from_poly([2, 1])))
-        assert spectra.constrained_frequency_sum(cx, 4) == spectra.construction_moment(cx, 4)
-        assert [spectra.predicted_moment(None, j) for j in (2, 4, 6)] == [1.0, 3.0, 15.0]
+        for d, j in ((spec, 2), (spec, 4), (spec, 6), (cx, 4)):
+            _check(spectra.constrained_frequency_sum(d, j) == spectra.construction_moment(d, j),
+                   f"frequency sum = moment, j = {j}")
+        _check([spectra.predicted_moment(None, j) for j in (2, 4, 6)] == [1, 3, 15], "Gaussian")
 
     def gap_forms():
         om = gapwidth.make_slowly_varying("inv_log")
-        assert abs(float(om.value(math.e)) - 1.0) < 1e-12
-        assert abs(float(om.d1(math.e)) + 1.0 / math.e) < 1e-12
+        _check(abs(float(om.value(math.e)) - 1.0) < 1e-12, "inv_log(e) = 1")
+        _check(abs(float(om.d1(math.e)) + 1.0 / math.e) < 1e-12, "inv_log'(e) = -1/e")
         ap = gapwidth.make_almost_periodic(gapwidth.AlmostPeriodicGap(
             polys=((1.0,),), lambdas=(1.0,), exponent=2, mode="product"))
-        x = 1000.0
-        assert abs(float(ap.value(x)) - math.log(x) ** -2) < 1e-12
+        _check(abs(float(ap.value(1e3)) - math.log(1e3) ** -2) < 1e-12, "constant construction")
 
     def zero_relations():
-        assert voronoi.sum_sqrt_is_zero([1, -1], [2, 2])
-        assert voronoi.sum_sqrt_is_zero([1, 1, -1], [2, 8, 18])
-        assert not voronoi.sum_sqrt_is_zero([1, -1], [2, 3])
+        _check(voronoi.sum_sqrt_is_zero([1, -1], [2, 2]), "sqrt 2 - sqrt 2 = 0")
+        _check(voronoi.sum_sqrt_is_zero([1, 1, -1], [2, 8, 18]), "sqrt 2 + sqrt 8 - sqrt 18 = 0")
+        _check(not voronoi.sum_sqrt_is_zero([1, -1], [2, 3]), "sqrt 2 - sqrt 3 != 0")
 
     def stats_basics():
-        assert abs(stats.normal_cdf(1.96) - 0.9750021048517795) < 1e-9
+        _check(abs(stats.normal_cdf(1.96) - 0.9750021048517795) < 1e-9, "normal_cdf(1.96)")
         dist = stats.EmpiricalDistribution.from_samples([1.0, -1.0] * 20)
-        assert abs(dist.moments[2] - 1.0) < 1e-12
+        _check(abs(dist.moments[2] - 1.0) < 1e-12, "second moment of +-1")
         phi = spectra.phi_from_poly([1, 1])
         spec = spectra.DensitySpec(mode="product", phis=(phi,))
-        assert abs(stats.mixture_cdf(spec, 0.0) - 0.5) < 1e-12
+        _check(abs(stats.mixture_cdf(spec, 0.0) - 0.5) < 1e-12, "mixture_cdf(0) = 1/2")
 
     return [
         ("counting_fixtures", counts),

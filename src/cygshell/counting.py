@@ -138,13 +138,13 @@ def check_float_exactness(x: RadiusPoint) -> None:
 
 
 class _Buffers(NamedTuple):
-    """One thread's chunk buffers, _KERNEL_CHUNK entries each."""
+    """One thread's buffers for _sqrt_chunks and _ball_pass, _KERNEL_CHUNK entries each."""
 
     s: np.ndarray     # float64 sqrt(x^4 - m^2), yielded by _sqrt_chunks
     w: np.ndarray     # float64 work space of _sqrt_chunks
     near: np.ndarray  # bool band mask
-    t: np.ndarray     # int64 count terms of count_ball_fast and sawtooth_ball_sum
-    psi: np.ndarray   # float64 floors, then psi products, of sawtooth_ball_sum
+    t: np.ndarray     # int64 floors, then r2-weighted floors, of _ball_pass
+    psi: np.ndarray   # float64 floors, psi, then psi products, of _ball_pass with sawtooth
     q: np.ndarray     # float64 scratch of exact_parts
 
 
@@ -207,30 +207,46 @@ def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
         yield lo, hi, s, [(i, k4 - m * m * Q4) for i, m in zip(idx.tolist(), ms)]
 
 
-def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
-    """Exact ball count N(x) = sum_{m <= x^2} r2(m) * (2*floor(sqrt(x^4 - m^2)) + 1).
+def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]:
+    """(N(x), the sawtooth sum, or 0.0 without sawtooth) from one chunk pass.
 
-    The m = 0 slice is the integer 2*floor(x^2) + 1.  For m >= 1 the inner
-    floor is computed as isqrt(k^4 - m^2 Q^4) // Q^2 via a float sqrt of the
-    exact factorisation (k^2 - mQ^2)(k^2 + mQ^2); entries landing in the
-    near-integer band are re-done in exact big-int arithmetic.  Each chunk's
-    sum is an int64 sum, totalled as a Python int.  Agrees with
-    count_ball_brute everywhere both run.
+    The m = 0 slice is 2 floor(x^2) + 1; each chunk adds the int64 sums
+    2 sum r2 f + sum r2 of the floors f of _sqrt_chunks' s, re-done as
+    isqrt(k^4 - m^2 Q^4) // Q^2 in the band.  With sawtooth, the products
+    r2 psi go to exact partial sums (arith.exact_parts) that one fsum rounds,
+    then the band corrections follow in slice order, so neither result
+    depends on _KERNEL_CHUNK.
     """
     Q2 = x.Q * x.Q
-    vnz = r2.nonzero_values
     bufs = _buffers()
     total = 2 * x.floor_sq + 1  # the m = 0 slice: |c| <= floor(x^2)
+    parts, corrections = [], []
     for lo, hi, s, band in _sqrt_chunks(x, r2):
-        t = bufs.t[:hi - lo]
-        np.copyto(t, s, casting="unsafe")  # s >= 0, so truncation is the floor
-        for i, v in band:
-            t[i] = math.isqrt(v) // Q2
-        t *= 2
-        t += 1
-        t *= vnz[lo:hi]
-        total += int(t.sum())
-    return total
+        t, v = bufs.t[:hi - lo], r2.nonzero_values[lo:hi]
+        if sawtooth:  # psi from float floors: one float-to-int cast per chunk, not two
+            psi = np.floor(s, out=bufs.psi[:hi - lo])
+            np.copyto(t, psi, casting="unsafe")
+            np.subtract(s, psi, out=psi)
+            psi -= 0.5
+            corrections.extend(float(v[i]) * (_psi_exact(d, Q2) - psi[i]) for i, d in band)
+            psi *= v
+            parts.extend(exact_parts(psi, bufs.q[:hi - lo]))
+        else:
+            np.copyto(t, s, casting="unsafe")  # s >= 0, so truncation is the floor
+        for i, d in band:
+            t[i] = math.isqrt(d) // Q2
+        t *= v
+        total += 2 * int(t.sum()) + int(v.sum(dtype=np.int64))
+    saw = math.fsum(parts)
+    for c in corrections:
+        saw += c
+    return total, saw
+
+
+def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
+    """Exact N(x) = sum_{m <= x^2} r2(m) * (2*floor(sqrt(x^4 - m^2)) + 1) (_ball_pass);
+    agrees with count_ball_brute everywhere both run."""
+    return _ball_pass(x, r2, sawtooth=False)[0]
 
 
 def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> tuple[int, float]:
@@ -238,34 +254,10 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> tuple[int, float]:
 
     One pass: N(x) is count_ball_fast's, from the floors that give psi.  psi
     evaluates to -1/2 at exact integer arguments (the literal formula).  The
-    sawtooth excludes m = 0: the series convention starts at m = 1.  Each
-    chunk's products are reduced to their exact partial sums
-    (arith.exact_parts) and one fsum rounds them all, which equals the fsum
-    over every product; then the band corrections are added in slice order,
-    so the result does not depend on _KERNEL_CHUNK.
+    sawtooth excludes m = 0: the series convention starts at m = 1.  The sum
+    is correctly rounded, then the band corrections follow (_ball_pass).
     """
-    Q2 = x.Q * x.Q
-    vnz = r2.nonzero_values
-    bufs = _buffers()
-    # N(x) = sum r2(m) (2 f_m + 1), f_m = floor(sqrt(x^4 - m^2)); floors sums m >= 1
-    floors, parts, corrections = 0, [], []
-    for lo, hi, s, band in _sqrt_chunks(x, r2):
-        psi, t = bufs.psi[:hi - lo], bufs.t[:hi - lo]
-        np.floor(s, out=psi)
-        np.copyto(t, psi, casting="unsafe")
-        np.subtract(s, psi, out=psi)
-        psi -= 0.5
-        for i, v in band:
-            t[i] = math.isqrt(v) // Q2
-            corrections.append(float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i]))
-        t *= vnz[lo:hi]
-        floors += int(t.sum())
-        psi *= vnz[lo:hi]
-        parts.extend(exact_parts(psi, bufs.q[:hi - lo]))
-    total = math.fsum(parts)
-    for c in corrections:
-        total += c
-    return r2.sum_upto(x.floor_sq) + 2 * (x.floor_sq + floors), total
+    return _ball_pass(x, r2, sawtooth=True)
 
 
 def _psi_exact(v: int, q2: int) -> float:

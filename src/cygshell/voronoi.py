@@ -36,9 +36,9 @@ def series_with_gap(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
     n = r2.nonzero_count_upto(cutoff)
-    m = r2.nonzero_m[:n]
-    amp = r2.nonzero_values[:n] / m.astype(np.float64)
-    s = r2.nonzero_sqrt[:n]
+    m = r2.nonzero_m[:n].astype(np.float64)
+    amp = r2.nonzero_values[:n] / m
+    s = np.sqrt(m, out=m)
     terms = amp * np.sin(math.pi * s * gap) * np.sin(math.pi * s * (2.0 * x + gap))
     return SERIES_PREFACTOR * math.fsum(exact_parts(terms))
 
@@ -118,8 +118,6 @@ def diagonal_sum(omega: GapWidth, X: float, j: int, Y: int, r2: R2Table,
     """
     if j not in (2, 4):
         raise ValueError("diagonal sums implemented for j in {2, 4}")
-    if Y > 400:
-        raise ValueError("Y capped at 400 (tuple enumeration feasibility)")
     if Y > r2.limit:
         raise ValueError(f"Y = {Y} exceeds the r2 table limit {r2.limit}")
     xs = midpoint_grid(X, samples)

@@ -1,7 +1,8 @@
 """Independent oracles that only the tests use.
 
 The full-plane r2 sieve with a full-size compression index (cross-checks
-arith.build_r2's half-plane sieve and block-wise compression), a
+arith.build_r2's half-plane sieve and block-wise compression), the
+partial sums of r2 over the compressed view, a
 pure-integer ball count (cross-checks counting.count_ball_fast above the
 brute-force cap), the j = 2 diagonal sum in its plain-sum form and in the
 literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
@@ -45,6 +46,14 @@ def r2_full_plane(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, idx.astype(np.uint32), values[idx]
 
 
+def r2_sum_upto(r2: R2Table, y: int) -> int:
+    """Sum of r2(m) for 0 <= m <= y (exact): r2(0) = 1 plus the compressed
+    counts with 1 <= m <= y."""
+    if y > r2.limit:
+        raise ValueError(f"r2 table limit {r2.limit} < requested {y}")
+    return 1 + int(r2.nonzero_values[:r2.nonzero_count_upto(y)].sum(dtype=np.int64))
+
+
 def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:
     """N(x) = sum_{m <= x^2} r2(m) (2 isqrt(k^4 - m^2 Q^4) // Q^2 + 1), in
     integers only: every slice of the dense table, m = 0 included."""
@@ -78,9 +87,9 @@ def sawtooth_ball_sum_fsum(x: RadiusPoint, r2: R2Table) -> float:
 def series_with_gap_fsum(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
     """voronoi.series_with_gap with fsum over the list of its terms."""
     n = r2.nonzero_count_upto(cutoff)
-    m = r2.nonzero_m[:n]
-    amp = r2.nonzero_values[:n] / m.astype(np.float64)
-    s = r2.nonzero_sqrt[:n]
+    m = r2.nonzero_m[:n].astype(np.float64)
+    amp = r2.nonzero_values[:n] / m
+    s = np.sqrt(m)
     terms = amp * np.sin(math.pi * s * gap) * np.sin(math.pi * s * (2.0 * x + gap))
     return SERIES_PREFACTOR * math.fsum(terms.tolist())
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cygshell import arith, counting, voronoi
 from conftest import r2_direct_enumeration
-from oracles import r2_full_plane
+from oracles import r2_full_plane, r2_sum_upto
 
 
 def test_r2_base_values(r2_10k):
@@ -27,11 +27,11 @@ def test_r2_examples():
 def test_r2_compressed_view_is_m_ge_1():
     empty = arith.build_r2(0)
     assert len(empty.nonzero_m) == 0
-    assert empty.sum_upto(0) == 1
+    assert r2_sum_upto(empty, 0) == 1
     table = arith.build_r2(25)
     assert table.nonzero_m[0] == 1
-    assert table.sum_upto(0) == 1
-    assert table.sum_upto(25) == int(table.values.sum())
+    assert r2_sum_upto(table, 0) == 1
+    assert r2_sum_upto(table, 25) == int(table.values.sum())
 
 
 def test_r2_divisibility(r2_10k):
@@ -46,12 +46,12 @@ def test_r2_matches_enumeration(r2_10k):
 def test_r2_partial_sum_growth():
     table = arith.build_r2(100_000)
     for y in (1000, 10_000, 100_000):
-        assert abs(table.sum_upto(y) - math.pi * y) <= 10 * math.sqrt(y)
+        assert abs(r2_sum_upto(table, y) - math.pi * y) <= 10 * math.sqrt(y)
 
 
 def test_r2_sum_upto_requires_coverage(r2_10k):
     with pytest.raises(ValueError):
-        r2_10k.sum_upto(10_001)
+        r2_sum_upto(r2_10k, 10_001)
 
 
 def _mobius_brute(m: int) -> int:
@@ -192,12 +192,13 @@ def test_prefix_and_sqrt_are_built_on_first_read():
     table = arith.build_r2(10_000)
     lazy = {"nonzero_prefix", "nonzero_sqrt"}
     assert counting.count_ball_fast(counting.RadiusPoint(99, 1), table) > 0
-    assert not lazy & table.__dict__.keys()
-    assert table.sum_upto(5000) == 1 + int(table.values[1:5001].sum())
-    assert "nonzero_prefix" in table.__dict__ and "nonzero_sqrt" not in table.__dict__
+    assert counting.sawtooth_ball_sum(counting.RadiusPoint(99, 1), table)[0] > 0
     voronoi.series_with_gap(40.0, 0.3, table, 2000)
+    assert not lazy & table.__dict__.keys()
+    prefix = table.nonzero_prefix
+    assert "nonzero_prefix" in table.__dict__ and "nonzero_sqrt" not in table.__dict__
+    sqrt = table.nonzero_sqrt
     assert lazy <= table.__dict__.keys()
-    prefix, sqrt = table.nonzero_prefix, table.nonzero_sqrt
     assert prefix[0] == 0
     assert np.array_equal(prefix[1:], np.cumsum(table.nonzero_values, dtype=np.int64))
     assert np.array_equal(sqrt, np.sqrt(table.nonzero_m, dtype=np.float64))

@@ -51,6 +51,19 @@ def test_selftest_passes(capsys):
     assert "0 failed" in out
 
 
+def test_selftest_fails_under_optimize_with_a_faulty_kernel():
+    # python -O strips assert statements; the selftest must still see N + 1
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r}); from cygshell import cli, counting; "
+              "fast = counting.count_ball_fast; "
+              "counting.count_ball_fast = lambda x, r2: fast(x, r2) + 1; "
+              "sys.exit(cli.main(['selftest']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_TEST_FAILURE, proc.stdout + proc.stderr
+    assert "FAIL counting_fixtures" in proc.stdout
+
+
 def test_exactness_cap_fails_before_table(tmp_path, monkeypatch, capsys):
     # the top point of this grid, 16387.27, snaps its outer radius past 2^26
     def build_r2(limit):
@@ -191,11 +204,13 @@ def test_sample_command_writes_artifacts(tmp_path, capsys):
     assert header == "x,omega_x,shell_count,error,normalized"
 
 
-def test_exact_sample_leaves_the_on_demand_columns_unbuilt(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [["sample", "--mode", "exact"], ["sample", "--mode", "fast"],
+                                  ["expand"]], ids=["sample-exact", "sample-fast", "expand"])
+def test_commands_leave_the_on_demand_columns_unbuilt(tmp_path, monkeypatch, argv):
     tables, build_r2 = [], arith.build_r2
     monkeypatch.setattr(arith, "build_r2", lambda limit: tables.append(build_r2(limit)) or tables[-1])
-    assert main(["sample", "--omega", "inv_log", "--X", "30", "--samples", "20",
-                 "--mode", "exact", "--out", str(tmp_path)]) == 0
+    assert main(argv + ["--omega", "inv_log", "--X", "30", "--samples", "20",
+                        "--out", str(tmp_path)]) == 0
     assert len(tables) == 1
     assert not {"nonzero_prefix", "nonzero_sqrt"} & tables[0].__dict__.keys()
 

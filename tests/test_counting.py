@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cygshell import arith, counting, gapwidth
 from cygshell.counting import RadiusPoint
-from oracles import count_ball_isqrt, sawtooth_ball_sum_fsum
+from oracles import count_ball_isqrt, r2_sum_upto, sawtooth_ball_sum_fsum
 
 
 def triple_loop_count(k: int, Q: int) -> int:
@@ -328,7 +328,7 @@ def test_sawtooth_bound(r2_200k):
         gap = 1.0 / math.log(x.value)
         xi = sawtooth_shell_sum(x, gap, r2_200k)
         outer_sq = (x.value + gap) ** 2
-        bound = 0.5 * (r2_200k.sum_upto(int(outer_sq)) + r2_200k.sum_upto(x.floor_sq))
+        bound = 0.5 * (r2_sum_upto(r2_200k, int(outer_sq)) + r2_sum_upto(r2_200k, x.floor_sq))
         assert abs(xi) <= bound
         loose = math.pi * x.value ** 2 + math.pi * (x.value + gap) ** 2 + 40 * x.value
         assert abs(xi) <= loose

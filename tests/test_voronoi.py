@@ -125,13 +125,17 @@ def test_diagonal_j4_matches_convolution(r2_10k, inv_log):
     got = diagonal_sum(inv_log, 1000.0, 4, 400, r2_10k, samples=256)
     want = diagonal_sum_convolve_j4(inv_log, 1000.0, 400, r2_10k, samples=256)
     assert abs(got - want) <= 1e-10 * abs(want)
+    # past the old Y = 400 cap: kmax = 80 at core 1
+    got = diagonal_sum(inv_log, 1000.0, 4, 6400, r2_10k, samples=16)
+    want = diagonal_sum_convolve_j4(inv_log, 1000.0, 6400, r2_10k, samples=16)
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_diagonal_guards(r2_10k, inv_log):
     with pytest.raises(ValueError):
         diagonal_sum(inv_log, 500.0, 6, 50, r2_10k)
-    with pytest.raises(ValueError):
-        diagonal_sum(inv_log, 500.0, 2, 500, r2_10k)
+    with pytest.raises(ValueError, match="r2 table limit"):
+        diagonal_sum(inv_log, 500.0, 2, 10_001, r2_10k)
 
 
 def test_diagonal_zero_gap(r2_10k, zero_gap):
