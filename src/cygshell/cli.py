@@ -133,20 +133,15 @@ def _experiment(cfg: ExperimentConfig):
 def cmd_count(args) -> int:
     x = _parse_radius(args.x)
     results = {}
+    if args.both or args.method == "brute":  # first: its radius cap fails before any table
+        results["brute"] = counting.count_ball_brute(x)
     if args.both or args.method == "fast":
         counting.check_float_exactness(x)
-        r2 = arith.build_r2(x.floor_sq + 1)
-        results["fast"] = counting.count_ball_fast(x, r2)
-    if args.both or args.method == "brute":
-        results["brute"] = counting.count_ball_brute(x)
+        results["fast"] = counting.count_ball_fast(x, arith.build_r2(x.floor_sq + 1))
     if args.both and results["fast"] != results["brute"]:
         print(f"DISAGREEMENT: fast={results['fast']} brute={results['brute']}")
         return EXIT_TEST_FAILURE
-    value = results.get(args.method, next(iter(results.values())))
-    if args.both:
-        print(f"{value} (methods agree)")
-    else:
-        print(value)
+    print(f"{results[args.method]} (methods agree)" if args.both else results[args.method])
     return EXIT_OK
 
 

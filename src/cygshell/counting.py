@@ -138,13 +138,13 @@ def check_float_exactness(x: RadiusPoint) -> None:
 
 
 class _Buffers(NamedTuple):
-    """One thread's buffers for _sqrt_chunks and _ball_pass, _KERNEL_CHUNK entries each."""
+    """One thread's buffers for _ball_pass, _KERNEL_CHUNK entries each."""
 
-    s: np.ndarray     # float64 sqrt(x^4 - m^2), yielded by _sqrt_chunks
-    w: np.ndarray     # float64 work space of _sqrt_chunks
+    s: np.ndarray     # float64 sqrt(x^4 - m^2)
+    w: np.ndarray     # float64 m Q^2, k^2 + m Q^2, then |rint(s) - s|
     near: np.ndarray  # bool band mask
-    t: np.ndarray     # int64 floors, then r2-weighted floors, of _ball_pass
-    psi: np.ndarray   # float64 floors, psi, then psi products, of _ball_pass with sawtooth
+    t: np.ndarray     # int64 floors, then r2-weighted floors
+    psi: np.ndarray   # float64 floors, psi, then psi products (sawtooth only)
     q: np.ndarray     # float64 scratch of exact_parts
 
 
@@ -165,35 +165,39 @@ def _buffers() -> _Buffers:
     return bufs
 
 
-def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
-    """Yield (lo, hi, s, band) over the nonzero slices 1 <= m <= x^2 in chunks
-    of _KERNEL_CHUNK, with s[i] ~ sqrt(x^4 - m^2) for m = r2.nonzero_m[lo + i].
+def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]:
+    """(N(x), the sawtooth sum, or 0.0 without sawtooth) from one pass over
+    the nonzero slices 1 <= m <= x^2 in chunks of _KERNEL_CHUNK.
 
-    s is the float64 sqrt of (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2.  Both
-    factors are exact float64 integers (k^2 <= 2^52 by the numerator cap, and
-    mQ^2 <= k^2), so only the product, the sqrt, 1/Q^2 and the scaling
-    round: at most 4u x^2 (check_float_exactness).  band lists
-    (i, k^4 - m^2 Q^4) for the entries within _BAND of an integer, which the
-    caller re-decides in exact arithmetic.  s is a view of this thread's
-    _buffers().s, valid until the next chunk.  Raises before the first
-    chunk when x is past the float exactness bound or the table does not
-    reach floor(x^2).
+    Per chunk, s ~ sqrt(x^4 - m^2) is the float64 sqrt of
+    (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2.  Both factors are exact
+    float64 integers (k^2 <= 2^52 by the numerator cap, and mQ^2 <= k^2), so
+    only the product, the sqrt, 1/Q^2 and the scaling round: at most 4u x^2
+    (check_float_exactness).  The floors f of s are re-done as
+    isqrt(k^4 - m^2 Q^4) // Q^2 in the band, the entries within _BAND of an
+    integer.  The m = 0 slice is 2 floor(x^2) + 1; each chunk adds the int64
+    sums 2 sum r2 f + sum r2.  With sawtooth, the products r2 psi go to exact
+    partial sums (arith.exact_parts) that one fsum rounds, then the band
+    corrections follow in slice order, so neither result depends on
+    _KERNEL_CHUNK.  Raises before the first chunk when x is past the float
+    exactness bound or the table does not reach floor(x^2).
     """
     check_float_exactness(x)
     mmax = x.floor_sq
     if mmax > r2.limit:
         raise ValueError(f"r2 table limit {r2.limit} < floor(x^2) = {mmax}")
-    k2 = x.k * x.k
-    Q2 = x.Q * x.Q
+    k2, Q2 = x.k * x.k, x.Q * x.Q
     k4, Q4 = k2 * k2, Q2 * Q2
-    fk2, fq2 = float(k2), float(Q2)
-    inv_q2 = 1.0 / Q2
+    fk2, fq2, inv_q2 = float(k2), float(Q2), 1.0 / Q2
     bufs = _buffers()
+    total = 2 * mmax + 1  # the m = 0 slice: |c| <= floor(x^2)
+    parts, corrections = [], []
     n = r2.nonzero_count_upto(mmax)
     for lo in range(0, n, _KERNEL_CHUNK):
         hi = min(n, lo + _KERNEL_CHUNK)
-        w, s, near = bufs.w[:hi - lo], bufs.s[:hi - lo], bufs.near[:hi - lo]
-        np.multiply(r2.nonzero_m[lo:hi], fq2, out=w)
+        w, s, near, t = bufs.w[:hi - lo], bufs.s[:hi - lo], bufs.near[:hi - lo], bufs.t[:hi - lo]
+        m, v = r2.nonzero_m[lo:hi], r2.nonzero_values[lo:hi]
+        np.multiply(m, fq2, out=w)
         np.subtract(fk2, w, out=s)
         w += fk2
         s *= w
@@ -203,26 +207,7 @@ def _sqrt_chunks(x: RadiusPoint, r2: R2Table):
         w -= s
         np.less(np.abs(w, out=w), _BAND, out=near)
         idx = np.flatnonzero(near)
-        ms = r2.nonzero_m[lo + idx].tolist()
-        yield lo, hi, s, [(i, k4 - m * m * Q4) for i, m in zip(idx.tolist(), ms)]
-
-
-def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]:
-    """(N(x), the sawtooth sum, or 0.0 without sawtooth) from one chunk pass.
-
-    The m = 0 slice is 2 floor(x^2) + 1; each chunk adds the int64 sums
-    2 sum r2 f + sum r2 of the floors f of _sqrt_chunks' s, re-done as
-    isqrt(k^4 - m^2 Q^4) // Q^2 in the band.  With sawtooth, the products
-    r2 psi go to exact partial sums (arith.exact_parts) that one fsum rounds,
-    then the band corrections follow in slice order, so neither result
-    depends on _KERNEL_CHUNK.
-    """
-    Q2 = x.Q * x.Q
-    bufs = _buffers()
-    total = 2 * x.floor_sq + 1  # the m = 0 slice: |c| <= floor(x^2)
-    parts, corrections = [], []
-    for lo, hi, s, band in _sqrt_chunks(x, r2):
-        t, v = bufs.t[:hi - lo], r2.nonzero_values[lo:hi]
+        band = [(i, k4 - mi * mi * Q4) for i, mi in zip(idx.tolist(), m[idx].tolist())]
         if sawtooth:  # psi from float floors: one float-to-int cast per chunk, not two
             psi = np.floor(s, out=bufs.psi[:hi - lo])
             np.copyto(t, psi, casting="unsafe")

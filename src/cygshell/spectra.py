@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import arith
+
 __all__ = [
     "TrigPolyModulus",
     "DensitySpec",
@@ -158,6 +160,11 @@ def phi_moment(phi: TrigPolyModulus, j: int) -> Fraction:
     return _power_centre({m - phi.degree: c for m, c in enumerate(phi.coeffs)}, j)
 
 
+# Bytes per tensor quadrature node: float64 construction values, weights,
+# sigmas and density_eval's one temporary.
+_GRID_BYTES_PER_NODE = 4 * 8
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """A product or sum construction over independent torus coordinates, with
@@ -177,7 +184,14 @@ class DensitySpec:
 
     @cached_property
     def _components(self):
-        """mixture_components(self), computed once per spec."""
+        """mixture_components(self), computed once per spec; MemoryError
+        before allocating a grid estimated past physical memory."""
+        nodes = self.quad_points ** len(self.phis)
+        need, have = nodes * _GRID_BYTES_PER_NODE, arith._physical_memory()
+        if have is not None and need > have:
+            raise MemoryError(f"a quadrature grid of {nodes} nodes needs about "
+                              f"{need / 2 ** 20:.0f} MiB, more than the "
+                              f"{have / 2 ** 20:.0f} MiB of physical memory")
         t, w = _torus_nodes(self.quad_points)
         vals_1d = [phi.values(t) for phi in self.phis]
         field_vals = None

@@ -13,10 +13,11 @@ first two derivatives (cross-check the factor-value evaluation in gapwidth),
 the constrained frequency sum as a j-fold tensor convolution over the
 frequency lattice (cross-checks the packed power in spectra), the sum-mode
 construction moment by the multinomial expansion over per-factor moments
-(cross-checks the binomial fold in spectra), and the
-sawtooth correction and the main series summed by math.fsum over a Python
-list of every product or term (cross-check the exact partial sums of
-arith.exact_parts bit for bit).
+(cross-checks the binomial fold in spectra), the sawtooth correction,
+from its own unchunked float sqrt, psi and fixup band (cross-checks the
+chunk loop of counting._ball_pass, chunk offsets included), and the main
+series, both summed by math.fsum over a Python list of every product or
+term (cross-check the exact partial sums of arith.exact_parts bit for bit).
 """
 
 import itertools
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from cygshell.arith import R2Table
-from cygshell.counting import RadiusPoint, _psi_exact, _sqrt_chunks
+from cygshell.counting import _BAND, RadiusPoint, _psi_exact
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.spectra import DensitySpec, _cmul, phi_moment
 from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
@@ -67,18 +68,21 @@ def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:
 
 
 def sawtooth_ball_sum_fsum(x: RadiusPoint, r2: R2Table) -> float:
-    """The sawtooth sum of counting.sawtooth_ball_sum, with one fsum over the
-    list of every slice's product r2(m) psi(s), then the band corrections in
-    slice order."""
-    Q2 = x.Q * x.Q
-    vnz = r2.nonzero_values
-    products, corrections = [], []
-    for lo, hi, s, band in _sqrt_chunks(x, r2):
-        psi = s - np.floor(s) - 0.5
-        corrections.extend(float(vnz[lo + i]) * (_psi_exact(v, Q2) - psi[i])
-                           for i, v in band)
-        products.extend((vnz[lo:hi] * psi).tolist())
-    total = math.fsum(products)
+    """The sawtooth sum of counting.sawtooth_ball_sum over every slice as one
+    unchunked array: s = sqrt((k^2 - mQ^2)(k^2 + mQ^2)) / Q^2 in the kernel's
+    float64 operations, psi = s - [s] - 1/2 and the band of s within _BAND
+    of an integer, then one fsum over the list of every product r2(m) psi,
+    then the band corrections in slice order."""
+    k4, Q2 = x.k ** 4, x.Q * x.Q
+    n = r2.nonzero_count_upto(x.floor_sq)
+    m, v = r2.nonzero_m[:n], r2.nonzero_values[:n]
+    fk2, mq2 = float(x.k * x.k), m * float(Q2)
+    s = np.sqrt((fk2 - mq2) * (mq2 + fk2)) * (1.0 / Q2)
+    psi = s - np.floor(s) - 0.5
+    band = np.flatnonzero(np.abs(np.rint(s) - s) < _BAND).tolist()
+    corrections = [float(v[i]) * (_psi_exact(k4 - int(m[i]) ** 2 * Q2 * Q2, Q2) - psi[i])
+                   for i in band]
+    total = math.fsum((v * psi).tolist())
     for c in corrections:
         total += c
     return total

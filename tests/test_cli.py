@@ -343,6 +343,31 @@ def test_table_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys, argv)
     assert not (tmp_path / "samples.csv").exists()
 
 
+def test_density_grid_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # two factors at 300 quadrature points: a 90 000-node tensor grid, about 2.7 MiB
+    monkeypatch.setattr(arith, "_physical_memory", lambda: 1 << 20)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "product", "polys": [[[2, 0], [1, 0]]] * 2,
+                                     "lambdas": [1.0, 2.0], "A": 2}))
+    tracemalloc.start()
+    try:
+        assert main(["density", "--spec", str(spec_path), "--quad-points", "300"]) \
+            == cli.EXIT_RESOURCE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # refused before the grid was allocated
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_count_both_checks_the_brute_cap_before_the_table(monkeypatch, capsys):
+    built, build_r2 = [], arith.build_r2
+    monkeypatch.setattr(arith, "build_r2", lambda limit: built.append(limit) or build_r2(limit))
+    assert main(["count", "--x", "61/1", "--both"]) == cli.EXIT_USAGE
+    assert "capped" in capsys.readouterr().err
+    assert built == []
+
+
 def test_diagnose_command(capsys):
     rc = main(["diagnose", "--omega", "inv_log", "--X", "1000",
                "--scan-points", "2000"])

@@ -224,9 +224,11 @@ def test_sawtooth_matches_list_fsum_oracle():
 
 @pytest.mark.parametrize("chunk", [counting._KERNEL_CHUNK, 1000])
 def test_one_pass_kernel_matches_count_and_sawtooth_oracles(monkeypatch, chunk):
-    # RadiusPoint(65, 1) has slices in the fixup band, so both band re-decisions run
+    # RadiusPoint(65, 1) has slices in the fixup band, so both band re-decisions run:
+    # r2(3380) > 0 and 65^4 - 3380^2 = 2535^2, so s = 2535 is an integer
     r2 = arith.build_r2(300 ** 2)
-    assert any(band for *_, band in counting._sqrt_chunks(RadiusPoint(65, 1), r2))
+    assert r2.nonzero_count_upto(3380) > r2.nonzero_count_upto(3379)
+    assert 65 ** 4 - 3380 ** 2 == 2535 ** 2
     monkeypatch.setattr(counting, "_KERNEL_CHUNK", chunk)
     for x in _chunk_radii():
         n, saw = counting.sawtooth_ball_sum(x, r2)
@@ -243,10 +245,12 @@ def test_counts_odd_and_monotone(r2_10k):
         prev = n
 
 
-def test_fast_requires_table_coverage():
+@pytest.mark.parametrize("kernel", [counting.count_ball_fast, counting.sawtooth_ball_sum],
+                         ids=lambda kernel: kernel.__name__)
+def test_fast_requires_table_coverage(kernel):
     small = arith.build_r2(10)
-    with pytest.raises(ValueError):
-        counting.count_ball_fast(RadiusPoint(10, 1), small)
+    with pytest.raises(ValueError, match="r2 table limit"):
+        kernel(RadiusPoint(10, 1), small)
 
 
 def test_float_exactness_bound():
