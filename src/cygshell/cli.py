@@ -215,7 +215,8 @@ def cmd_density(args) -> int:
         raise ValueError(f"--alpha must be finite, got {' '.join(args.alpha)}")
     spec_obj = json.loads(Path(args.spec).read_text())
     spec = gapwidth.density_spec_from_json(spec_obj, quad_points=args.quad_points)
-    values = {format(a, ".17g"): spectra.density_eval(spec, a) for a in alphas}
+    values = dict(zip((format(a, ".17g") for a in alphas),
+                      spectra.density_eval(spec, np.array(alphas)).tolist()))
     summary = {
         "density": values,
         "mass": spectra.density_moment(spec, 0),

@@ -161,7 +161,7 @@ def phi_moment(phi: TrigPolyModulus, j: int) -> Fraction:
 
 
 # Bytes per tensor quadrature node: float64 construction values, weights,
-# sigmas and density_eval's one temporary.
+# sigmas and one row of the mixture evaluator's block buffer.
 _GRID_BYTES_PER_NODE = 4 * 8
 
 
@@ -193,18 +193,11 @@ class DensitySpec:
                               f"{need / 2 ** 20:.0f} MiB, more than the "
                               f"{have / 2 ** 20:.0f} MiB of physical memory")
         t, w = _torus_nodes(self.quad_points)
-        vals_1d = [phi.values(t) for phi in self.phis]
-        field_vals = None
-        weights = None
-        for v in vals_1d:
-            if field_vals is None:
-                field_vals, weights = v, w
-            else:
-                if self.mode == "product":
-                    field_vals = np.multiply.outer(field_vals, v).ravel()
-                else:
-                    field_vals = np.add.outer(field_vals, v).ravel()
-                weights = np.multiply.outer(weights, w).ravel()
+        combine = np.multiply.outer if self.mode == "product" else np.add.outer
+        field_vals, weights = self.phis[0].values(t), w
+        for phi in self.phis[1:]:
+            field_vals = combine(field_vals, phi.values(t)).ravel()
+            weights = np.multiply.outer(weights, w).ravel()
         if float(field_vals.min()) < _SINGULAR_NODE_FLOOR:
             raise ValueError("construction vanishes at a quadrature node (singular mixture)")
         norm2 = math.sqrt(float(construction_moment(self, 2)))
@@ -354,42 +347,57 @@ def mixture_components(spec: DensitySpec):
     return spec._components
 
 
-def density_eval(spec: DensitySpec, alpha: float) -> float:
-    """The limiting density: a weight-averaged mixture of centred normals with
-    standard deviations sigma(t)."""
+_MIXTURE_BLOCK = 1 << 16  # (alpha, component) pairs per _mixture_sum block
+
+
+def _mixture_sum(weights, sigmas, alpha, kernel):
+    """sum_i weights[i] kernel(alpha / sigmas[i]), a float for a scalar alpha,
+    elementwise for an array.  `kernel` maps a block of alpha/sigma, one row
+    per alpha, to its values (in place or not).  Each row is summed on its
+    own, so the bits do not depend on the block; the block buffer is made
+    once per call, since fresh 512 KB arrays fault in new pages."""
+    a = np.asarray(alpha, dtype=np.float64)
+    flat = a.reshape(-1)
+    out = np.empty(flat.size)
+    rows = max(1, _MIXTURE_BLOCK // sigmas.size)
+    buf = np.empty((min(rows, flat.size), sigmas.size))
+    with np.errstate(over="ignore"):  # a huge alpha/sigma is inf: both kernels take it to a limit
+        for lo in range(0, flat.size, rows):
+            vals = kernel(np.divide(flat[lo:lo + rows, None], sigmas, out=buf[:flat.size - lo]))
+            vals *= weights
+            vals.sum(axis=1, out=out[lo:lo + rows])  # not np.dot, which spins BLAS threads
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+
+
+def density_eval(spec: DensitySpec, alpha):
+    """The limiting density, a weight-averaged mixture of centred normals with
+    standard deviations sigma(t): a float for a scalar alpha, elementwise
+    for an array."""
     weights, sigmas, _ = mixture_components(spec)
-    z = alpha / sigmas  # the one temporary; every step below is in place
-    np.square(z, out=z)
-    z *= -0.5
-    np.exp(z, out=z)
-    z /= sigmas
-    z *= weights
-    return float(z.sum()) / math.sqrt(2 * math.pi)  # not np.dot, which spins BLAS threads
 
+    def kernel(z):  # exp(-z^2/2)/sigma, in place
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        z /= sigmas
+        return z
 
-def _alpha_cutoff(spec: DensitySpec) -> float:
-    _, sigmas, _ = mixture_components(spec)
-    return 12.0 * float(sigmas.max())
+    return _mixture_sum(weights, sigmas, alpha, kernel) / math.sqrt(2 * math.pi)
 
 
 def density_moment(spec: DensitySpec, j: int) -> float:
     """Numerical integral of alpha^j against the density.
 
-    Even j (and the mass j = 0) integrate over [0, A] with the substitution
+    One Gauss-Legendre rule in beta over [0, sqrt A], A = 12 max sigma, with
     alpha = beta^2, which absorbs the |alpha|^(-1/2)-type peak a unit-circle
-    root of p would create, then double.  Odd j integrate two-sided on the
-    symmetric node set, so the report is the honest numerical cancellation.
+    root of p would create.  Even j (and the mass j = 0) integrate
+    2 f(beta^2); odd j integrate f(beta^2) - f(-beta^2) with both sides
+    computed (f is even bit for bit, so that cancels to exactly 0).
     """
     if j < 0:
         raise ValueError("moment order must be >= 0")
-    a_max = _alpha_cutoff(spec)
-    if j % 2 == 0:
-        beta, wb = _gl_nodes(_ALPHA_NODES, 0.0, math.sqrt(a_max))
-        dens = np.array([density_eval(spec, float(b * b)) for b in beta])
-        return float(2.0 * np.dot(wb, beta ** (2 * j) * dens * 2.0 * beta))
-    nodes, wn = _gl_nodes(_ALPHA_NODES, 0.0, a_max)
-    dens = np.array([density_eval(spec, float(a)) for a in nodes])
-    plus = np.dot(wn, nodes ** j * dens)
-    dens_m = np.array([density_eval(spec, float(-a)) for a in nodes])
-    minus = np.dot(wn, (-nodes) ** j * dens_m)
-    return float(plus + minus)
+    _, sigmas, _ = mixture_components(spec)
+    beta, wb = _gl_nodes(_ALPHA_NODES, 0.0, math.sqrt(12.0 * float(sigmas.max())))
+    dens = density_eval(spec, beta * beta)
+    dens = dens - density_eval(spec, -beta * beta) if j % 2 else 2.0 * dens
+    return float(np.dot(wb, beta ** (2 * j) * dens * 2.0 * beta))

@@ -21,7 +21,7 @@ import numpy as np
 from .arith import R2Table
 from .counting import RadiusPoint, ShellSample, shell_sample
 from .gapwidth import GapWidth, midpoint_grid
-from .spectra import DensitySpec, mixture_components
+from .spectra import DensitySpec, _mixture_sum, mixture_components
 from .voronoi import series_with_gap
 
 __all__ = [
@@ -254,7 +254,7 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     np.exp(sq, out=sq)
     tail *= sq
     tail *= 0.5                                   # erfc(|x|)/2 = Phi(-|a|)
-    np.multiply(x, x, out=sq)
+    np.multiply(z, z, out=sq)                     # x^2 where |x| < 1; no overflow past the clamp
     centre = _horner(sq, _ERF_T)
     centre /= _horner(sq, _ERF_U, monic=True)
     centre *= x
@@ -264,25 +264,11 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     return np.where(z < 1.0, centre, out)
 
 
-_CDF_BLOCK = 1 << 16  # (alpha, component) pairs per mixture_cdf block
-
-
 def mixture_cdf(spec: DensitySpec, alpha):
-    """CDF of the limiting Gaussian mixture: quadrature-weighted normal CDFs,
-    elementwise for an array of alpha (a float for a scalar).
-
-    Blocks of about 2^16 (alpha, component) pairs go through _ndtr, and each
-    alpha's row is summed on its own, so the bits do not depend on the block."""
+    """CDF of the limiting Gaussian mixture, quadrature-weighted normal CDFs:
+    a float for a scalar alpha, elementwise for an array."""
     weights, sigmas, _ = mixture_components(spec)
-    a = np.asarray(alpha, dtype=np.float64)
-    flat = a.reshape(-1)
-    out = np.empty(flat.size)
-    rows = max(1, _CDF_BLOCK // sigmas.size)
-    for lo in range(0, flat.size, rows):
-        vals = _ndtr(flat[lo:lo + rows, None] / sigmas)
-        vals *= weights
-        out[lo:lo + rows] = vals.sum(axis=1)  # not np.dot, which spins BLAS threads
-    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+    return _mixture_sum(weights, sigmas, alpha, _ndtr)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,9 @@ def _chunk_radii():
         # refined outer radii whose sawtooth moved with the chunk size when
         # each chunk took its own fsum (2 of 3787 random refined radii)
         RadiusPoint(528_511, refined_q), RadiusPoint(574_901, refined_q),
+        # band corrections past the first 1000-slice chunk (11 672 slices), so
+        # a chunk-offset mistake in a correction's weight moves the sawtooth
+        RadiusPoint(13_829, 64),
     ]
 
 

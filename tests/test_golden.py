@@ -1,5 +1,5 @@
 """Byte-for-byte pins of the artifacts of seven small CLI runs, and of the
-stdout of three diagnose runs.
+stdout of three diagnose runs and one density run.
 
 A reordered float operation in the counting kernel, the fast series, the
 sampling grid, the almost-periodic gap width or the serializers changes at
@@ -100,13 +100,25 @@ DIAGNOSE_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, want", DIAGNOSE_GOLDEN,
-                         ids=["inv-log", "exp-neg-sqrt-log", "product"])
-def test_diagnose_stdout_digests(tmp_path, argv, want):
+def _stdout_digest(tmp_path, argv):
+    """The sha256 of the printed text of a CLI command that writes no files."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(PRODUCT_SPEC))
     argv = [str(spec) if a == SPEC_FILE else a for a in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert main(["diagnose"] + argv) == 0
-    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == want
+        assert main(argv) == 0
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, want", DIAGNOSE_GOLDEN,
+                         ids=["inv-log", "exp-neg-sqrt-log", "product"])
+def test_diagnose_stdout_digests(tmp_path, argv, want):
+    assert _stdout_digest(tmp_path, ["diagnose"] + argv) == want
+
+
+def test_density_stdout_digest(tmp_path):
+    # the density at three alpha (one array call) and the mass, m2 and m4 quadratures
+    argv = ["density", "--spec", SPEC_FILE, "--alpha", "0", "0.5", "1.0"]
+    want = "012a1763733026c89a16ca9aa30ec54624ee752f088f711ff9822874035e89ed"
+    assert _stdout_digest(tmp_path, argv) == want

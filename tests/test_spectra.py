@@ -243,6 +243,52 @@ def test_density_mass_and_moments_nonsingular():
     assert abs(density_moment(spec, 3)) < 1e-10
 
 
+def _product_spec_64():
+    """(1 + z)(2 + z) on 64^2 nodes: the mixture benchmark's and CLI's spec."""
+    return DensitySpec(mode="product", phis=(phi_from_poly([1, 1]), phi_from_poly([2, 1])))
+
+
+@pytest.mark.parametrize("spec", [
+    _product_spec_64(),  # 4096 components: 16 alpha per block
+    DensitySpec(mode="sum", phis=(phi_from_poly([1, 1]),) * 2, quad_points=256),  # one per block
+], ids=["product-64x64", "sum-256x256"])
+def test_density_array_equals_scalar_calls(spec):
+    alpha = np.linspace(-6.0, 6.0, 301)
+    batch = density_eval(spec, alpha)
+    assert batch.shape == alpha.shape
+    scalar = [density_eval(spec, a).hex() for a in alpha.tolist()]
+    assert [v.hex() for v in batch.tolist()] == scalar
+    assert type(density_eval(spec, 0.5)) is float
+
+
+def test_density_moment_bits():
+    # pinned bits: a reordered density evaluation or moment quadrature moves them
+    spec = _product_spec_64()
+    assert [density_moment(spec, j).hex() for j in (0, 2, 4)] == [
+        "0x1.0000000000000p+0", "0x1.ffffffffffff9p-1", "0x1.4947db03aed16p+3"]
+
+
+@pytest.mark.parametrize("j, evals", [(0, 1), (1, 2), (2, 1), (3, 2), (4, 1)])
+def test_density_moment_is_one_array_rule(monkeypatch, j, evals):
+    spec = _product_spec_64()
+    mixture_components(spec)  # its torus rule is not the moment's
+    calls = {"density_eval": [], "_gl_nodes": 0}
+    density, rule = spectra.density_eval, spectra._gl_nodes
+
+    def counted_density(spec, alpha):
+        calls["density_eval"].append(np.shape(alpha))
+        return density(spec, alpha)
+
+    def counted_rule(*args):
+        calls["_gl_nodes"] += 1
+        return rule(*args)
+
+    monkeypatch.setattr(spectra, "density_eval", counted_density)
+    monkeypatch.setattr(spectra, "_gl_nodes", counted_rule)
+    density_moment(spec, j)
+    assert calls == {"density_eval": [(spectra._ALPHA_NODES,)] * evals, "_gl_nodes": 1}
+
+
 def test_density_singular_node_guard():
     # an odd node count puts a node exactly on the root of 1 + z at t = 1/2
     spec = DensitySpec(mode="product", phis=(phi_from_poly([1, 1]),), quad_points=65)

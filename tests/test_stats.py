@@ -218,6 +218,17 @@ def test_mixture_cdf_scalar_returns_float():
     assert mixture_cdf(spec, np.array([[0.3]])).shape == (1, 1)
 
 
+def test_huge_finite_alpha_is_the_clamped_limit():
+    # no overflow warning (the suite makes RuntimeWarning an error): past the
+    # erfc clamp the CDF is constant, and the density underflows to 0
+    spec = _two_factor_spec()
+    huge, far = stats._ndtr(np.array([1e200, -1e200])), stats._ndtr(np.array([40.0, -40.0]))
+    assert huge.tolist() == far.tolist()
+    for a in (1e200, -1e200):
+        assert mixture_cdf(spec, a).hex() == mixture_cdf(spec, math.copysign(40.0, a)).hex()
+        assert spectra.density_eval(spec, a) == 0.0
+
+
 def test_normal_cdf_array_equals_scalar_calls():
     alpha = np.random.default_rng(5).normal(size=257)
     assert np.array_equal(normal_cdf(alpha), [normal_cdf(a) for a in alpha.tolist()])
