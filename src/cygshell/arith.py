@@ -29,38 +29,28 @@ __all__ = [
 class R2Table:
     """Representation counts r2(m) = #{(a,b) in Z^2 : a^2 + b^2 = m} for m <= limit.
 
-    `values[0] == 1` (the pair (0,0)).  Besides the dense table the
-    constructor stores a compressed view over the m >= 1 with r2(m) > 0
-    (roughly a 0.2 fraction at desk scale), which the counting kernels and
-    the series iterate over; the m = 0 slice is never part of it.  The
-    counts are uint16 (the largest r2 is 192 at 1.6 * 10^7 and 256 at
-    6.4 * 10^7) and the compressed m are uint32, which caps the limit at
-    2^32 - 1.  Only the benchmark tracer and tests read the 8-byte prefix
-    sums and square roots, built on first read; two threads reading one at
-    once may both build the same array.
+    The table holds the compressed view over the m >= 1 with r2(m) > 0
+    (roughly a 0.2 fraction at desk scale) that the counting kernels and the
+    series iterate over: uint16 counts (the largest r2 is 192 at 1.6 * 10^7
+    and 256 at 6.4 * 10^7) and uint32 m, which cap the limit at 2^32 - 1.
+    Only the benchmark tracer and tests read the dense `values`, the prefix
+    sums and the square roots, built on first read; two threads reading one
+    at once may both build the same array.
     """
 
     limit: int
-    values: np.ndarray                      # uint16, len == limit + 1
-    nonzero_m: np.ndarray = field(init=False, repr=False)       # uint32
-    nonzero_values: np.ndarray = field(init=False, repr=False)  # uint16
+    nonzero_m: np.ndarray = field(repr=False)       # uint32, increasing
+    nonzero_values: np.ndarray = field(repr=False)  # uint16
 
-    def __post_init__(self):
-        # one block of `values` at a time, at most 1/64 of the table, so a
-        # block's int64 index is the only transient
-        step = min(_COMPRESS_BLOCK, self.limit // 64 + 1)
-        mnz = np.empty(int(np.count_nonzero(self.values[1:])), dtype=np.uint32)
-        vnz = np.empty(len(mnz), dtype=np.uint16)
-        at = 0
-        for lo in range(1, self.limit + 1, step):
-            idx = np.flatnonzero(self.values[lo:lo + step])
-            idx += lo
-            mnz[at:at + len(idx)], vnz[at:at + len(idx)] = idx, self.values[idx]
-            at += len(idx)
-        for arr in (self.values, mnz, vnz):
-            arr.setflags(write=False)
-        object.__setattr__(self, "nonzero_m", mnz)
-        object.__setattr__(self, "nonzero_values", vnz)
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """uint16 r2(m) for every 0 <= m <= limit, `values[0] == 1`; no reader
+        in the package, kept only for tests and the benchmark tracer."""
+        values = np.zeros(self.limit + 1, dtype=np.uint16)
+        values[0] = 1
+        values[self.nonzero_m] = self.nonzero_values
+        values.setflags(write=False)
+        return values
 
     @functools.cached_property
     def nonzero_prefix(self) -> np.ndarray:
@@ -90,17 +80,17 @@ class R2Table:
         return int(np.searchsorted(self.nonzero_m, self.nonzero_m.dtype.type(y), side="right"))
 
 
-# The largest block of `values` R2Table compresses at once.
-_COMPRESS_BLOCK = 1 << 16
+# The smallest block of m build_r2 sieves at once; a larger table takes
+# blocks of limit // 16, so no more than 16 blocks visit the same row b.
+_SIEVE_BLOCK = 1 << 20
 
 # The largest limit the uint32 nonzero_m can index.
 _MAX_LIMIT = 2 ** 32 - 1
 
-# Bytes per entry of a table: the uint16 dense value, then per nonzero entry
-# the uint32 m and uint16 r2 it keeps and the int64 prefix and float64 sqrt
-# it builds on first read, over a nonzero share of at most 0.3 (it measures
-# 0.275 at 10^4 and 0.19 at 1.6 * 10^7).
-_TABLE_BYTES_PER_ENTRY = 2 + (4 + 2 + 8 + 8) * 0.3
+# Bytes per entry of what a table builds on first read: the dense uint16
+# values, then the int64 prefix and float64 sqrt over a nonzero share of at
+# most 0.3 (it measures 0.275 at 10^4 and 0.19 at 1.6 * 10^7).
+_TABLE_BYTES_PER_ENTRY = 2 + (8 + 8) * 0.3
 
 
 def _physical_memory() -> int | None:
@@ -112,32 +102,64 @@ def _physical_memory() -> int | None:
 
 
 def build_r2(limit: int) -> R2Table:
-    """Sieve r2(m) for all 0 <= m <= limit by the double loop over a^2 + b^2,
-    0 <= a <= b, with weights 8 (0 < a < b), 4 (0 = a < b or 0 < a = b), 1 (origin).
+    """Sieve r2(m) for all 1 <= m <= limit straight into the compressed view,
+    one dense uint16 block of m at a time: rows b >= 1 of the half plane
+    0 <= a <= b add weights 8 (0 < a < b) and 4 (0 = a < b or 0 < a = b),
+    and the block's nonzero entries are appended before the next.  A block
+    meets about sqrt(hi) - sqrt(lo / 2) rows b, half as many as rows a.
 
-    O(limit) memory, O(limit) time.  Raises ValueError for a limit past
-    2^32 - 1, which the uint32 compressed m cannot index, and MemoryError
-    when the table's estimated peak size exceeds physical memory; both
-    before allocating.
+    O(limit) time.  Raises ValueError for a limit past 2^32 - 1, which the
+    uint32 compressed m cannot index, and MemoryError when the build and the
+    columns built on first read would exceed physical memory; both before
+    allocating.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > _MAX_LIMIT:
         raise ValueError(f"r2 table limit {limit} exceeds {_MAX_LIMIT}, "
                          "the largest a uint32 index holds")
-    need = (limit + 1) * _TABLE_BYTES_PER_ENTRY
+    step = min(max(_SIEVE_BLOCK, limit // 16), limit + 1)
+    size = 3 * limit // 4 + 2  # no m = 3 mod 4 is a sum of two squares
+    # uint32 m and uint16 r2 reserved, the uint16 block with its bool mask
+    # and int64 index, and the columns built on first read
+    need = 6 * size + 11 * step + (limit + 1) * _TABLE_BYTES_PER_ENTRY
     have = _physical_memory()
     if have is not None and need > have:
         raise MemoryError(f"an r2 table to {limit} needs about {need / 2 ** 20:.0f} MiB, "
                           f"more than the {have / 2 ** 20:.0f} MiB of physical memory")
-    values = np.zeros(limit + 1, dtype=np.uint16)
+    mnz, vnz = np.empty(size, dtype=np.uint32), np.empty(size, dtype=np.uint16)
     squares = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
-    for a in range(math.isqrt(limit // 2) + 1):
-        # the m = a^2 + b^2 of one row are distinct, so += adds each once
-        row = squares[a:math.isqrt(limit - a * a) + 1] + a * a
-        values[row[0]] += 4 if a else 1
-        values[row[1:]] += 8 if a else 4
-    return R2Table(limit=limit, values=values)
+    buf = np.empty(step, dtype=np.uint16)
+    at = 0
+    for lo in range(0, limit + 1, step):
+        hi = min(lo + step, limit + 1)
+        blk = buf[:hi - lo]
+        blk.fill(0)
+        # rows b >= 1 (the origin is not sieved) from about sqrt(lo / 2),
+        # each over the a <= b with lo <= a^2 + b^2 < hi
+        for b in range(max(1, math.isqrt(lo // 2)), math.isqrt(hi - 1) + 1):
+            b2 = b * b
+            a0 = math.isqrt(lo - b2 - 1) + 1 if lo > b2 else 0
+            a1 = min(b, math.isqrt(hi - 1 - b2))
+            if a0 > a1:
+                continue
+            # the m = a^2 + b^2 of one row are distinct, so += adds each once
+            row = squares[a0:a1 + 1] + (b2 - lo)
+            blk[row] += 8  # but 4 on the axis a = 0 and the diagonal a = b
+            if a0 == 0:
+                blk[row[0]] -= 4
+            if a1 == b:
+                blk[row[-1]] -= 4
+        idx = np.flatnonzero(blk != 0)  # a bool mask: flatnonzero on uint16 is 3x slower
+        n = len(idx)
+        np.take(blk, idx, out=vnz[at:at + n])
+        np.add(idx, lo, out=mnz[at:at + n], casting="unsafe")
+        at += n
+        del idx  # before the next block's mask and index, not after them
+    for arr in (mnz, vnz):  # the reservation's tail, never touched, was never resident
+        arr.resize(at, refcheck=False)
+        arr.setflags(write=False)
+    return R2Table(limit=limit, nonzero_m=mnz, nonzero_values=vnz)
 
 
 # exact_parts hands arrays with max|p| at or above this to fsum as a list, so

@@ -203,6 +203,15 @@ class DensitySpec:
         norm2 = math.sqrt(float(construction_moment(self, 2)))
         return weights, field_vals / norm2, norm2
 
+    @cached_property
+    def _moment_rule(self):
+        """density_moment's beta rule and f(beta^2) on its nodes, once per spec."""
+        _, sigmas, _ = self._components
+        beta, wb = _gl_nodes(_ALPHA_NODES, 0.0, math.sqrt(12.0 * float(sigmas.max())))
+        dens = density_eval(self, beta * beta)
+        dens.setflags(write=False)
+        return beta, wb, dens
+
 
 def construction_moment(spec: DensitySpec, j: int) -> Fraction:
     """Exact j-th moment of the construction over the torus.
@@ -396,8 +405,6 @@ def density_moment(spec: DensitySpec, j: int) -> float:
     """
     if j < 0:
         raise ValueError("moment order must be >= 0")
-    _, sigmas, _ = mixture_components(spec)
-    beta, wb = _gl_nodes(_ALPHA_NODES, 0.0, math.sqrt(12.0 * float(sigmas.max())))
-    dens = density_eval(spec, beta * beta)
+    beta, wb, dens = spec._moment_rule
     dens = dens - density_eval(spec, -beta * beta) if j % 2 else 2.0 * dens
     return float(np.dot(wb, beta ** (2 * j) * dens * 2.0 * beta))

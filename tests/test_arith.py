@@ -102,8 +102,8 @@ def test_core_and_mobius_consistency(m):
 def test_build_r2_refuses_more_than_physical_memory(monkeypatch):
     monkeypatch.setattr(arith, "_physical_memory", lambda: 50_000)
     with pytest.raises(MemoryError, match="physical memory"):
-        arith.build_r2(10_000)  # 86 KB estimated
-    assert arith.build_r2(1000).limit == 1000  # 8.6 KB estimated
+        arith.build_r2(10_000)  # 223 KB estimated
+    assert arith.build_r2(1000).limit == 1000  # 22 KB estimated
     monkeypatch.setattr(arith, "_physical_memory", lambda: None)
     assert arith.build_r2(10_000).limit == 10_000
 
@@ -163,24 +163,30 @@ def test_nonzero_count_upto_does_not_allocate():
 
 
 @pytest.mark.parametrize("limit", [10_000, 200_000, 10 ** 6])
-def test_memory_estimate_covers_the_build(limit):
+def test_memory_estimate_covers_the_build(limit, monkeypatch):
     tracemalloc.start()
     try:
         table = arith.build_r2(limit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    eager = table.values.nbytes + table.nonzero_m.nbytes + table.nonzero_values.nbytes
-    on_demand = table.nonzero_prefix.nbytes + table.nonzero_sqrt.nbytes
+    eager = table.nonzero_m.nbytes + table.nonzero_values.nbytes
+    on_demand = table.values.nbytes + table.nonzero_prefix.nbytes + table.nonzero_sqrt.nbytes
     assert eager <= peak
-    assert peak + on_demand <= (limit + 1) * arith._TABLE_BYTES_PER_ENTRY
+    # the estimate is at least peak + on_demand: one byte less memory refuses the table
+    monkeypatch.setattr(arith, "_physical_memory", lambda: peak + on_demand - 1)
+    with pytest.raises(MemoryError, match="physical memory"):
+        arith.build_r2(limit)
 
 
-@pytest.mark.parametrize("block", [7, None], ids=["block7", "default"])
+# Block 25 puts the edge of the table to 25 on m = 25 = 3^2 + 4^2; a table of
+# more than 16 blocks takes blocks of limit // 16 instead (625 = 7^2 + 24^2
+# at 10 000).
+@pytest.mark.parametrize("block", [7, 25, None], ids=["block7", "block25", "default"])
 @pytest.mark.parametrize("limit", [0, 1, 2, 25, 10_000, 200_000])
 def test_build_r2_matches_full_plane_oracle(limit, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(arith, "_COMPRESS_BLOCK", block)
+        monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
     table = arith.build_r2(limit)
     got = (table.values, table.nonzero_m, table.nonzero_values)
     for g, want in zip(got, r2_full_plane(limit)):
@@ -190,20 +196,26 @@ def test_build_r2_matches_full_plane_oracle(limit, block, monkeypatch):
 
 def test_prefix_and_sqrt_are_built_on_first_read():
     table = arith.build_r2(10_000)
-    lazy = {"nonzero_prefix", "nonzero_sqrt"}
+    lazy = {"values", "nonzero_prefix", "nonzero_sqrt"}
     assert counting.count_ball_fast(counting.RadiusPoint(99, 1), table) > 0
     assert counting.sawtooth_ball_sum(counting.RadiusPoint(99, 1), table)[0] > 0
     voronoi.series_with_gap(40.0, 0.3, table, 2000)
     assert not lazy & table.__dict__.keys()
     prefix = table.nonzero_prefix
-    assert "nonzero_prefix" in table.__dict__ and "nonzero_sqrt" not in table.__dict__
+    assert table.__dict__.keys() & lazy == {"nonzero_prefix"}
     sqrt = table.nonzero_sqrt
+    assert table.__dict__.keys() & lazy == {"nonzero_prefix", "nonzero_sqrt"}
+    values = table.values
     assert lazy <= table.__dict__.keys()
     assert prefix[0] == 0
     assert np.array_equal(prefix[1:], np.cumsum(table.nonzero_values, dtype=np.int64))
     assert np.array_equal(sqrt, np.sqrt(table.nonzero_m, dtype=np.float64))
+    assert values.dtype == np.uint16 and len(values) == 10_001 and values[0] == 1
+    assert np.array_equal(np.flatnonzero(values[1:]) + 1, table.nonzero_m)
+    assert np.array_equal(values[table.nonzero_m], table.nonzero_values)
+    assert table.values is values
     assert table.nonzero_prefix is prefix and table.nonzero_sqrt is sqrt
-    assert not (prefix.flags.writeable or sqrt.flags.writeable)
+    assert not (values.flags.writeable or prefix.flags.writeable or sqrt.flags.writeable)
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.nonzero_sqrt = sqrt
 

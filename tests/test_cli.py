@@ -45,10 +45,13 @@ def test_count_malformed_radius_exits_2(capsys, text):
     assert err.startswith("error:") and "--x" in err and repr(text) in err
 
 
-def test_selftest_passes(capsys):
+def test_selftest_passes(capsys, monkeypatch):
+    tables, build_r2 = [], arith.build_r2
+    monkeypatch.setattr(arith, "build_r2", lambda limit: tables.append(build_r2(limit)) or tables[-1])
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+    assert tables and not any("values" in table.__dict__ for table in tables)
 
 
 def test_selftest_fails_under_optimize_with_a_faulty_kernel():
@@ -212,7 +215,7 @@ def test_commands_leave_the_on_demand_columns_unbuilt(tmp_path, monkeypatch, arg
     assert main(argv + ["--omega", "inv_log", "--X", "30", "--samples", "20",
                         "--out", str(tmp_path)]) == 0
     assert len(tables) == 1
-    assert not {"nonzero_prefix", "nonzero_sqrt"} & tables[0].__dict__.keys()
+    assert not {"values", "nonzero_prefix", "nonzero_sqrt"} & tables[0].__dict__.keys()
 
 
 def test_sample_command_deterministic(tmp_path):
@@ -328,7 +331,7 @@ def test_nonfinite_X_exits_2(tmp_path, capsys, command, X):
     ["sample", "--mode", "exact", "--X", "500", "--samples", "20"],
 ], ids=["count", "sample-exact"])
 def test_table_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys, argv):
-    # both tables hold about 10^6 entries (2 MB of uint16 values alone)
+    # both tables hold about 10^6 entries (4.5 MB of compressed reservation alone)
     monkeypatch.setattr(arith, "_physical_memory", lambda: 1 << 20)
     if argv[0] == "sample":
         argv = argv + ["--out", str(tmp_path)]

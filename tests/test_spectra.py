@@ -287,6 +287,9 @@ def test_density_moment_is_one_array_rule(monkeypatch, j, evals):
     monkeypatch.setattr(spectra, "_gl_nodes", counted_rule)
     density_moment(spec, j)
     assert calls == {"density_eval": [(spectra._ALPHA_NODES,)] * evals, "_gl_nodes": 1}
+    for k in (0, 2, 4, 6):  # the rule and f(beta^2) are cached on the spec
+        density_moment(spec, k)
+    assert calls == {"density_eval": [(spectra._ALPHA_NODES,)] * evals, "_gl_nodes": 1}
 
 
 def test_density_singular_node_guard():
