@@ -86,8 +86,6 @@ def _parse_radius(text: str) -> counting.RadiusPoint:
         return counting.RadiusPoint(k=k, Q=Q)
     if not math.isfinite(value):
         raise ValueError(f"--x must be finite, not {text!r}")
-    if value == int(value):
-        return counting.RadiusPoint(k=int(value), Q=1)
     return counting.RadiusPoint.from_value(value, 64)
 
 
@@ -132,16 +130,16 @@ def _experiment(cfg: ExperimentConfig):
 
 def cmd_count(args) -> int:
     x = _parse_radius(args.x)
-    results = {}
-    if args.both or args.method == "brute":  # first: its radius cap fails before any table
+    results, both = {}, args.method == "both"
+    if both or args.method == "brute":  # first: its radius cap fails before any table
         results["brute"] = counting.count_ball_brute(x)
-    if args.both or args.method == "fast":
+    if both or args.method == "fast":
         counting.check_float_exactness(x)
         results["fast"] = counting.count_ball_fast(x, arith.build_r2(x.floor_sq + 1))
-    if args.both and results["fast"] != results["brute"]:
+    if both and results["fast"] != results["brute"]:
         print(f"DISAGREEMENT: fast={results['fast']} brute={results['brute']}")
         return EXIT_TEST_FAILURE
-    print(f"{results[args.method]} (methods agree)" if args.both else results[args.method])
+    print(f"{results['fast']} (methods agree)" if both else results[args.method])
     return EXIT_OK
 
 
@@ -164,8 +162,9 @@ def cmd_sample(args) -> int:
 def cmd_moments(args) -> int:
     cfg = _config_from_args(args)
     omega, grid, r2 = _experiment(cfg)
-    values = stats.sample_errors(omega, grid, r2, mode=cfg.mode, threads=cfg.threads)
-    dist = stats.EmpiricalDistribution.from_samples(values, j_max=cfg.j_max)
+    rows = stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads)
+    dist = stats.EmpiricalDistribution.from_samples([s.normalized for s in rows],
+                                                    j_max=cfg.j_max)
     m2 = stats.m_j(omega, cfg.X, cfg.samples, 2)
     summary = {
         "X": cfg.X,
@@ -337,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="lattice points in a ball of radius k/Q")
-    p.add_argument("--x", required=True, help="radius, e.g. 3/2 or 1.5")
-    p.add_argument("--method", choices=("fast", "brute"), default="fast")
-    p.add_argument("--both", action="store_true", help="run both methods and compare")
+    p.add_argument("--x", required=True, help="radius k/Q, e.g. 3/2, or a decimal snapped to 1/64")
+    p.add_argument("--method", choices=("fast", "brute", "both"), default="fast")
     p.set_defaults(fn=cmd_count)
 
     def sampling_flags(p):

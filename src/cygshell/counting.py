@@ -105,18 +105,14 @@ def count_ball_brute(x: RadiusPoint) -> int:
     Q2 = Q * Q
     Q4 = Q2 * Q2
     total = 0
-    amax = math.isqrt(k2) // Q
+    amax = math.isqrt(k2) // Q  # the bounds keep a^2 Q^2 <= k^2 and m Q^2 <= k^2: rem, v >= 0
     for a in range(amax + 1):
         rem = k2 - a * a * Q2
-        if rem < 0:
-            break
         wa = 2 if a > 0 else 1
         bmax = math.isqrt(rem) // Q
         for b in range(bmax + 1):
             m = a * a + b * b
             v = k4 - m * m * Q4
-            if v < 0:
-                continue
             c_count = 2 * (math.isqrt(v) // Q2) + 1
             total += wa * (2 if b > 0 else 1) * c_count
     return total

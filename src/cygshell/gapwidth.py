@@ -130,7 +130,8 @@ def make_almost_periodic(spec: AlmostPeriodicGap) -> GapWidth:
     follows from it by the chain and product rules in L.
     """
     phis = spec.to_phis()
-    # the grid minimum of |p|^2 stands in for "no roots on the unit circle"
+    # not a no-roots test: this rejects |p|^2 <= _ROOT_FLOOR at a 4096-cell midpoint,
+    # i.e. a multiple root, or a simple root within about 5e-6 of a midpoint in t
     if min(phi.grid_min for phi in phis) <= _ROOT_FLOOR:
         raise ValueError("a factor polynomial is (numerically) zero on the unit circle")
     A = spec.exponent

@@ -400,11 +400,12 @@ def density_moment(spec: DensitySpec, j: int) -> float:
     One Gauss-Legendre rule in beta over [0, sqrt A], A = 12 max sigma, with
     alpha = beta^2, which absorbs the |alpha|^(-1/2)-type peak a unit-circle
     root of p would create.  Even j (and the mass j = 0) integrate
-    2 f(beta^2); odd j integrate f(beta^2) - f(-beta^2) with both sides
-    computed (f is even bit for bit, so that cancels to exactly 0).
+    2 f(beta^2).  Odd j are exactly 0, since f is a mixture of centred
+    normals; the rule is still built, so a singular or oversized spec raises.
     """
     if j < 0:
         raise ValueError("moment order must be >= 0")
     beta, wb, dens = spec._moment_rule
-    dens = dens - density_eval(spec, -beta * beta) if j % 2 else 2.0 * dens
-    return float(np.dot(wb, beta ** (2 * j) * dens * 2.0 * beta))
+    if j % 2:
+        return 0.0
+    return float(np.dot(wb, beta ** (2 * j) * (2.0 * dens) * 2.0 * beta))

@@ -20,7 +20,7 @@ from cygshell.counting import RadiusPoint
 from oracles import diagonal_sum_direct_j2, grouped_pair_sum_j2
 
 CRITERION_TIMEOUTS = {
-    1: 30, 2: 120, 3: 600, 4: 600, 5: 10, 6: 10, 7: 1, 8: 120, 9: 30, 10: 30,
+    1: 30, 2: 120, 3: 600, 4: 600, 5: 10, 6: 10, 7: 1, 8: 120, 9: 30, 10: 30, 11: 10,
 }
 
 
@@ -312,3 +312,32 @@ def test_criterion_10_zero_relation_exactness():
                    f"count; {checked_zero} exact-positive, {checked_band} "
                    f"band (high-precision) and {checked_nonzero} sampled "
                    f"negative checks", time.process_time() - t0)
+
+
+def test_criterion_11_finite_x_moments_from_diagonal_sums(r2_big, inv_log):
+    """The sampled variance ratio sigma^2/(32 M2) and fourth moment m4 at
+    X = 500 (criterion 3's exact grid) against the truncated diagonal sums
+    at Y = 6400: d2/(32 M2) and d4/d2^2.  The standard errors come from the
+    sample's own moments, treating the S errors as independent: sigma^2 has
+    relative error sqrt((m4 - 1)/S) and m4 error sqrt((m8 - m4^2)/S).  The
+    ratio's band must exclude 1, so it tells the finite-X law from the
+    limiting one."""
+    t0 = time.process_time()
+    X, S, Y = 500.0, 1000, 6400
+    m2 = stats.m_j(inv_log, X, S, 2)
+    d2 = voronoi.diagonal_sum(inv_log, X, 2, Y, r2_big, samples=S)
+    d4 = voronoi.diagonal_sum(inv_log, X, 4, Y, r2_big, samples=S)
+    pred_ratio, pred_m4 = d2 / (32.0 * m2), d4 / (d2 * d2)
+    rows = stats.sample_shells(inv_log, stats.SampleGrid(X=X, S=S, Q=64), r2_big, "exact", 2)
+    dist = stats.EmpiricalDistribution.from_samples([s.normalized for s in rows])
+    m4, m8 = dist.moments[4], dist.moments[8]
+    ratio = dist.sigma ** 2 / (32.0 * m2)
+    se_ratio = ratio * math.sqrt((m4 - 1.0) / S)
+    se_m4 = math.sqrt((m8 - m4 * m4) / S)
+    ok = (abs(ratio - pred_ratio) <= 3.0 * se_ratio and abs(m4 - pred_m4) <= 3.0 * se_m4
+          and abs(ratio - 1.0) > 3.0 * se_ratio)
+    assert _report(11, "finite-X variance ratio and m4 from diagonal sums", ok,
+                   f"X=500: predicted d2/(32 M2) {pred_ratio:.3f} vs sampled "
+                   f"sigma^2/(32 M2) {ratio:.3f} +- {se_ratio:.3f}; predicted d4/d2^2 "
+                   f"{pred_m4:.3f} vs sampled m4 {m4:.3f} +- {se_m4:.3f}",
+                   time.process_time() - t0)

@@ -21,9 +21,25 @@ def test_count_fast(capsys):
 
 
 def test_count_both_agree(capsys):
-    assert main(["count", "--x", "2/1", "--both"]) == 0
-    out = capsys.readouterr().out
-    assert "69" in out and "agree" in out
+    assert main(["count", "--x", "2/1", "--method", "both"]) == 0
+    assert capsys.readouterr().out == "69 (methods agree)\n"
+
+
+@pytest.mark.parametrize("texts", [("3", "3.0", "3/1", "192/64"), ("2.5", "5/2")])
+@pytest.mark.parametrize("method", ["fast", "brute", "both"])
+def test_count_radius_spellings_print_one_line(capsys, texts, method):
+    # a decimal --x snaps to the nearest 1/64, which names the same radius as the ratio
+    lines = set()
+    for text in texts:
+        assert main(["count", "--x", text, "--method", method]) == 0
+        lines.add(capsys.readouterr().out)
+    assert len(lines) == 1
+
+
+def test_count_both_reports_a_disagreement(monkeypatch, capsys):
+    monkeypatch.setattr(cli.counting, "count_ball_fast", lambda x, r2: 70)
+    assert main(["count", "--x", "2/1", "--method", "both"]) == cli.EXIT_TEST_FAILURE
+    assert capsys.readouterr().out == "DISAGREEMENT: fast=70 brute=69\n"
 
 
 def test_count_bad_radius_exits_2(capsys):
@@ -366,7 +382,7 @@ def test_density_grid_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys
 def test_count_both_checks_the_brute_cap_before_the_table(monkeypatch, capsys):
     built, build_r2 = [], arith.build_r2
     monkeypatch.setattr(arith, "build_r2", lambda limit: built.append(limit) or build_r2(limit))
-    assert main(["count", "--x", "61/1", "--both"]) == cli.EXIT_USAGE
+    assert main(["count", "--x", "61/1", "--method", "both"]) == cli.EXIT_USAGE
     assert "capped" in capsys.readouterr().err
     assert built == []
 

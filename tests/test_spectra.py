@@ -268,7 +268,8 @@ def test_density_moment_bits():
         "0x1.0000000000000p+0", "0x1.ffffffffffff9p-1", "0x1.4947db03aed16p+3"]
 
 
-@pytest.mark.parametrize("j, evals", [(0, 1), (1, 2), (2, 1), (3, 2), (4, 1)])
+# evals: density_eval calls for the first moment asked; odd j cost the same as even j
+@pytest.mark.parametrize("j, evals", [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)])
 def test_density_moment_is_one_array_rule(monkeypatch, j, evals):
     spec = _product_spec_64()
     mixture_components(spec)  # its torus rule is not the moment's
@@ -287,9 +288,21 @@ def test_density_moment_is_one_array_rule(monkeypatch, j, evals):
     monkeypatch.setattr(spectra, "_gl_nodes", counted_rule)
     density_moment(spec, j)
     assert calls == {"density_eval": [(spectra._ALPHA_NODES,)] * evals, "_gl_nodes": 1}
-    for k in (0, 2, 4, 6):  # the rule and f(beta^2) are cached on the spec
+    for k in range(7):  # the rule and f(beta^2) are cached on the spec
         density_moment(spec, k)
     assert calls == {"density_eval": [(spectra._ALPHA_NODES,)] * evals, "_gl_nodes": 1}
+
+
+def test_odd_density_moments_are_zero_and_still_check_the_spec(monkeypatch):
+    spec = _product_spec_64()
+    assert [density_moment(spec, j).hex() for j in (1, 3, 5, 7)] == ["0x0.0p+0"] * 4
+    # an odd node count puts a node exactly on the root of 1 + z at t = 1/2
+    singular = DensitySpec(mode="product", phis=(phi_from_poly([1, 1]),), quad_points=65)
+    with pytest.raises(ValueError, match="singular"):
+        density_moment(singular, 1)
+    monkeypatch.setattr(spectra.arith, "_physical_memory", lambda: 1 << 10)
+    with pytest.raises(MemoryError):  # a 64^2 grid needs 128 KiB
+        density_moment(_product_spec_64(), 1)
 
 
 def test_density_singular_node_guard():
