@@ -128,6 +128,22 @@ def _experiment(cfg: ExperimentConfig):
     return omega, grid, arith.build_r2(stats.r2_limit(cfg.X, cfg.mode))
 
 
+def _distribution(cfg: ExperimentConfig, omega, grid, rows, m2: float | None = None):
+    """The empirical distribution of the rows' normalized errors.  ValueError
+    (exit 2, before any artifact is written) when the sample has no spread,
+    as when every row realises a zero gap (a gap width below half the snap
+    step 1/(64 Q) snaps to 0), or when the given m_2 underflows to 0."""
+    values = [s.normalized for s in rows]
+    sigma2 = stats.variance_sigma2(values)
+    if sigma2 > 0.0 and (m2 is None or m2 > 0.0):
+        return stats.EmpiricalDistribution.from_samples(values, j_max=cfg.j_max)
+    what = f"sigma^2 = {sigma2:g}" + ("" if m2 is None else f", m2 = {m2:g}")
+    top = float(np.max(omega.value(grid.xs)))
+    raise ValueError(f"the sample has no spread ({what}): the largest gap width on the "
+                     f"grid is {top:.3g}, and in exact mode a gap below half the snap "
+                     f"step 1/{grid.Q << counting.OUTER_REFINE_SHIFT} realises an empty shell")
+
+
 def cmd_count(args) -> int:
     x = _parse_radius(args.x)
     results, both = {}, args.method == "both"
@@ -147,8 +163,7 @@ def cmd_sample(args) -> int:
     cfg = _config_from_args(args)
     omega, grid, r2 = _experiment(cfg)
     rows = stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads)
-    dist = stats.EmpiricalDistribution.from_samples([s.normalized for s in rows],
-                                                    j_max=cfg.j_max)
+    dist = _distribution(cfg, omega, grid, rows)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     stats.write_samples_csv(out / "samples.csv", rows)
@@ -163,9 +178,8 @@ def cmd_moments(args) -> int:
     cfg = _config_from_args(args)
     omega, grid, r2 = _experiment(cfg)
     rows = stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads)
-    dist = stats.EmpiricalDistribution.from_samples([s.normalized for s in rows],
-                                                    j_max=cfg.j_max)
     m2 = stats.m_j(omega, cfg.X, cfg.samples, 2)
+    dist = _distribution(cfg, omega, grid, rows, m2)
     summary = {
         "X": cfg.X,
         "S": cfg.samples,

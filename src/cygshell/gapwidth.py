@@ -211,11 +211,17 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
     if scan_points < 1000:
         raise ValueError("scan_points must be >= 1000")
     xs, w = _scan(omega, X, scan_points)
+    wlw = w * np.log(w)
+    moments = {j: float(np.mean(wlw ** j)) for j in range(2, 41, 2)}
+    m2 = moments[2]
+    if not (moments[40] > 0.0 and m2 ** 20 > 0.0):  # then every m_j and m2^(j/2) is > 0
+        raise ValueError(f"the moments m_j = mean((omega log omega)^j) over (X, 2X) underflow "
+                         f"(m2 = {m2:g}; the ratios m_j / m2^(j/2) up to j = 40 need m40 and "
+                         f"m2^20 above 0); the largest gap width on the scan is "
+                         f"{float(w.max()):.3g}")
     u_count = _sign_changes(np.asarray(omega.d1(xs)))
     v_count = _sign_changes(np.asarray(omega.d2(xs)))
-    wlw = w * np.log(w)
-    m2 = float(np.mean(wlw ** 2))
-    ratios = {j: float(np.mean(wlw ** j)) / m2 ** (j / 2) for j in range(2, 41, 2)}
+    ratios = {j: m / m2 ** (j / 2) for j, m in moments.items()}
     logm2 = [math.log(m2)]
     for mult in (2, 4, 8):
         wm = _scan(omega, mult * X, scan_points)[1]

@@ -161,8 +161,10 @@ def phi_moment(phi: TrigPolyModulus, j: int) -> Fraction:
 
 
 # Bytes per tensor quadrature node: float64 construction values, weights,
-# sigmas and one row of the mixture evaluator's block buffer.
-_GRID_BYTES_PER_NODE = 4 * 8
+# sigmas and one row of the mixture evaluator's block buffer (a block is a
+# whole row once nodes > _MIXTURE_BLOCK), then the normal CDF's scratch for
+# that row: four float64 and two bool buffers and np.compress's int64 index.
+_GRID_BYTES_PER_NODE = 4 * 8 + 5 * 8 + 2
 
 
 @dataclass(frozen=True)

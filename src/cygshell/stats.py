@@ -224,14 +224,14 @@ _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.549377788878198
 _ERFC_CLAMP = 8.0  # erfc(8)/2 < 6e-30: below that tail the CDF is 0 to within it
 
 
-def _horner(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
+def _poly_into(out: np.ndarray, x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
     """The polynomial with the given coefficients (highest power first, with
-    an implied leading 1 when monic) at x, in one buffer."""
+    an implied leading 1 when monic) at x, written into out."""
     if monic:
-        out = x + coeffs[0]
+        np.add(x, coeffs[0], out=out)
         rest = coeffs[1:]
     else:
-        out = x * coeffs[0]
+        np.multiply(x, coeffs[0], out=out)
         out += coeffs[1]
         rest = coeffs[2:]
     for c in rest:
@@ -240,35 +240,71 @@ def _horner(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
     return out
 
 
+class _NormalCdf:
+    """Standard normal CDF after Cephes' ndtr, in place over each array it is
+    called on: 1/2 + erf(x)/2 for |x| < 1 and erfc(|x|)/2 or 1 - erfc(|x|)/2
+    beyond, x = a/sqrt 2.  It is within 4.5e-16 absolute of
+    0.5 (1 + math.erf(x)).
+
+    The erf rational runs over the whole array.  The erfc rational and its
+    exp run only on the entries with not |x| < 1, gathered into the scratch
+    and placed back.  The scratch is made on the first call and reused by
+    every later call on an array no larger (the blocks of one _mixture_sum
+    call), since fresh 512 KB arrays fault in new pages; np.compress also
+    takes an int64 index of the gathered entries."""
+
+    def __init__(self):
+        self._scratch = None
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        n = a.size
+        if self._scratch is None or self._scratch[0].size < n:
+            self._scratch = (np.empty(n), np.empty(n), np.empty(n), np.empty(n),
+                             np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+        z, tz, num, den, centre, tail = (s[:n] for s in self._scratch)
+        x = a.reshape(-1)                             # a view of a contiguous a: in place
+        x *= math.sqrt(0.5)
+        np.abs(x, out=z)
+        np.minimum(z, _ERFC_CLAMP, out=z)
+        np.less(z, 1.0, out=centre)
+        np.logical_not(centre, out=tail)
+        k = int(np.count_nonzero(tail))
+        tz, tx = tz[:k], num[:k]
+        np.compress(tail, z, out=tz)
+        np.compress(tail, x, out=tx)
+        neg = np.less(tx, 0.0, out=centre[:k])        # the tail's signs; centre is spent
+        z *= z                                        # x^2 where |x| < 1; clamped, so finite
+        _poly_into(num, z, _ERF_T)
+        num /= _poly_into(den, z, _ERF_U, monic=True)
+        np.multiply(num, x, out=x)
+        x *= 0.5
+        x += 0.5                                      # (1 + erf(x))/2
+        t, e = num[:k], den[:k]
+        _poly_into(t, tz, _ERFC_P)
+        t /= _poly_into(e, tz, _ERFC_Q, monic=True)
+        np.multiply(tz, tz, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        t *= e
+        t *= 0.5                                      # erfc(|x|)/2 = Phi(-|a|)
+        np.subtract(1.0, t, out=e)
+        np.copyto(e, t, where=neg)
+        np.place(x, tail, e)
+        return x.reshape(a.shape)
+
+
 def _ndtr(a: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of an array, after Cephes' ndtr: 1/2 + erf(x)/2 for
-    |x| < 1 and erfc(|x|)/2 or 1 - erfc(|x|)/2 beyond, x = a/sqrt 2.  It is
-    within 4.5e-16 absolute of 0.5 (1 + math.erf(x))."""
-    x = a * math.sqrt(0.5)
-    z = np.abs(x)
-    np.minimum(z, _ERFC_CLAMP, out=z)
-    tail = _horner(z, _ERFC_P)
-    tail /= _horner(z, _ERFC_Q, monic=True)
-    sq = z * z
-    np.negative(sq, out=sq)
-    np.exp(sq, out=sq)
-    tail *= sq
-    tail *= 0.5                                   # erfc(|x|)/2 = Phi(-|a|)
-    np.multiply(z, z, out=sq)                     # x^2 where |x| < 1; no overflow past the clamp
-    centre = _horner(sq, _ERF_T)
-    centre /= _horner(sq, _ERF_U, monic=True)
-    centre *= x
-    centre *= 0.5
-    centre += 0.5                                 # (1 + erf(x))/2
-    out = np.where(x < 0.0, tail, 1.0 - tail)
-    return np.where(z < 1.0, centre, out)
+    """Standard normal CDF of an array (_NormalCdf), as a new array; a is not
+    written."""
+    return _NormalCdf()(np.array(a, dtype=np.float64))
 
 
 def mixture_cdf(spec: DensitySpec, alpha):
     """CDF of the limiting Gaussian mixture, quadrature-weighted normal CDFs:
-    a float for a scalar alpha, elementwise for an array."""
+    a float for a scalar alpha, elementwise for an array.  One _NormalCdf,
+    with its scratch, serves every block of the call."""
     weights, sigmas, _ = mixture_components(spec)
-    return _mixture_sum(weights, sigmas, alpha, _ndtr)
+    return _mixture_sum(weights, sigmas, alpha, _NormalCdf())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The full-plane r2 sieve with a full-size compression index (cross-checks
 arith.build_r2's half-plane sieve and block-wise compression), the
 partial sums of r2 over the compressed view, a
 pure-integer ball count (cross-checks counting.count_ball_fast above the
-brute-force cap), the j = 2 diagonal sum in its plain-sum form and in the
+brute-force cap, on sieved tables and on tables of chosen slices up to the
+float exactness bound), the j = 2 diagonal sum in its plain-sum form and in the
 literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
 the j = 4 diagonal sum with each core's constant term taken from np.convolve
 (cross-checks the circle mean in voronoi.diagonal_sum),
@@ -17,7 +18,9 @@ construction moment by the multinomial expansion over per-factor moments
 from its own unchunked float sqrt, psi and fixup band (cross-checks the
 chunk loop of counting._ball_pass, chunk offsets included), and the main
 series, both summed by math.fsum over a Python list of every product or
-term (cross-check the exact partial sums of arith.exact_parts bit for bit).
+term (cross-check the exact partial sums of arith.exact_parts bit for bit),
+and the normal CDF that evaluates both Cephes rationals over every element
+and picks one with np.where (pins stats._ndtr's gathered tail bit for bit).
 """
 
 import itertools
@@ -30,6 +33,7 @@ from cygshell.arith import R2Table
 from cygshell.counting import _BAND, RadiusPoint, _psi_exact
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.spectra import DensitySpec, _cmul, phi_moment
+from cygshell.stats import _ERF_T, _ERF_U, _ERFC_CLAMP, _ERFC_P, _ERFC_Q
 from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
 
 
@@ -57,27 +61,34 @@ def r2_sum_upto(r2: R2Table, y: int) -> int:
 
 def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:
     """N(x) = sum_{m <= x^2} r2(m) (2 isqrt(k^4 - m^2 Q^4) // Q^2 + 1), in
-    integers only: every slice of the dense table, m = 0 included."""
+    integers only: the m = 0 slice, then every compressed slice m <= x^2,
+    picked by a mask (the kernel's own count of them is not used).  It reads
+    only the table's arrays, so a test can build a table of chosen slices."""
     if x.floor_sq > r2.limit:
         raise ValueError(f"r2 table limit {r2.limit} < floor(x^2) = {x.floor_sq}")
     k4, Q2 = x.k ** 4, x.Q * x.Q
     Q4 = Q2 * Q2
-    ms = np.flatnonzero(r2.values[:x.floor_sq + 1])
-    return sum(r * (2 * (math.isqrt(k4 - m * m * Q4) // Q2) + 1)
-               for m, r in zip(ms.tolist(), r2.values[ms].tolist()))
+    keep = r2.nonzero_m <= x.floor_sq
+    slices = zip([0] + r2.nonzero_m[keep].tolist(), [1] + r2.nonzero_values[keep].tolist())
+    return sum(r * (2 * (math.isqrt(k4 - m * m * Q4) // Q2) + 1) for m, r in slices)
+
+
+def float_s(x: RadiusPoint, m: np.ndarray) -> np.ndarray:
+    """s = sqrt((k^2 - mQ^2)(k^2 + mQ^2)) / Q^2 at the slices m, in the count
+    kernel's float64 operations."""
+    fk2, mq2 = float(x.k * x.k), m * float(x.Q * x.Q)
+    return np.sqrt((fk2 - mq2) * (mq2 + fk2)) * (1.0 / (x.Q * x.Q))
 
 
 def sawtooth_ball_sum_fsum(x: RadiusPoint, r2: R2Table) -> float:
     """The sawtooth sum of counting.sawtooth_ball_sum over every slice as one
-    unchunked array: s = sqrt((k^2 - mQ^2)(k^2 + mQ^2)) / Q^2 in the kernel's
-    float64 operations, psi = s - [s] - 1/2 and the band of s within _BAND
-    of an integer, then one fsum over the list of every product r2(m) psi,
-    then the band corrections in slice order."""
+    unchunked array: s from float_s, psi = s - [s] - 1/2 and the band of s
+    within _BAND of an integer, then one fsum over the list of every product
+    r2(m) psi, then the band corrections in slice order."""
     k4, Q2 = x.k ** 4, x.Q * x.Q
     n = r2.nonzero_count_upto(x.floor_sq)
     m, v = r2.nonzero_m[:n], r2.nonzero_values[:n]
-    fk2, mq2 = float(x.k * x.k), m * float(Q2)
-    s = np.sqrt((fk2 - mq2) * (mq2 + fk2)) * (1.0 / Q2)
+    s = float_s(x, m)
     psi = s - np.floor(s) - 0.5
     band = np.flatnonzero(np.abs(np.rint(s) - s) < _BAND).tolist()
     corrections = [float(v[i]) * (_psi_exact(k4 - int(m[i]) ** 2 * Q2 * Q2, Q2) - psi[i])
@@ -280,3 +291,45 @@ def construction_moment_multinomial(spec: DensitySpec, j: int) -> Fraction:
             term = term / math.factorial(jl) * phi_moms[jl]
         total += term
     return total
+
+
+def _horner(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
+    """The polynomial with the given coefficients (highest power first, with
+    an implied leading 1 when monic) at x, in one buffer."""
+    if monic:
+        out = x + coeffs[0]
+        rest = coeffs[1:]
+    else:
+        out = x * coeffs[0]
+        out += coeffs[1]
+        rest = coeffs[2:]
+    for c in rest:
+        out *= x
+        out += c
+    return out
+
+
+def ndtr_two_branch(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of stats._ndtr with both branches over every
+    element: the erfc rational on min(|x|, 8) and the erf rational on its
+    square, x = a/sqrt 2, then np.where picks the erf side where |x| < 1.
+    Each element sees the same float64 operations in the same order as in
+    stats._ndtr, which evaluates the erfc side only where it is picked."""
+    x = a * math.sqrt(0.5)
+    z = np.abs(x)
+    np.minimum(z, _ERFC_CLAMP, out=z)
+    tail = _horner(z, _ERFC_P)
+    tail /= _horner(z, _ERFC_Q, monic=True)
+    sq = z * z
+    np.negative(sq, out=sq)
+    np.exp(sq, out=sq)
+    tail *= sq
+    tail *= 0.5
+    np.multiply(z, z, out=sq)
+    centre = _horner(sq, _ERF_T)
+    centre /= _horner(sq, _ERF_U, monic=True)
+    centre *= x
+    centre *= 0.5
+    centre += 0.5
+    out = np.where(x < 0.0, tail, 1.0 - tail)
+    return np.where(z < 1.0, centre, out)

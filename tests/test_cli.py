@@ -363,7 +363,7 @@ def test_table_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys, argv)
 
 
 def test_density_grid_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys):
-    # two factors at 300 quadrature points: a 90 000-node tensor grid, about 2.7 MiB
+    # two factors at 300 quadrature points: a 90 000-node tensor grid, about 6.4 MiB
     monkeypatch.setattr(arith, "_physical_memory", lambda: 1 << 20)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"kind": "product", "polys": [[[2, 0], [1, 0]]] * 2,
@@ -396,6 +396,45 @@ def test_diagnose_command(capsys):
     assert obj["m2"] > 0
     assert len(obj["carleman_partial"]) == 20
 
+
+def _vanishing_gap_spec(tmp_path, A):
+    """The gap width |1 + z|^2 / L^A with the root of 1 + z on the circle."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "product", "polys": [[[1, 0], [1, 0]]],
+                                "lambdas": [1.0], "A": A}))
+    return str(path)
+
+
+def test_sample_with_every_gap_snapped_to_zero_exits_2(tmp_path, capsys):
+    # omega <= 4 L^-6 < 2e-5 on (2000, 4000), below half the snap step 1/4096:
+    # every shell is empty and the sample has sigma = 0
+    out = tmp_path / "out"
+    assert main(["sample", "--mode", "exact", "--omega-spec", _vanishing_gap_spec(tmp_path, 6),
+                 "--X", "2000", "--samples", "40", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "no spread (sigma^2 = 0)" in err
+    assert "largest gap width on the grid is 1.71e-05" in err and "snap step 1/4096" in err
+    assert not out.exists()
+
+
+def test_moments_with_an_underflowing_m2_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["moments", "--omega-spec", _vanishing_gap_spec(tmp_path, 400),
+                 "--X", "50", "--out", str(out)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(sigma^2 = 0, m2 = 0)" in captured.err and "snap step 1/4096" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("A, m2", [(20, "9.57041e-22"), (400, "0")])
+def test_diagnose_with_underflowing_moments_exits_2(tmp_path, capsys, A, m2):
+    # at A = 20, m2 > 0 but m2^20, the denominator of the j = 40 ratio, is 0
+    assert main(["diagnose", "--omega-spec", _vanishing_gap_spec(tmp_path, A),
+                 "--X", "50"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"underflow (m2 = {m2};" in captured.err
 
 def test_missing_spec_file_exits_2(capsys):
     assert main(["density", "--spec", "/nonexistent.json"]) == cli.EXIT_USAGE

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from cygshell import arith, counting, gapwidth
 from cygshell.counting import RadiusPoint
-from oracles import count_ball_isqrt, r2_sum_upto, sawtooth_ball_sum_fsum
+from oracles import count_ball_isqrt, float_s, r2_sum_upto, sawtooth_ball_sum_fsum
 
 
 def triple_loop_count(k: int, Q: int) -> int:
@@ -153,6 +154,77 @@ def test_sphere_radii_fixture():
     # 3380^2 + 2535^2 == 65^4 with 3380 = 2^2 5 13^2 a sum of two squares
     assert 65 in _sphere_radii(_X_MAX)
     assert 1 not in _sphere_radii(_X_MAX)
+
+
+# Past the sieved tables' reach (x <= 4000) up to the enforced float bound,
+# the kernel runs on tables of chosen slices: it reads only the arrays, not
+# what r2 means, so each chosen m gets weight 1 and no large table is built.
+_FAR_QS = (1, 7, 48, 64, 448, 64 << counting.OUTER_REFINE_SHIFT)
+
+
+def _slice_table(x: RadiusPoint, ms) -> arith.R2Table:
+    """An R2Table to floor(x^2) holding the distinct chosen 1 <= m <= x^2, weight 1 each."""
+    m = np.unique(np.clip(np.asarray(ms, dtype=np.int64), 1, x.floor_sq))
+    return arith.R2Table(x.floor_sq, m.astype(np.uint32), np.ones(m.size, dtype=np.uint16))
+
+
+def _sphere_slices(n: int) -> list[int]:
+    """The m with 0 < m < n^2 and m^2 + c^2 = n^4 for an integer c: the real
+    and imaginary parts of g h and g conj(h) over the Gaussian integers g, h
+    of norm n^2."""
+    p = np.arange(n + 1, dtype=np.int64)
+    q = np.rint(np.sqrt(n * n - p * p)).astype(np.int64)
+    reps = [complex(a, b) for a, b in zip(p.tolist(), q.tolist()) if a * a + b * b == n * n]
+    found = set()
+    for g in reps:
+        for h in reps:
+            for z in (g * h, g * h.conjugate()):
+                found.update(v for v in (round(abs(z.real)), round(abs(z.imag))) if 0 < v < n * n)
+    assert all(n ** 4 - m * m == math.isqrt(n ** 4 - m * m) ** 2 for m in found)
+    return sorted(found)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_FAR_QS), st.data())
+def test_fast_matches_isqrt_up_to_the_float_bound(Q, data):
+    x = RadiusPoint(data.draw(st.integers(4000 * Q + 1, min(23_700 * Q, 1 << 26))), Q)
+    ms = np.random.default_rng(x.k).integers(1, x.floor_sq + 1, size=40_000)
+    table = _slice_table(x, ms)
+    assert counting.count_ball_fast(x, table) == count_ball_isqrt(x, table)
+
+
+@pytest.mark.parametrize("k, Q", [
+    (23_700, 1),           # at the bound's round figure
+    (1_516_769, 64),       # x ~ 23 699.516
+    (7_168_453, 448),      # x ~ 16 001.011
+    ((1 << 26) - 1, 2832), # numerator at the cap, x ~ 23 697
+])
+def test_fast_matches_isqrt_at_named_far_radii(k, Q):
+    x = RadiusPoint(k, Q)
+    ms = np.random.default_rng(k).integers(1, x.floor_sq + 1, size=300_000)
+    table = _slice_table(x, ms)
+    assert counting.count_ball_fast(x, table) == count_ball_isqrt(x, table)
+
+
+@pytest.mark.parametrize("n, Q", [(4225, 7), (14_365, 1), (14_365, 4096), (23_205, 64)])
+def test_fast_matches_isqrt_next_to_far_sphere_points(n, Q):
+    # at an exact sphere point s is the integer c, inside the fixup band;
+    # m -+ 1 sit next to it
+    x = RadiusPoint(n * Q, Q)
+    sphere = np.array(_sphere_slices(n))
+    assert sphere.size >= 10
+    ms = np.concatenate([sphere - 1, sphere, sphere + 1,
+                         np.random.default_rng(n).integers(1, n * n + 1, size=2000)])
+    table = _slice_table(x, ms)
+    assert counting.count_ball_fast(x, table) == count_ball_isqrt(x, table)
+    s = float_s(x, table.nonzero_m)
+    assert np.count_nonzero(np.abs(np.rint(s) - s) < counting._BAND) >= sphere.size
+    # the exactness argument: the float s lies within 4u x^2 of the exact root
+    bound = Fraction(x.k * x.k, x.Q * x.Q << 51)
+    k4, Q4 = x.k ** 4, x.Q ** 4
+    for m, si in zip(table.nonzero_m.tolist(), s.tolist()):
+        lo, hi = max(Fraction(si) - bound, 0), Fraction(si) + bound
+        assert lo * lo * Q4 <= k4 - m * m * Q4 <= hi * hi * Q4, (m, si)
 
 
 def _chunk_radii():

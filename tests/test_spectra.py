@@ -301,7 +301,7 @@ def test_odd_density_moments_are_zero_and_still_check_the_spec(monkeypatch):
     with pytest.raises(ValueError, match="singular"):
         density_moment(singular, 1)
     monkeypatch.setattr(spectra.arith, "_physical_memory", lambda: 1 << 10)
-    with pytest.raises(MemoryError):  # a 64^2 grid needs 128 KiB
+    with pytest.raises(MemoryError):  # a 64^2 grid needs about 296 KiB
         density_moment(_product_spec_64(), 1)
 
 

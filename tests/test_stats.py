@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cygshell.counting import shell_sample
 from cygshell.stats import (EmpiricalDistribution, SampleGrid, ks_distance,
                             m_j, mixture_cdf, normal_cdf, sample_errors,
                             variance_sigma2)
+from oracles import ndtr_two_branch
 
 
 def test_grid_points_inside_window():
@@ -194,6 +196,67 @@ def test_ndtr_matches_scipy_in_both_tails():
     # past the erfc clamp at |x| = 8 the lower tail reads erfc(8)/2 < 6e-30
     far = np.linspace(-40.0, -8.0 * math.sqrt(2.0), 101)
     assert np.all(stats._ndtr(far) < 6e-30) and np.all(stats._ndtr(-far) == 1.0)
+
+
+def _ndtr_regimes():
+    """Arguments a in every regime of the normal CDF, x = a/sqrt 2: |x| < 1,
+    [1, 8), past the clamp at 8, the boundary |x| = 1 and its neighbours,
+    huge and infinite a, and signed zeros."""
+    rng = np.random.default_rng(21)
+    edge = math.sqrt(2.0)
+    edges = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 4.0), 8.0 * edge]
+    special = edges + [-e for e in edges] + [1e200, -1e200, np.inf, -np.inf, 0.0, -0.0]
+    return np.concatenate([rng.uniform(-edge, edge, 3000), rng.uniform(edge, 8 * edge, 3000),
+                           -rng.uniform(edge, 8 * edge, 3000), rng.uniform(-40.0, 40.0, 3000),
+                           special])
+
+
+def test_ndtr_bit_equals_two_branch_oracle():
+    a = _ndtr_regimes()
+    before = a.copy()
+    with np.errstate(over="ignore"):
+        got = stats._ndtr(a)
+    assert np.array_equal(a, before)  # the argument is not written
+    assert np.array_equal(got, ndtr_two_branch(a))
+    assert got[a == 0.0].tolist() == [0.5, 0.5]  # 0.0 and -0.0
+
+
+def test_mixture_cdf_bit_equals_two_branch_oracle():
+    # the spec of the benchmark's mixture workload: (1 + z)(2 + z), lambda = (1, sqrt 2)
+    gap = gapwidth.make_almost_periodic(gapwidth.AlmostPeriodicGap(
+        polys=((1, 1), (2, 1)), lambdas=(1.0, math.sqrt(2.0)), exponent=2, mode="product"))
+    spec = spectra.DensitySpec(mode="product", phis=gap.spec.to_phis(), quad_points=64)
+    weights, sigmas, _ = spectra.mixture_components(spec)
+    alpha = np.concatenate([np.sort(np.random.default_rng(7).normal(scale=1.5, size=600)),
+                            [1e200, -1e200, np.inf, -np.inf, 0.0, -0.0]])
+    want = spectra._mixture_sum(weights, sigmas, alpha, ndtr_two_branch)
+    assert np.array_equal(mixture_cdf(spec, alpha), want)
+    assert np.array_equal([mixture_cdf(spec, a) for a in alpha.tolist()], want)
+
+
+def test_grid_memory_guard_counts_the_cdf_scratch(monkeypatch):
+    # 300^2 nodes > _MIXTURE_BLOCK, so a block is one row of nodes and the
+    # normal CDF's scratch for it is as large as the grid's own arrays
+    nodes = 300 ** 2
+    assert nodes > spectra._MIXTURE_BLOCK
+
+    def spec():
+        return spectra.DensitySpec(mode="product", quad_points=300, phis=(
+            spectra.phi_from_poly([2, 1]), spectra.phi_from_poly([1, 0, 1j])))
+
+    tracemalloc.start()
+    try:
+        mixture_cdf(spec(), np.array([-3.0, 0.1, 2.0, 30.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+        # the estimate covers the call; the grid and one block row alone do not
+        assert nodes * 4 * 8 < peak <= nodes * spectra._GRID_BYTES_PER_NODE + (1 << 16)
+        monkeypatch.setattr(spectra.arith, "_physical_memory", lambda: nodes * 4 * 8 + 1)
+        tracemalloc.reset_peak()
+        with pytest.raises(MemoryError, match="physical memory"):
+            mixture_cdf(spec(), 0.1)
+        assert tracemalloc.get_traced_memory()[1] < 100_000  # refused before the grid
+    finally:
+        tracemalloc.stop()
 
 
 def _two_factor_spec():
