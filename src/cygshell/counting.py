@@ -42,8 +42,10 @@ _MAX_K = 1 << 26
 
 _BRUTE_RADIUS_CAP = 60.0
 
-# Nonzero slices per kernel pass: a 512 KB float64 chunk, so each thread's
-# handful of chunk buffers (_buffers) stays in L2.
+# Nonzero slices per kernel pass, 512 KB per float64 buffer (_buffers).  The
+# pass does not stay in a 2 MiB L2: a count pass touches about 1.6 MB of
+# buffers plus 384 KB of m and r2 slices, a sawtooth pass all six buffers
+# (2.6 MB).  Chunks of 2^15 and 2^17 slices measured no faster.
 _KERNEL_CHUNK = 1 << 16
 
 # Half-width of the near-integer band that gets re-checked in exact integer

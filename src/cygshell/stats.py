@@ -122,18 +122,23 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
     fast: the truncated main series at cutoff max(10^4, X), no sawtooth
     term; opt-in bias documented by the exact-vs-fast tests.  Fast rows
     carry the unsnapped omega(x) and no counts (n_inner, n_outer,
-    shell_count and sawtooth are None).
+    shell_count and sawtooth are None).  Fast mode runs on one thread
+    whatever `threads` is: one series call takes the whole grid.  Split
+    over 2 threads on a 2-vCPU machine, the X = 2000, S = 4000 stage took
+    1.19-1.32 s wall and 1.64-1.83 s CPU against 0.66-0.79 s serial
+    (small-array NumPy calls contending for the interpreter lock, most
+    likely).
     """
     if mode == "fast":
-        cutoff = max(FAST_CUTOFF_FLOOR, int(grid.X))
-        rows = []
-        for p in grid.points:
-            x = p.value
-            gap = float(omega.value(x))
-            v = series_with_gap(x, gap, r2, cutoff)
-            rows.append(ShellSample(x=x, omega_x=gap, n_inner=None, n_outer=None,
-                                    shell_count=None, error=v * x * x, normalized=v))
-        return rows
+        xs = [p.value for p in grid.points]
+        # omega per point: an array call rounds some L ** -A (NumPy's array
+        # power) differently from the scalar libm pow whose bits are pinned
+        gaps = [float(omega.value(x)) for x in xs]
+        vs = series_with_gap(np.array(xs), np.array(gaps), r2,
+                             max(FAST_CUTOFF_FLOOR, int(grid.X))).tolist()
+        return [ShellSample(x=x, omega_x=gap, n_inner=None, n_outer=None,
+                            shell_count=None, error=v * x * x, normalized=v)
+                for x, gap, v in zip(xs, gaps, vs)]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     if threads and threads > 1:

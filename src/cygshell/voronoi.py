@@ -29,18 +29,45 @@ __all__ = [
 SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi
 
 
-def series_with_gap(x: float, gap: float, r2: R2Table, cutoff: int) -> float:
+# (point, term) pairs per series_with_gap block.  On the X = 2000, S = 4000
+# fast stage (2749 terms a row), 2^15 measured slower and 2^17 no faster.
+_SERIES_BLOCK = 1 << 16
+
+
+def series_with_gap(x, gap, r2: R2Table, cutoff: int):
     """sum over 1 <= m <= cutoff of (2^{3/2}/pi) r2(m)/m sin(pi sqrt(m) gap)
     sin(pi sqrt(m) (2x + gap)), the sum of the terms correctly rounded (the
-    fsum of their exact partial sums, arith.exact_parts)."""
+    fsum of their exact partial sums, arith.exact_parts): a float for scalar
+    x and gap, one value per point for 1-D arrays of equal length.
+
+    The columns r2(m)/m and pi sqrt(m) are made once per call; the points go
+    through blocks of about _SERIES_BLOCK (point, term) pairs in three
+    buffers made once per call.  Every term keeps the float operations of
+    the one-point formula in their order, and each point's row is rounded
+    on its own, so a batch call equals the scalar calls bit for bit.
+    """
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
     n = r2.nonzero_count_upto(cutoff)
     m = r2.nonzero_m[:n].astype(np.float64)
     amp = r2.nonzero_values[:n] / m
-    s = np.sqrt(m, out=m)
-    terms = amp * np.sin(math.pi * s * gap) * np.sin(math.pi * s * (2.0 * x + gap))
-    return SERIES_PREFACTOR * math.fsum(exact_parts(terms))
+    root = np.sqrt(m, out=m)
+    root *= math.pi
+    gaps = np.array(gap, dtype=np.float64, ndmin=1)
+    phases = 2.0 * np.array(x, dtype=np.float64, ndmin=1) + gaps
+    rows = max(1, _SERIES_BLOCK // max(n, 1))
+    a, b, q = np.empty((3, min(rows, gaps.size), n))
+    out = []
+    for lo in range(0, gaps.size, rows):
+        sa = np.multiply(gaps[lo:lo + rows, None], root, out=a[:min(rows, gaps.size - lo)])
+        np.sin(sa, out=sa)
+        sb = np.multiply(phases[lo:lo + rows, None], root, out=b[:len(sa)])
+        np.sin(sb, out=sb)
+        sa *= amp
+        sa *= sb
+        out += [SERIES_PREFACTOR * math.fsum(exact_parts(row, scratch))
+                for row, scratch in zip(sa, q)]
+    return out[0] if np.ndim(x) == 0 else np.array(out)
 
 
 def expansion_rhs(sample: ShellSample, X: float, r2: R2Table) -> float:

@@ -22,6 +22,13 @@ def inv_log():
 
 
 @pytest.fixture(scope="session")
+def product_gap():
+    """The mixture benchmark's gap width: (1 + z)(2 + z), lambda = (1, sqrt 2), A = 2."""
+    return gapwidth.make_almost_periodic(gapwidth.AlmostPeriodicGap(
+        polys=((1, 1), (2, 1)), lambdas=(1.0, math.sqrt(2.0)), exponent=2, mode="product"))
+
+
+@pytest.fixture(scope="session")
 def constant_gap():
     """A test-only constant gap width (value 1/4, zero derivatives)."""
     return gapwidth.GapWidth(

@@ -10,7 +10,7 @@ from cygshell.counting import shell_sample
 from cygshell.stats import (EmpiricalDistribution, SampleGrid, ks_distance,
                             m_j, mixture_cdf, normal_cdf, sample_errors,
                             variance_sigma2)
-from oracles import ndtr_two_branch
+from oracles import ndtr_two_branch, series_with_gap_fsum
 
 
 def test_grid_points_inside_window():
@@ -81,6 +81,21 @@ def test_sample_shells_rows(r2_200k, inv_log):
     assert all(s.shell_count is None and s.n_inner is None for s in fast)
     assert np.array_equal(sample_errors(inv_log, grid, r2_200k, mode="fast"),
                           [s.normalized for s in fast])
+
+
+@pytest.mark.parametrize("spec", ["inv_log", "product_gap"])
+def test_fast_rows_equal_the_per_point_formula(request, r2_10k, spec):
+    omega = request.getfixturevalue(spec)
+    grid = SampleGrid(X=2000.0, S=100, Q=64, phase=0.3)
+    want = []
+    for p in grid.points:
+        x = p.value
+        gap = float(omega.value(x))
+        v = series_with_gap_fsum(x, gap, r2_10k, stats.FAST_CUTOFF_FLOOR)
+        want.append((x.hex(), gap.hex(), (v * x * x).hex(), v.hex()))
+    fast = stats.sample_shells(omega, grid, r2_10k, "fast", None)
+    assert [(s.x.hex(), s.omega_x.hex(), s.error.hex(), s.normalized.hex())
+            for s in fast] == want
 
 
 def test_exact_vs_fast_bias(r2_200k, inv_log):

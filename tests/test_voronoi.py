@@ -15,6 +15,37 @@ from oracles import (diagonal_sum_convolve_j4, diagonal_sum_direct_j2, grouped_p
 def test_series_empty_and_degenerate(r2_10k):
     assert series_with_gap(150.0, 1.0 / math.log(150.0), r2_10k, 0) == 0.0
     assert series_with_gap(150.0, 0.0, r2_10k, 5000) == 0.0
+    xs = np.array([150.0, 151.5, 152.25])
+    gaps = np.array([0.0, 0.2, 0.0])
+    assert np.array_equal(series_with_gap(xs, gaps + 0.1, r2_10k, 0), np.zeros(3))
+    batch = series_with_gap(xs, gaps, r2_10k, 5000)
+    assert batch[0] == 0.0 and batch[2] == 0.0 and batch[1] != 0.0
+
+
+def test_series_block_contract(r2_10k):
+    # a 0-d input is a one-row block that returns a Python float
+    one = series_with_gap(np.array(150.0), np.array(0.2), r2_10k, 5000)
+    assert type(one) is float
+    assert one.hex() == series_with_gap(150.0, 0.2, r2_10k, 5000).hex()
+    empty = series_with_gap(np.empty(0), np.empty(0), r2_10k, 5000)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("spec", ["inv_log", "product_gap"])
+@pytest.mark.parametrize("cutoff", [10_000, 90_000])
+def test_series_batch_bit_equals_fsum_oracle(request, r2_200k, spec, cutoff):
+    # grids one short of, at and one past two full blocks, at the fast cutoff
+    # 10^4 and at expand's X^2 (X = 300); each point must match the list fsum
+    omega = request.getfixturevalue(spec)
+    rows = voronoi._SERIES_BLOCK // r2_200k.nonzero_count_upto(cutoff)
+    grid = stats.SampleGrid(X=300.0, S=2 * rows + 10, Q=64, phase=0.3)
+    for size in (2 * rows - 1, 2 * rows, 2 * rows + 1):
+        xs = [p.value for p in grid.points[:size]]
+        gaps = [float(omega.value(x)) for x in xs]
+        got = series_with_gap(np.array(xs), np.array(gaps), r2_200k, cutoff)
+        assert got.shape == (size,)
+        want = [series_with_gap_fsum(x, g, r2_200k, cutoff).hex() for x, g in zip(xs, gaps)]
+        assert [v.hex() for v in got.tolist()] == want, (spec, cutoff, size)
 
 
 def test_series_window_and_cutoff_guards(r2_10k, inv_log):
@@ -189,6 +220,18 @@ def test_expansion_rhs_consistency(r2_200k, inv_log):
         resid.append(abs(s.normalized - rhs))
     assert np.median(resid) < 0.05
     assert max(resid) < 0.2
+
+
+def test_expansion_residual_falls_with_the_series_cutoff(r2_200k, inv_log):
+    # criterion 2's grid (X = 100, S = 100): the q95 residual is mostly the
+    # series tail past X^2 (q95 / X^-0.9 reads 5.04 at X^2, 1.66 at 16 X^2)
+    X = 100.0
+    rows = stats.sample_shells(inv_log, stats.SampleGrid(X=X, S=100, Q=64), r2_200k,
+                               "exact", 1, sawtooth=True)
+    default = [abs(s.normalized - expansion_rhs(s, X, r2_200k)) for s in rows]
+    wide = [abs(s.normalized - (series_with_gap(s.x, s.omega_x, r2_200k, 16 * int(X * X))
+                                 - 2.0 / (s.x * s.x) * s.sawtooth)) for s in rows]
+    assert np.quantile(wide, 0.95) < np.quantile(default, 0.95)
 
 
 def test_expansion_rhs_window_guard(r2_10k, inv_log):
