@@ -24,8 +24,7 @@ EXIT_TEST_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# ThreadPoolExecutor's own default ceiling on its worker count
-MAX_THREADS = 32
+MAX_THREADS = stats.MAX_THREADS
 
 
 @dataclass(frozen=True)
@@ -363,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=100)
         p.add_argument("--Q", type=int, default=64)
         p.add_argument("--phase", type=float, default=0.5)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help=f"most threads a run may use, 1 to {MAX_THREADS}: exact shells, or the "
+                            "rows of each fast-mode series block, are split over them; the "
+                            "artifacts do not depend on it")
         p.add_argument("--out", help="artifact directory (default: the config's, else .)")
 
     def mode_flags(p):

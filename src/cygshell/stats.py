@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 FAST_CUTOFF_FLOOR = 10_000
+
+# ThreadPoolExecutor's own default ceiling on its worker count
+MAX_THREADS = 32
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -112,38 +116,56 @@ def r2_limit(X: float, mode: str) -> int:
     return (int(2 * X) + 2) ** 2
 
 
+def _thread_count(threads: int | None) -> int:
+    """The most threads a sampling call may use: threads itself (an int in
+    1..MAX_THREADS), or for None the CPUs this process may run on, capped
+    at MAX_THREADS."""
+    if threads is None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        return min(cpus, MAX_THREADS)
+    if isinstance(threads, bool) or not isinstance(threads, int) or not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be None or an int in 1..{MAX_THREADS}, not {threads!r}")
+    return threads
+
+
 def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
                   threads: int | None, sawtooth: bool = False) -> list[ShellSample]:
     """One ShellSample per grid point, in grid order.
 
+    threads is the most threads the call may use, in both modes
+    (_thread_count: None means the CPUs the process may run on); no call
+    starts more threads than there are points, and every thread is joined
+    before it returns.  Each row depends only on its own point, so the
+    thread count cannot change the output.
+
     exact: two exact ball counts per point, and the shell's sawtooth when
-    sawtooth is set (data-parallel over points when threads > 1; each row
-    depends only on its own point, so scheduling cannot change the output).
+    sawtooth is set.  On more than one thread the points go to the pool
+    largest first, so the pool's idle tail is one small shell.
     fast: the truncated main series at cutoff max(10^4, X), no sawtooth
     term; opt-in bias documented by the exact-vs-fast tests.  Fast rows
     carry the unsnapped omega(x) and no counts (n_inner, n_outer,
-    shell_count and sawtooth are None).  Fast mode runs on one thread
-    whatever `threads` is: one series call takes the whole grid.  Split
-    over 2 threads on a 2-vCPU machine, the X = 2000, S = 4000 stage took
-    1.19-1.32 s wall and 1.64-1.83 s CPU against 0.66-0.79 s serial
-    (small-array NumPy calls contending for the interpreter lock, most
-    likely).
+    shell_count and sawtooth are None).  One series call takes the whole
+    grid and splits the rows of each of its blocks over the threads.
     """
+    workers = min(_thread_count(threads), len(grid.points))
     if mode == "fast":
         xs = [p.value for p in grid.points]
         # omega per point: an array call rounds some L ** -A (NumPy's array
         # power) differently from the scalar libm pow whose bits are pinned
         gaps = [float(omega.value(x)) for x in xs]
         vs = series_with_gap(np.array(xs), np.array(gaps), r2,
-                             max(FAST_CUTOFF_FLOOR, int(grid.X))).tolist()
+                             max(FAST_CUTOFF_FLOOR, int(grid.X)), workers).tolist()
         return [ShellSample(x=x, omega_x=gap, n_inner=None, n_outer=None,
                             shell_count=None, error=v * x * x, normalized=v)
                 for x, gap, v in zip(xs, gaps, vs)]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda p: shell_sample(p, omega, r2, sawtooth), grid.points))
+    if workers > 1:
+        # grid points ascend in k, so reversed is largest first
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            rows = list(ex.map(lambda p: shell_sample(p, omega, r2, sawtooth), grid.points[::-1]))
+        return rows[::-1]
     return [shell_sample(p, omega, r2, sawtooth) for p in grid.points]
 
 

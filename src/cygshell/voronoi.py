@@ -9,7 +9,9 @@ enumerate only zero-relation tuples via per-core generating polynomials.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi
 _SERIES_BLOCK = 1 << 16
 
 
-def series_with_gap(x, gap, r2: R2Table, cutoff: int):
+def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     """sum over 1 <= m <= cutoff of (2^{3/2}/pi) r2(m)/m sin(pi sqrt(m) gap)
     sin(pi sqrt(m) (2x + gap)), the sum of the terms correctly rounded (the
     fsum of their exact partial sums, arith.exact_parts): a float for scalar
@@ -45,9 +47,19 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int):
     buffers made once per call.  Every term keeps the float operations of
     the one-point formula in their order, and each point's row is rounded
     on its own, so a batch call equals the scalar calls bit for bit.
+
+    threads (>= 1) is the most threads the call may use.  The rows of each
+    block are split into contiguous ranges, one per thread and never more
+    ranges than rows: the calling thread fills the first range and helper
+    threads the rest, each into its own rows of the one set of buffers.
+    After the join the calling thread rounds the rows in order, so the
+    thread count changes no bit.  The helpers live for this call only; a
+    one-row block (a scalar call) runs inline.
     """
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, not {threads}")
     n = r2.nonzero_count_upto(cutoff)
     m = r2.nonzero_m[:n].astype(np.float64)
     amp = r2.nonzero_values[:n] / m
@@ -57,16 +69,29 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int):
     phases = 2.0 * np.array(x, dtype=np.float64, ndmin=1) + gaps
     rows = max(1, _SERIES_BLOCK // max(n, 1))
     a, b, q = np.empty((3, min(rows, gaps.size), n))
-    out = []
-    for lo in range(0, gaps.size, rows):
-        sa = np.multiply(gaps[lo:lo + rows, None], root, out=a[:min(rows, gaps.size - lo)])
+    workers = min(threads, len(a))
+
+    def terms(lo, hi, at):
+        """The terms of grid rows lo:hi into buffer rows at:at + hi - lo."""
+        sa = np.multiply(gaps[lo:hi, None], root, out=a[at:at + hi - lo])
         np.sin(sa, out=sa)
-        sb = np.multiply(phases[lo:lo + rows, None], root, out=b[:len(sa)])
+        sb = np.multiply(phases[lo:hi, None], root, out=b[at:at + hi - lo])
         np.sin(sb, out=sb)
         sa *= amp
         sa *= sb
-        out += [SERIES_PREFACTOR * math.fsum(exact_parts(row, scratch))
-                for row, scratch in zip(sa, q)]
+
+    out = []
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+        for lo in range(0, gaps.size, rows):
+            size = min(rows, gaps.size - lo)
+            k = min(workers, size)
+            cuts = [size * i // k for i in range(k + 1)]
+            helpers = [pool.submit(terms, lo + s, lo + e, s) for s, e in zip(cuts[1:-1], cuts[2:])]
+            terms(lo, lo + cuts[1], 0)
+            for h in helpers:
+                h.result()
+            out += [SERIES_PREFACTOR * math.fsum(exact_parts(row, scratch))
+                    for row, scratch in zip(a[:size], q)]
     return out[0] if np.ndim(x) == 0 else np.array(out)
 
 

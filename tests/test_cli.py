@@ -448,3 +448,13 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_starts_no_thread():
+    # the sampling pools live for one call; importing the package starts none
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (f"import sys, threading; sys.path.insert(0, {src!r}); n = threading.active_count(); "
+              "import cygshell.cli; print(threading.active_count() - n)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "0"

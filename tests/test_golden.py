@@ -90,6 +90,14 @@ def test_expand_threads_write_the_same_bytes(tmp_path):
     assert _run(tmp_path / "t2", EXPAND_PRODUCT + ["--threads", "2"], names) == serial
 
 
+@pytest.mark.parametrize("argv", [GOLDEN[2][0], GOLDEN[3][0]],
+                         ids=["sample-fast", "sample-fast-product"])
+def test_fast_sample_threads_write_the_same_bytes(tmp_path, argv):
+    names = ("samples.csv", "distribution.csv", "summary.json")
+    serial = _run(tmp_path / "t1", argv + ["--threads", "1"], names)
+    assert _run(tmp_path / "t2", argv + ["--threads", "2"], names) == serial
+
+
 DIAGNOSE_GOLDEN = [
     (["--omega", "inv_log", "--X", "1000"],
      "244ad0a9128a829fcbaad341610eb4896636feedd2cd3710f166178b33579b15"),

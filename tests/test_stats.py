@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,60 @@ def test_fast_rows_equal_the_per_point_formula(request, r2_10k, spec):
     fast = stats.sample_shells(omega, grid, r2_10k, "fast", None)
     assert [(s.x.hex(), s.omega_x.hex(), s.error.hex(), s.normalized.hex())
             for s in fast] == want
+
+
+@pytest.mark.parametrize("spec", ["inv_log", "product_gap"])
+def test_fast_rows_keep_their_bits_on_two_threads(request, r2_10k, spec):
+    omega = request.getfixturevalue(spec)
+    grid = SampleGrid(X=2000.0, S=100, Q=64, phase=0.3)
+    rows = {}
+    for threads in (1, 2):
+        before = threading.active_count()
+        rows[threads] = [(s.x.hex(), s.omega_x.hex(), s.error.hex(), s.normalized.hex())
+                         for s in stats.sample_shells(omega, grid, r2_10k, "fast", threads)]
+        assert threading.active_count() == before  # the call joins every thread it starts
+    assert rows[2] == rows[1]
+
+
+def test_exact_points_go_to_the_pool_largest_first(monkeypatch, r2_200k, inv_log):
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            points = list(points)
+            submitted.extend(p.k for p in points)
+            return map(fn, points)
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
+    grid = SampleGrid(X=60.0, S=20, Q=64)
+    rows = stats.sample_shells(inv_log, grid, r2_200k, "exact", 2)
+    assert submitted == sorted((p.k for p in grid.points), reverse=True)
+    assert rows == [shell_sample(p, inv_log, r2_200k) for p in grid.points]
+
+
+@pytest.mark.parametrize("threads", [0, -1, 33, 1.5, True, "2"])
+def test_sample_shells_rejects_bad_threads(r2_10k, inv_log, threads):
+    grid = SampleGrid(X=60.0, S=20, Q=64)
+    for mode in ("exact", "fast"):
+        with pytest.raises(ValueError, match="threads"):
+            stats.sample_shells(inv_log, grid, r2_10k, mode, threads)
+
+
+def test_threads_none_means_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(stats.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert stats._thread_count(None) == 3
+    monkeypatch.setattr(stats.os, "sched_getaffinity", lambda pid: set(range(100)), raising=False)
+    assert stats._thread_count(None) == stats.MAX_THREADS
+    assert stats._thread_count(5) == 5
 
 
 def test_exact_vs_fast_bias(r2_200k, inv_log):

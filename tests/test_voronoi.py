@@ -48,6 +48,25 @@ def test_series_batch_bit_equals_fsum_oracle(request, r2_200k, spec, cutoff):
         assert [v.hex() for v in got.tolist()] == want, (spec, cutoff, size)
 
 
+@pytest.mark.parametrize("cutoff", [10_000, 90_000])
+def test_series_threads_change_no_bit(r2_200k, product_gap, cutoff):
+    # blocks of about 23 rows at 10^4 and 3 at 90 000: a partial last block,
+    # one row, and fewer rows than threads, each on 1, 2 and 3 threads
+    rows = voronoi._SERIES_BLOCK // r2_200k.nonzero_count_upto(cutoff)
+    grid = stats.SampleGrid(X=300.0, S=2 * rows + 5, Q=64, phase=0.7)
+    xs = np.array([p.value for p in grid.points])
+    gaps = np.array([float(product_gap.value(x)) for x in xs])
+    for size in (2 * rows + 5, 2, 1):
+        got = {t: [v.hex() for v in series_with_gap(xs[:size], gaps[:size], r2_200k,
+                                                    cutoff, t).tolist()]
+               for t in (1, 2, 3)}
+        assert got[2] == got[1] and got[3] == got[1], (cutoff, size)
+    one = series_with_gap(xs[0], gaps[0], r2_200k, cutoff, 3)
+    assert one.hex() == got[1][0]
+    with pytest.raises(ValueError, match="threads"):
+        series_with_gap(xs, gaps, r2_200k, cutoff, 0)
+
+
 def test_series_window_and_cutoff_guards(r2_10k, inv_log):
     gap = float(inv_log.value(350.0))
     outside = counting.ShellSample(x=350.0, omega_x=gap, n_inner=None, n_outer=None,
