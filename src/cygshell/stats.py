@@ -133,10 +133,11 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
                   threads: int | None, sawtooth: bool = False) -> list[ShellSample]:
     """One ShellSample per grid point, in grid order.
 
-    threads is the most threads the call may use, in both modes
-    (_thread_count: None means the CPUs the process may run on); no call
-    starts more threads than there are points, and every thread is joined
-    before it returns.  Each row depends only on its own point, so the
+    threads is the most threads the call may use, in both modes: an int in
+    1..MAX_THREADS, or None for the CPUs the process may run on, capped at
+    MAX_THREADS (anything else raises ValueError).  No call starts more
+    threads than there are points, and every thread is joined before it
+    returns.  Each row depends only on its own point, so the
     thread count cannot change the output.
 
     exact: two exact ball counts per point, and the shell's sawtooth when
