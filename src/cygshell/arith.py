@@ -169,42 +169,54 @@ _EXTRACT_CEILING = 2.0 ** 900
 _EXTRACT_FLOOR = 2.0 ** -1000
 
 
-def exact_parts(p: np.ndarray, q: np.ndarray | None = None) -> list[float]:
-    """A short list of floats whose exact sum is the exact sum of the float64
-    array p, so math.fsum(exact_parts(p)) == math.fsum(p.tolist()) bit for bit.
+def exact_parts(p: np.ndarray, q: np.ndarray | None = None) -> list:
+    """For each row of the float64 block p (a 1-D p is one row), a short list
+    of floats with the row's exact sum, so math.fsum(parts) equals
+    math.fsum(row.tolist()) bit for bit: a list per row, one list for 1-D.
 
     Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
     floating-point summation, part I", 2008): with 2^M > n + 1 and
-    sigma = 2^M 2^e > 2^M max|p|, q = (sigma + p) - sigma is p rounded to a
-    multiple of 2^-53 sigma with |sum q| < sigma, so q.sum() is exact in any
-    order and p - q is exact.  Each level appends q.sum() and moves sigma
-    down by 2^(53 - M) until p is all zero; what is left below
-    _EXTRACT_FLOOR is appended as it is.  Overwrites p, and q, a scratch
-    array of p's shape and dtype, when one is given.
+    sigma = 2^M 2^e > 2^M max|row|, q = (sigma + row) - sigma is the row
+    rounded to a multiple of 2^-53 sigma with |sum q| < sigma, so q.sum() is
+    exact in any order and row - q is exact.  Each row has its own sigma; a
+    level is a few NumPy passes over the block, and every sigma moves down by
+    2^(53 - M) until the block is zero; a row's nonzero q.sum()s are its parts.
+    A row below _EXTRACT_FLOOR, or with inf, nan or a max at or above
+    _EXTRACT_CEILING, is set aside with its nonzero entries; an all-zero row
+    gives [-0.0] if every entry is -0.0, else [0.0], as fsum does.
+    Overwrites p, and q, a scratch array of p's shape and dtype, if given.
     """
-    if p.size == 0:
-        return []
-    if q is None:
-        q = np.empty_like(p)
-    top = float(np.abs(p, out=q).max())
-    if not top < _EXTRACT_CEILING:
-        return p.tolist()
-    if top == 0.0:  # -0.0 only when every term is -0.0, as fsum may give
-        return [-0.0] if np.signbit(p).all() else [0.0]
-    M = (p.size + 1).bit_length()
-    sigma = math.ldexp(1.0, M + math.frexp(top)[1])
+    block = p[None] if p.ndim == 1 else p
+    q = np.empty_like(block) if q is None else q.reshape(block.shape)
+    parts = [[] for _ in range(len(block))]
+    if not block.size:
+        return parts if p.ndim > 1 else parts[0]
+    M = (block.shape[1] + 1).bit_length()
     shrink = math.ldexp(1.0, M - 53)
-    parts = []
-    while sigma >= _EXTRACT_FLOOR:
-        np.add(p, sigma, out=q)
-        q -= sigma
-        p -= q
-        parts.append(float(q.sum()))
-        if not p.any():
-            return parts
-        sigma *= shrink
-    parts.extend(p[p != 0].tolist())
-    return parts
+    tops = np.abs(block, out=q).max(axis=1).tolist()
+    sigma = [math.ldexp(1.0, M + math.frexp(top)[1]) if 0.0 < top < _EXTRACT_CEILING else 0.0
+             for top in tops]
+    levels = []
+    while True:
+        if min(sigma) < _EXTRACT_FLOOR:  # set rows aside; a zero row then takes sigma 1
+            for i, s in enumerate(sigma):
+                if s < _EXTRACT_FLOOR:
+                    row = block[i]
+                    parts[i] += (row[row != 0].tolist() if s or tops[i] else
+                                 [-0.0 if np.signbit(row).all() else 0.0])
+                    row.fill(0.0)
+                    sigma[i] = 1.0
+        col = sigma[0] if len(sigma) == 1 else np.array(sigma)[:, None]  # a scalar adds faster
+        np.add(block, col, out=q)
+        q -= col
+        block -= q
+        levels.append(q.sum(axis=1).tolist())
+        if not block.any():
+            break
+        sigma = [s * shrink for s in sigma]
+    for row_parts, sums in zip(parts, zip(*levels)):
+        row_parts += [s for s in sums if s]
+    return parts if p.ndim > 1 else parts[0]
 
 
 class CoreDecomposition(NamedTuple):

@@ -281,7 +281,9 @@ def _fixtures():
         _check(list(r2.nonzero_m[:6]) == [1, 2, 4, 5, 8, 9], "compressed m")
         _check(sum(r.get(m, 0) ** 2 for m in range(1, 11)) == 208, "sum of r2^2 to 10")
         p = [1e16, 1.0, -1e16, 0.1, -0.3, 3.0 * 2 ** -60]  # a plain sum loses the 1.0
-        _check(math.fsum(arith.exact_parts(np.array(p))) == math.fsum(p), "exact_parts fsum")
+        rows = [p, [0.0, -0.0] * 3, [-0.0] * 6]  # and two zero rows, signs as fsum gives them
+        _check([math.fsum(r).hex() for r in arith.exact_parts(np.array(rows))]
+               == [math.fsum(r).hex() for r in rows], "exact_parts row fsums")
 
     def spectra_exact():
         phi = spectra.phi_from_poly([1, 1])

@@ -246,11 +246,14 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
 # ---------------------------------------------------------------------------
 
 def _parse_polys(obj) -> tuple:
-    """The "polys" field: a list of polynomials, each a list of [re, im] pairs."""
+    """The "polys" field: a list of polynomials, each a list of finite [re, im] pairs."""
     try:
-        return tuple(tuple(complex(re, im) for re, im in coeffs) for coeffs in obj)
+        polys = tuple(tuple(complex(re, im) for re, im in coeffs) for coeffs in obj)
     except TypeError:
         raise ValueError('"polys" must be a list of lists of [re, im] number pairs') from None
+    if not all(math.isfinite(c.real) and math.isfinite(c.imag) for cs in polys for c in cs):
+        raise ValueError(f'"polys" coefficients must be finite, not {obj!r}')
+    return polys
 
 
 def _spec_kind(obj) -> str:
@@ -262,8 +265,8 @@ def _spec_kind(obj) -> str:
 
 def gap_from_json(obj: dict) -> GapWidth:
     """Build a gap width from the JSON spec: slowly varying kinds need only
-    "kind"; product/sum kinds carry polys, lambdas and A.  Other keys are
-    ignored."""
+    "kind"; product/sum kinds carry polys, lambdas and A, whose numbers must
+    be finite.  Other keys are ignored."""
     kind = _spec_kind(obj)
     if kind in SLOWLY_VARYING_KINDS:
         return make_slowly_varying(kind)
@@ -272,6 +275,8 @@ def gap_from_json(obj: dict) -> GapWidth:
             lambdas = tuple(float(v) for v in obj["lambdas"])
         except TypeError:
             raise ValueError('"lambdas" must be a list of numbers') from None
+        if not all(math.isfinite(v) for v in lambdas):
+            raise ValueError(f'"lambdas" must be finite, not {obj["lambdas"]!r}')
         exponent = obj["A"]
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise ValueError(f'"A" must be an integer, not {exponent!r}')

@@ -36,11 +36,7 @@ __all__ = [
 _COEFF_SPAN_CAP = 10_000
 _SURROGATE_GRID = 4096
 
-# Exact complex numbers as (re, im) Fraction pairs.
-_Cx = tuple[Fraction, Fraction]
-
-
-def _cx(value) -> _Cx:
+def _cx(value) -> tuple[Fraction, Fraction]:
     """Coerce an int/float/complex/pair into an exact (re, im) pair.
 
     Floats convert exactly (binary fractions), so integer and dyadic inputs
@@ -53,33 +49,24 @@ def _cx(value) -> _Cx:
     return Fraction(value), Fraction(0)
 
 
-def _cmul(a: _Cx, b: _Cx) -> _Cx:
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _conj(a: _Cx) -> _Cx:
-    return a[0], -a[1]
-
-
-_CZERO: _Cx = (Fraction(0), Fraction(0))
-
-
 @dataclass(frozen=True)
 class TrigPolyModulus:
-    """phi(t) = sum_{|m| <= degree} coeffs[m] e^{2 pi i m t}, a real nonnegative
+    """phi(t) = sum_{|m| <= degree} a_m e^{2 pi i m t}, a real nonnegative
     trigonometric polynomial arising as |p|^2 on the unit circle.
 
-    `coeffs` maps m in [-degree, degree] to exact complex pairs via the offset
-    `degree` (index m + degree).
+    a_m = (re + i im) / den: `coeffs[m + degree]` is the Gaussian integer
+    (re, im), a pair of Python ints over the one common denominator
+    `den`, so the exact algebra multiplies plain ints and divides once.
     """
 
     degree: int
-    coeffs: tuple  # tuple[_Cx, ...], length 2*degree + 1
+    coeffs: tuple  # tuple[tuple[int, int], ...], length 2*degree + 1
+    den: int = 1
 
-    def coeff(self, m: int) -> _Cx:
-        if abs(m) > self.degree:
-            return _CZERO
-        return self.coeffs[m + self.degree]
+    def coeff(self, m: int) -> tuple[Fraction, Fraction]:
+        """a_m as an exact (re, im) pair of Fractions, (0, 0) past the degree."""
+        re, im = self.coeffs[m + self.degree] if abs(m) <= self.degree else (0, 0)
+        return Fraction(re, self.den), Fraction(im, self.den)
 
     def values(self, t: np.ndarray, order: int = 0) -> np.ndarray:
         """The order-th derivative of phi on a float grid: the real part of
@@ -94,7 +81,7 @@ class TrigPolyModulus:
 
     @cached_property
     def _float_coeffs(self) -> tuple:
-        return tuple(complex(float(re), float(im)) for re, im in self.coeffs)
+        return tuple(complex(re / self.den, im / self.den) for re, im in self.coeffs)
 
     @cached_property
     def grid_min(self) -> float:
@@ -112,32 +99,34 @@ def phi_from_poly(coeffs: Sequence) -> TrigPolyModulus:
     (|p|^2) and of positive mean (a_0 = sum |c_k|^2) by construction.
     """
     cs = [_cx(c) for c in coeffs]
-    if all(c == _CZERO for c in cs):
+    if not any(x for c in cs for x in c):
         raise ValueError("polynomial must have a nonzero coefficient")
+    den = math.lcm(*(x.denominator for c in cs for x in c))
+    cs = [(int(re * den), int(im * den)) for re, im in cs]
     d = len(cs) - 1
     out = []
-    for m in range(-d, d + 1):
-        terms = [_cmul(cs[k + m], _conj(cs[k])) for k in range(len(cs)) if 0 <= k + m < len(cs)]
-        out.append((sum(t[0] for t in terms), sum(t[1] for t in terms)))
-    return TrigPolyModulus(degree=d, coeffs=tuple(out))
+    for m in range(-d, d + 1):  # c_{k+m} conj(c_k) = (a + ib)(c - ie)
+        pairs = [(cs[k + m], cs[k]) for k in range(max(0, -m), min(d, d - m) + 1)]
+        out.append((sum(a * c + b * e for (a, b), (c, e) in pairs),
+                    sum(b * c - a * e for (a, b), (c, e) in pairs)))
+    return TrigPolyModulus(degree=d, coeffs=tuple(out), den=den * den)
 
 
-def _power_centre(terms: dict[int, _Cx], j: int) -> Fraction:
-    """Constant term of (sum_e c_e z^e)^j for j >= 0, exactly.
+def _power_centre(terms: dict[int, tuple[int, int]], j: int, den: int) -> Fraction:
+    """Constant term of (sum_e c_e z^e / den)^j for j >= 0, exactly, from the
+    Gaussian integers c_e = (re, im) and their common denominator den.
 
-    Kronecker substitution: with denominators cleared, the real and the
-    imaginary integer parts become base-2^w digits of two Python ints, and j
-    Gaussian-integer products raise the pair to the j-th power.  Every digit
-    of the power is below (sum |re| + |im|)^j < 2^(w - 2) in magnitude, so the
-    centre digit reads back as the balanced residue once half the lower span
-    is added and the lower digits are shifted out.
+    Kronecker substitution: the real and the imaginary parts become base-2^w
+    digits of two Python ints, and j Gaussian-integer products raise the pair
+    to the j-th power.  Every digit of the power is below
+    (sum |re| + |im|)^j < 2^(w - 2) in magnitude, so the centre digit reads
+    back as the balanced residue once half the lower span is added and the
+    lower digits are shifted out; it is divided by den^j once, at the end.
     """
-    den = math.lcm(*(x.denominator for c in terms.values() for x in c))
-    ints = {e: (int(c[0] * den), int(c[1] * den)) for e, c in terms.items()}
-    w = j * sum(abs(a) + abs(b) for a, b in ints.values()).bit_length() + 2
-    lo = min(0, *ints)
-    re = sum(a << (w * (e - lo)) for e, (a, _) in ints.items())
-    im = sum(b << (w * (e - lo)) for e, (_, b) in ints.items())
+    w = j * sum(abs(a) + abs(b) for a, b in terms.values()).bit_length() + 2
+    lo = min(0, *terms)
+    re = sum(a << (w * (e - lo)) for e, (a, _) in terms.items())
+    im = sum(b << (w * (e - lo)) for e, (_, b) in terms.items())
     pr, pi = 1, 0
     for _ in range(j):
         pr, pi = pr * re - pi * im, pr * im + pi * re
@@ -157,7 +146,7 @@ def phi_moment(phi: TrigPolyModulus, j: int) -> Fraction:
         raise ValueError("moment order must be >= 0")
     if j * phi.degree > _COEFF_SPAN_CAP:
         raise ValueError("coefficient span too large")
-    return _power_centre({m - phi.degree: c for m, c in enumerate(phi.coeffs)}, j)
+    return _power_centre(dict(enumerate(phi.coeffs, -phi.degree)), j, phi.den)
 
 
 # Bytes per tensor quadrature node: float64 construction values, weights,
@@ -246,14 +235,13 @@ def constrained_frequency_sum(spec: DensitySpec, j: int) -> Fraction:
         raise ValueError("constrained frequency sums are defined for product specs")
     if j < 0:
         raise ValueError("j must be >= 0")
-    terms = {0: (Fraction(1), Fraction(0))}
-    stride = 1
+    terms, den, stride = {0: (1, 0)}, 1, 1
     for phi in spec.phis:
-        d = phi.degree
-        terms = {e + m * stride: _cmul(c, phi.coeff(m))
-                 for e, c in terms.items() for m in range(-d, d + 1)}
-        stride *= 2 * j * d + 1
-    return _power_centre(terms, j)
+        terms = {e + m * stride: (a * c - b * f, a * f + b * c)
+                 for e, (a, b) in terms.items() for m, (c, f) in enumerate(phi.coeffs, -phi.degree)}
+        den *= phi.den
+        stride *= 2 * j * phi.degree + 1
+    return _power_centre(terms, j, den)
 
 
 def l_j(spec: DensitySpec, j: int) -> Fraction:

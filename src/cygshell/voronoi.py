@@ -43,18 +43,18 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     x and gap, one value per point for 1-D arrays of equal length.
 
     The columns r2(m)/m and pi sqrt(m) are made once per call; the points go
-    through blocks of about _SERIES_BLOCK (point, term) pairs in three
+    through blocks of about _SERIES_BLOCK (point, term) pairs in two
     buffers made once per call.  Every term keeps the float operations of
     the one-point formula in their order, and each point's row is rounded
     on its own, so a batch call equals the scalar calls bit for bit.
 
     threads (>= 1) is the most threads the call may use.  The rows of each
     block are split into contiguous ranges, one per thread and never more
-    ranges than rows: the calling thread fills the first range and helper
-    threads the rest, each into its own rows of the one set of buffers.
-    After the join the calling thread rounds the rows in order, so the
-    thread count changes no bit.  The helpers live for this call only; a
-    one-row block (a scalar call) runs inline.
+    ranges than rows; the calling thread takes the first.  Each thread fills
+    its rows of the one set of buffers and extracts their exact parts (its
+    rows of b are the scratch); after the join the calling thread takes each
+    row's fsum in row order, so the thread count changes no bit.  The helpers
+    live for this call only; a one-row block (a scalar call) runs inline.
     """
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
@@ -68,17 +68,19 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     gaps = np.array(gap, dtype=np.float64, ndmin=1)
     phases = 2.0 * np.array(x, dtype=np.float64, ndmin=1) + gaps
     rows = max(1, _SERIES_BLOCK // max(n, 1))
-    a, b, q = np.empty((3, min(rows, gaps.size), n))
+    a, b = np.empty((2, min(rows, gaps.size), n))
     workers = min(threads, len(a))
 
-    def terms(lo, hi, at):
-        """The terms of grid rows lo:hi into buffer rows at:at + hi - lo."""
+    def parts(lo, hi, at):
+        """The exact parts of grid rows lo:hi, from their terms in buffer
+        rows at:at + hi - lo."""
         sa = np.multiply(gaps[lo:hi, None], root, out=a[at:at + hi - lo])
         np.sin(sa, out=sa)
         sb = np.multiply(phases[lo:hi, None], root, out=b[at:at + hi - lo])
         np.sin(sb, out=sb)
         sa *= amp
         sa *= sb
+        return exact_parts(sa, sb)
 
     out = []
     with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
@@ -86,12 +88,11 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
             size = min(rows, gaps.size - lo)
             k = min(workers, size)
             cuts = [size * i // k for i in range(k + 1)]
-            helpers = [pool.submit(terms, lo + s, lo + e, s) for s, e in zip(cuts[1:-1], cuts[2:])]
-            terms(lo, lo + cuts[1], 0)
+            helpers = [pool.submit(parts, lo + s, lo + e, s) for s, e in zip(cuts[1:-1], cuts[2:])]
+            block = parts(lo, lo + cuts[1], 0)
             for h in helpers:
-                h.result()
-            out += [SERIES_PREFACTOR * math.fsum(exact_parts(row, scratch))
-                    for row, scratch in zip(a[:size], q)]
+                block += h.result()
+            out += [SERIES_PREFACTOR * math.fsum(row) for row in block]
     return out[0] if np.ndim(x) == 0 else np.array(out)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from cygshell.arith import R2Table
 from cygshell.counting import _BAND, RadiusPoint, _psi_exact
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
-from cygshell.spectra import DensitySpec, _cmul, phi_moment
+from cygshell.spectra import DensitySpec, phi_moment
 from cygshell.stats import _ERF_T, _ERF_U, _ERFC_CLAMP, _ERFC_P, _ERFC_Q
 from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
 
@@ -244,6 +244,11 @@ def fourier_derivatives(gap: GapWidth, x) -> tuple[np.ndarray, np.ndarray]:
 
 def _cadd(a, b):
     return a[0] + b[0], a[1] + b[1]
+
+
+def _cmul(a, b):
+    """The exact product of two (re, im) Fraction pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 _CZERO = (Fraction(0), Fraction(0))

@@ -275,6 +275,62 @@ def test_exact_parts_edge_cases(values):
     _assert_parts_match_fsum(np.array(values, dtype=np.float64))
 
 
+def _ordinary_row(rng, n):
+    return np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-60, 60, n))
+
+
+def _with_one(rng, row, value):
+    row[rng.integers(row.size)] = value
+    return row
+
+
+# row kind -> row of n entries; every kind but "ordinary" hits one of
+# exact_parts' own rules (zero rows, the ceiling, the floor)
+_ROW_KINDS = {
+    "ordinary": _ordinary_row,
+    "+0.0": lambda rng, n: np.zeros(n),
+    "-0.0": lambda rng, n: np.full(n, -0.0),
+    "mixed zeros": lambda rng, n: np.where(rng.random(n) < 0.5, 0.0, -0.0),
+    "inf": lambda rng, n: _with_one(rng, _ordinary_row(rng, n), rng.choice([math.inf, -math.inf])),
+    "nan": lambda rng, n: _with_one(rng, _ordinary_row(rng, n), math.nan),
+    ">= 2^900": lambda rng, n: _with_one(rng, _ordinary_row(rng, n),
+                                         rng.choice([-1.0, 1.0]) * 2.0 ** rng.integers(900, 1024)),
+    "subnormal": lambda rng, n: np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, -1020, n)),
+    "near the floor": lambda rng, n: np.ldexp(rng.uniform(-1.0, 1.0, n),
+                                              rng.integers(-1074, -960, n)),
+}
+
+
+@st.composite
+def _row_blocks(draw):
+    """2-D float64 blocks, zero-width ones included, whose rows are drawn
+    from _ROW_KINDS, ordinary rows most often."""
+    rows = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 3) | st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["ordinary"] * 4 + list(_ROW_KINDS)),
+                          min_size=rows, max_size=rows))
+    block = np.empty((rows, n))
+    for row, kind in zip(block, kinds):
+        if n:
+            row[:] = _ROW_KINDS[kind](rng, n)
+    return block
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_blocks(), st.booleans())
+def test_exact_parts_rows_match_list_fsum(block, scratch):
+    want = [_fsum_outcome(row) for row in block.tolist()]
+    parts = arith.exact_parts(block.copy(), np.empty_like(block) if scratch else None)
+    assert len(parts) == len(block)
+    assert [_fsum_outcome(row) for row in parts] == want
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)])
+def test_exact_parts_zero_width_blocks(shape):
+    assert arith.exact_parts(np.empty(shape)) == [[]] * shape[0]
+
+
 def test_exact_parts_is_short():
     rng = np.random.default_rng(7)
     p = rng.standard_normal(1 << 16) * rng.integers(4, 64, 1 << 16)

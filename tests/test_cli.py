@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -153,6 +154,46 @@ def test_gap_spec_bad_field_type_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE, (field, bad)
         err = capsys.readouterr().err
         assert err.startswith("error:") and f'"{field}"' in err, (field, bad)
+
+
+_FINITE_SPEC = {"kind": "product", "polys": [[[1, 0], [2, 0]]], "lambdas": [1.0], "A": 2}
+# entry -> (the field its error names, the spec with the bad value v in that entry)
+_NONFINITE_ENTRIES = {
+    "lambda": ("lambdas", lambda v: {**_FINITE_SPEC, "lambdas": [v]}),
+    "real-part": ("polys", lambda v: {**_FINITE_SPEC, "polys": [[[1, 0], [v, 0]]]}),
+    "imaginary-part": ("polys", lambda v: {**_FINITE_SPEC, "polys": [[[1, v], [2, 0]]]}),
+}
+_SPEC_COMMANDS = {
+    "diagnose": ["diagnose", "--X", "50", "--omega-spec"],
+    "sample-fast": ["sample", "--mode", "fast", "--X", "50", "--samples", "10", "--omega-spec"],
+    "sample-exact": ["sample", "--mode", "exact", "--X", "50", "--samples", "10", "--omega-spec"],
+    "density": ["density", "--spec"],  # the density side reads no lambdas
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("command, entry", [
+    (c, e) for c in _SPEC_COMMANDS for e in _NONFINITE_ENTRIES if (c, e) != ("density", "lambda")])
+def test_nonfinite_spec_entry_exits_2_before_any_evaluation(tmp_path, monkeypatch, capsys,
+                                                           bad, command, entry):
+    field, spec = _NONFINITE_ENTRIES[entry]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec(bad)))  # json.dumps writes NaN, Infinity, -Infinity
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a non-finite spec reached evaluation")
+
+    monkeypatch.setattr(gapwidth, "make_almost_periodic", evaluated)
+    monkeypatch.setattr(gapwidth, "phi_from_poly", evaluated)
+    out = tmp_path / "out"
+    argv = _SPEC_COMMANDS[command] + [str(path)]
+    if command.startswith("sample"):
+        argv += ["--out", str(out)]
+    assert main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f'error: "{field}"') and "finite" in captured.err
+    assert not out.exists()
 
 
 def test_gap_spec_not_an_object_exits_2(tmp_path, capsys):

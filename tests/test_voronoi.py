@@ -67,6 +67,24 @@ def test_series_threads_change_no_bit(r2_200k, product_gap, cutoff):
         series_with_gap(xs, gaps, r2_200k, cutoff, 0)
 
 
+@pytest.mark.parametrize("cutoff", [0, 10_000])
+def test_series_threads_keep_zero_gaps_and_empty_cutoffs(r2_200k, product_gap, cutoff):
+    # each thread rounds its own rows: two full blocks and a partial one of
+    # 2 rows (at cutoff 0, no terms at all, one block of 11 rows), with
+    # zero-gap points at the first row and inside the second block, on 1, 2
+    # and 3 threads; every point must equal the list fsum, sign of zero included
+    n = r2_200k.nonzero_count_upto(cutoff)
+    size = 2 * (voronoi._SERIES_BLOCK // n) + 2 if n else 11
+    grid = stats.SampleGrid(X=300.0, S=size, Q=64, phase=0.45)
+    xs = np.array([p.value for p in grid.points])
+    gaps = np.asarray(product_gap.value(xs), dtype=np.float64)
+    gaps[[0, size // 2 + 1]] = 0.0
+    want = [series_with_gap_fsum(x, g, r2_200k, cutoff).hex() for x, g in zip(xs, gaps)]
+    for threads in (1, 2, 3):
+        got = series_with_gap(xs, gaps, r2_200k, cutoff, threads)
+        assert [v.hex() for v in got.tolist()] == want, threads
+
+
 def test_series_window_and_cutoff_guards(r2_10k, inv_log):
     gap = float(inv_log.value(350.0))
     outside = counting.ShellSample(x=350.0, omega_x=gap, n_inner=None, n_outer=None,
