@@ -178,12 +178,17 @@ def exact_parts(p: np.ndarray, q: np.ndarray | None = None) -> list:
     floating-point summation, part I", 2008): with 2^M > n + 1 and
     sigma = 2^M 2^e > 2^M max|row|, q = (sigma + row) - sigma is the row
     rounded to a multiple of 2^-53 sigma with |sum q| < sigma, so q.sum() is
-    exact in any order and row - q is exact.  Each row has its own sigma; a
-    level is a few NumPy passes over the block, and every sigma moves down by
-    2^(53 - M) until the block is zero; a row's nonzero q.sum()s are its parts.
-    A row below _EXTRACT_FLOOR, or with inf, nan or a max at or above
-    _EXTRACT_CEILING, is set aside with its nonzero entries; an all-zero row
-    gives [-0.0] if every entry is -0.0, else [0.0], as fsum does.
+    exact in any order and row - q is exact.  The rows share one sigma, that
+    of the largest max among the rows extracted, so a level is a few NumPy
+    passes over the block that add and subtract one scalar; sigma moves down
+    by 2^(53 - M) until the block is zero, and a row's nonzero q.sum()s are
+    its parts.  A row far below the block's max thus costs the whole block
+    the levels that reach it, 53 - M bits a level.
+    A row whose own sigma would lie below _EXTRACT_FLOOR, or with inf, nan or
+    a max at or above _EXTRACT_CEILING, is set aside with its nonzero
+    entries, and so is every row's remainder once sigma falls below
+    _EXTRACT_FLOOR; an all-zero row gives [-0.0] if every entry is -0.0,
+    else [0.0], as fsum does.
     Overwrites p, and q, a scratch array of p's shape and dtype, if given.
     """
     block = p[None] if p.ndim == 1 else p
@@ -193,27 +198,28 @@ def exact_parts(p: np.ndarray, q: np.ndarray | None = None) -> list:
         return parts if p.ndim > 1 else parts[0]
     M = (block.shape[1] + 1).bit_length()
     shrink = math.ldexp(1.0, M - 53)
-    tops = np.abs(block, out=q).max(axis=1).tolist()
-    sigma = [math.ldexp(1.0, M + math.frexp(top)[1]) if 0.0 < top < _EXTRACT_CEILING else 0.0
-             for top in tops]
+    sigma = 0.0
+    for row, row_parts, top in zip(block, parts, np.abs(block, out=q).max(axis=1).tolist()):
+        own = math.ldexp(1.0, M + math.frexp(top)[1]) if 0.0 < top < _EXTRACT_CEILING else 0.0
+        if own < _EXTRACT_FLOOR:  # set aside; nan, inf and tiny tops are truthy
+            row_parts += (row[row != 0].tolist() if top else
+                          [-0.0 if np.signbit(row).all() else 0.0])
+            row.fill(0.0)
+        else:
+            sigma = max(sigma, own)
     levels = []
-    while True:
-        if min(sigma) < _EXTRACT_FLOOR:  # set rows aside; a zero row then takes sigma 1
-            for i, s in enumerate(sigma):
-                if s < _EXTRACT_FLOOR:
-                    row = block[i]
-                    parts[i] += (row[row != 0].tolist() if s or tops[i] else
-                                 [-0.0 if np.signbit(row).all() else 0.0])
-                    row.fill(0.0)
-                    sigma[i] = 1.0
-        col = sigma[0] if len(sigma) == 1 else np.array(sigma)[:, None]  # a scalar adds faster
-        np.add(block, col, out=q)
-        q -= col
+    while sigma:
+        if sigma < _EXTRACT_FLOOR:  # set every row's remainder aside
+            for row, row_parts in zip(block, parts):
+                row_parts += row[row != 0].tolist()
+            break
+        np.add(block, sigma, out=q)
+        q -= sigma
         block -= q
         levels.append(q.sum(axis=1).tolist())
         if not block.any():
             break
-        sigma = [s * shrink for s in sigma]
+        sigma *= shrink
     for row_parts, sums in zip(parts, zip(*levels)):
         row_parts += [s for s in sums if s]
     return parts if p.ndim > 1 else parts[0]

@@ -203,17 +203,16 @@ def cmd_expand(args) -> int:
     cfg = replace(_config_from_args(args), mode="exact")  # expand always counts exactly
     omega, grid, r2 = _experiment(cfg)
     X = cfg.X
-    rows = []
-    for s in stats.sample_shells(omega, grid, r2, "exact", cfg.threads, sawtooth=True):
-        rhs = voronoi.expansion_rhs(s, X, r2)
-        rows.append((s.x, s.normalized, rhs, abs(s.normalized - rhs)))
+    samples = stats.sample_shells(omega, grid, r2, "exact", cfg.threads, sawtooth=True)
+    rhs = voronoi.expansion_rhs(samples, X, r2, cfg.threads).tolist()
+    rows = [(s.x, s.normalized, r, abs(s.normalized - r)) for s, r in zip(samples, rhs)]
     resid = np.array([r[3] for r in rows])
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "expansion.csv", "w", encoding="utf-8") as fh:
         fh.write("x,ehat,rhs,residual\n")
-        for x, ehat, rhs, res in rows:
-            fh.write(",".join(format(v, ".17g") for v in (x, ehat, rhs, res)) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
     summary = {"X": X, "S": cfg.samples,
                "median_residual": float(np.median(resid)),
                "q95_residual": float(np.quantile(resid, 0.95))}
@@ -285,6 +284,15 @@ def _fixtures():
         _check([math.fsum(r).hex() for r in arith.exact_parts(np.array(rows))]
                == [math.fsum(r).hex() for r in rows], "exact_parts row fsums")
 
+    def expansion_batch():
+        X, r2 = 10.0, arith.build_r2(stats.r2_limit(10.0, "exact"))
+        om = gapwidth.make_slowly_varying("inv_log")
+        rows = [counting.shell_sample(counting.RadiusPoint(k, 8), om, r2, sawtooth=True)
+                for k in (81, 113, 159)]
+        _check([v.hex() for v in voronoi.expansion_rhs(rows, X, r2, 2).tolist()]
+               == [voronoi.expansion_rhs(s, X, r2).hex() for s in rows],
+               "expansion_rhs of three samples = three one-sample calls")
+
     def spectra_exact():
         phi = spectra.phi_from_poly([1, 1])
         _check([spectra.phi_moment(phi, j) for j in (1, 2, 3, 4)] == [2, 6, 20, 70], "phi moments")
@@ -320,6 +328,7 @@ def _fixtures():
     return [
         ("counting_fixtures", counts),
         ("r2_fixtures", r2_values),
+        ("expansion_batch", expansion_batch),
         ("spectra_exact_identities", spectra_exact),
         ("gapwidth_closed_forms", gap_forms),
         ("sqrt_zero_relations", zero_relations),
@@ -365,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--Q", type=int, default=64)
         p.add_argument("--phase", type=float, default=0.5)
         p.add_argument("--threads", type=int, default=1,
-                       help=f"most threads a run may use, 1 to {MAX_THREADS}: exact shells, or the "
-                            "rows of each fast-mode series block, are split over them; the "
-                            "artifacts do not depend on it")
+                       help=f"most threads a run may use, 1 to {MAX_THREADS}: exact shells and the "
+                            "rows of each series block (fast-mode samples, expand's main "
+                            "series) are split over them; the artifacts do not depend on it")
         p.add_argument("--out", help="artifact directory (default: the config's, else .)")
 
     def mode_flags(p):

@@ -40,7 +40,8 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     """sum over 1 <= m <= cutoff of (2^{3/2}/pi) r2(m)/m sin(pi sqrt(m) gap)
     sin(pi sqrt(m) (2x + gap)), the sum of the terms correctly rounded (the
     fsum of their exact partial sums, arith.exact_parts): a float for scalar
-    x and gap, one value per point for 1-D arrays of equal length.
+    x and gap, one value per point for 1-D arrays of equal length.  Any
+    other pair of shapes raises ValueError.
 
     The columns r2(m)/m and pi sqrt(m) are made once per call; the points go
     through blocks of about _SERIES_BLOCK (point, term) pairs in two
@@ -56,6 +57,10 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     row's fsum in row order, so the thread count changes no bit.  The helpers
     live for this call only; a one-row block (a scalar call) runs inline.
     """
+    xs, gaps = np.asarray(x, dtype=np.float64), np.asarray(gap, dtype=np.float64)
+    if not (xs.ndim == gaps.ndim == 0 or xs.ndim == gaps.ndim == 1 and xs.size == gaps.size):
+        raise ValueError(f"x and gap must be two scalars or two 1-D arrays of one length, "
+                         f"not shapes {xs.shape} and {gaps.shape}")
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
     if threads < 1:
@@ -65,8 +70,8 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     amp = r2.nonzero_values[:n] / m
     root = np.sqrt(m, out=m)
     root *= math.pi
-    gaps = np.array(gap, dtype=np.float64, ndmin=1)
-    phases = 2.0 * np.array(x, dtype=np.float64, ndmin=1) + gaps
+    gaps = gaps.reshape(-1)
+    phases = 2.0 * xs.reshape(-1) + gaps
     rows = max(1, _SERIES_BLOCK // max(n, 1))
     a, b = np.empty((2, min(rows, gaps.size), n))
     workers = min(threads, len(a))
@@ -93,23 +98,34 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
             for h in helpers:
                 block += h.result()
             out += [SERIES_PREFACTOR * math.fsum(row) for row in block]
-    return out[0] if np.ndim(x) == 0 else np.array(out)
+    return out[0] if xs.ndim == 0 else np.array(out)
 
 
-def expansion_rhs(sample: ShellSample, X: float, r2: R2Table) -> float:
+def expansion_rhs(samples: ShellSample | Sequence[ShellSample], X: float, r2: R2Table,
+                  threads: int = 1):
     """Main series at cutoff floor(X^2) minus the exact sawtooth correction
-    of the shell, 2 xi / x^2 with xi = sample.sawtooth.
+    of the shell, 2 xi / x^2 with xi = sample.sawtooth: a float for one
+    sample, an array with one value per sample for a sequence of them.
 
-    The sample is shell_sample(..., sawtooth=True): its gap and sawtooth are
+    Each sample is shell_sample(..., sawtooth=True): its gap and sawtooth are
     those of the snapped outer radius the exact shell count realises, so the
     residual against sample.normalized probes only the expansion remainder.
+    Every sample's window and sawtooth are checked before any series work;
+    then one series_with_gap call on threads takes all of them, which equals
+    the one-sample calls bit for bit.
     """
-    if not X < sample.x < 2 * X:
-        raise ValueError(f"x = {sample.x} outside the dyadic window ({X}, {2 * X})")
-    if sample.sawtooth is None:
-        raise ValueError("sample has no sawtooth: take it with shell_sample(..., sawtooth=True)")
-    series = series_with_gap(sample.x, sample.omega_x, r2, int(X * X))
-    return series - 2.0 / (sample.x * sample.x) * sample.sawtooth
+    one = isinstance(samples, ShellSample)
+    rows = [samples] if one else list(samples)
+    for s in rows:
+        if not X < s.x < 2 * X:
+            raise ValueError(f"x = {s.x} outside the dyadic window ({X}, {2 * X})")
+        if s.sawtooth is None:
+            raise ValueError("sample has no sawtooth: take it with shell_sample(..., sawtooth=True)")
+    xs = np.array([s.x for s in rows], dtype=np.float64)
+    series = series_with_gap(xs, np.array([s.omega_x for s in rows], dtype=np.float64),
+                             r2, int(X * X), threads)
+    rhs = series - 2.0 / (xs * xs) * np.array([s.sawtooth for s in rows], dtype=np.float64)
+    return float(rhs[0]) if one else rhs
 
 
 def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int]) -> bool:

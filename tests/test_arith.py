@@ -326,6 +326,38 @@ def test_exact_parts_rows_match_list_fsum(block, scratch):
     assert [_fsum_outcome(row) for row in parts] == want
 
 
+@st.composite
+def _magnitude_blocks(draw):
+    """2-D float64 blocks of ordinary rows, each scaled by its own drawn
+    power of two (some down to where the extraction meets _EXTRACT_FLOOR),
+    with one row at 2^-600 below the block's max; a drawn share of the rows
+    are all zeros of either sign or mixed."""
+    rows = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 4) | st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shifts = draw(st.lists(st.integers(-300, 300) | st.integers(-1000, -860),
+                           min_size=rows, max_size=rows))
+    block = np.empty((rows, n))
+    for row, shift in zip(block, shifts):
+        row[:] = np.ldexp(_ordinary_row(rng, n), shift)
+    top = np.abs(block).max()
+    far = draw(st.integers(0, rows - 1))
+    block[far] = np.ldexp(_ordinary_row(rng, n), -60) * (top * 2.0 ** -600)
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        if i != far:
+            block[i] = _ROW_KINDS[draw(st.sampled_from(["+0.0", "-0.0", "mixed zeros"]))](rng, n)
+    return block
+
+
+@settings(max_examples=150, deadline=None)
+@given(_magnitude_blocks())
+def test_exact_parts_rows_of_mixed_magnitude_match_list_fsum(block):
+    # the rows share one sigma: a row far below the max takes more levels
+    # (or the floor's set-aside) but must keep its own fsum, sign of zero included
+    want = [_fsum_outcome(row) for row in block.tolist()]
+    assert [_fsum_outcome(row) for row in arith.exact_parts(block.copy())] == want
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)])
 def test_exact_parts_zero_width_blocks(shape):
     assert arith.exact_parts(np.empty(shape)) == [[]] * shape[0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,17 @@ def test_series_block_contract(r2_10k):
     assert one.hex() == series_with_gap(150.0, 0.2, r2_10k, 5000).hex()
     empty = series_with_gap(np.empty(0), np.empty(0), r2_10k, 5000)
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("x, gap, shapes", [
+    (np.array([150.0, 160.0, 170.0]), np.array([0.2]), "(3,) and (1,)"),
+    (150.0, np.array([0.2, 0.3]), "() and (2,)"),
+    (np.full((2, 2), 150.0), np.full((2, 2), 0.2), "(2, 2) and (2, 2)"),
+], ids=["lengths", "scalar-x", "2-D"])
+def test_series_rejects_unequal_shapes(r2_10k, x, gap, shapes):
+    # no broadcasting: every point needs its own gap, and a block is 1-D
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        series_with_gap(x, gap, r2_10k, 5000)
 
 
 @pytest.mark.parametrize("spec", ["inv_log", "product_gap"])
@@ -269,6 +281,45 @@ def test_expansion_residual_falls_with_the_series_cutoff(r2_200k, inv_log):
     wide = [abs(s.normalized - (series_with_gap(s.x, s.omega_x, r2_200k, 16 * int(X * X))
                                  - 2.0 / (s.x * s.x) * s.sawtooth)) for s in rows]
     assert np.quantile(wide, 0.95) < np.quantile(default, 0.95)
+
+
+@pytest.mark.parametrize("spec, X, S, tail", [("product_gap", 60.0, 200, 17),
+                                              ("inv_log", 100.0, 51, 5)],
+                         ids=["product-X60", "inv-log-X100"])
+def test_expansion_rhs_batch_equals_one_sample_calls(request, r2_200k, spec, X, S, tail):
+    # the golden product grid (two zero-gap rows; three 61-row blocks and a
+    # partial one of 17) and a grid of two 23-row blocks and a partial one
+    # of 5 at cutoff 10^4; every value must equal its one-sample call
+    rows = stats.sample_shells(request.getfixturevalue(spec), stats.SampleGrid(X=X, S=S, Q=64),
+                               r2_200k, "exact", 1, sawtooth=True)
+    per_row = voronoi._SERIES_BLOCK // r2_200k.nonzero_count_upto(int(X * X))
+    assert S % per_row == tail
+    if spec == "product_gap":
+        assert sum(s.omega_x == 0.0 for s in rows) == 2
+    want = [expansion_rhs(s, X, r2_200k).hex() for s in rows]
+    for threads in (1, 2, 3):
+        got = expansion_rhs(rows, X, r2_200k, threads)
+        assert isinstance(got, np.ndarray) and got.shape == (S,)
+        assert [v.hex() for v in got.tolist()] == want, threads
+
+
+def test_expansion_rhs_of_no_samples(r2_10k):
+    got = expansion_rhs([], 100.0, r2_10k)
+    assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", ["window", "sawtooth"])
+def test_expansion_rhs_checks_every_sample_first(r2_200k, inv_log, monkeypatch, bad):
+    # one bad sample after good ones: the error comes before any series work
+    good = [counting.shell_sample(RadiusPoint(k, 64), inv_log, r2_200k, sawtooth=True)
+            for k in (6433, 7041)]
+    k = 12_900 if bad == "window" else 7717  # x = 201.6 lies outside (100, 200)
+    last = counting.shell_sample(RadiusPoint(k, 64), inv_log, r2_200k, sawtooth=bad == "window")
+    calls = []
+    monkeypatch.setattr(voronoi, "series_with_gap", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="dyadic window" if bad == "window" else "sawtooth=True"):
+        expansion_rhs(good + [last], 100.0, r2_200k)
+    assert calls == []
 
 
 def test_expansion_rhs_window_guard(r2_10k, inv_log):
