@@ -317,15 +317,6 @@ def _row_blocks(draw):
     return block
 
 
-@settings(max_examples=200, deadline=None)
-@given(_row_blocks(), st.booleans())
-def test_exact_parts_rows_match_list_fsum(block, scratch):
-    want = [_fsum_outcome(row) for row in block.tolist()]
-    parts = arith.exact_parts(block.copy(), np.empty_like(block) if scratch else None)
-    assert len(parts) == len(block)
-    assert [_fsum_outcome(row) for row in parts] == want
-
-
 @st.composite
 def _magnitude_blocks(draw):
     """2-D float64 blocks of ordinary rows, each scaled by its own drawn
@@ -349,13 +340,15 @@ def _magnitude_blocks(draw):
     return block
 
 
-@settings(max_examples=150, deadline=None)
-@given(_magnitude_blocks())
-def test_exact_parts_rows_of_mixed_magnitude_match_list_fsum(block):
+@settings(max_examples=350, deadline=None)
+@given(_row_blocks() | _magnitude_blocks(), st.booleans())
+def test_exact_parts_rows_match_list_fsum(block, scratch):
     # the rows share one sigma: a row far below the max takes more levels
     # (or the floor's set-aside) but must keep its own fsum, sign of zero included
     want = [_fsum_outcome(row) for row in block.tolist()]
-    assert [_fsum_outcome(row) for row in arith.exact_parts(block.copy())] == want
+    parts = arith.exact_parts(block.copy(), np.empty_like(block) if scratch else None)
+    assert len(parts) == len(block)
+    assert [_fsum_outcome(row) for row in parts] == want
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)])
