@@ -14,7 +14,6 @@ from .spectra import (DensitySpec, TrigPolyModulus, construction_moment,
 from .stats import (EmpiricalDistribution, SampleGrid, ks_distance, m_j,
                     mixture_cdf, normal_cdf, sample_errors, sample_shells,
                     variance_sigma2)
-from .voronoi import (diagonal_sum, expansion_rhs, r2_squared_partial_sum_check,
-                      sum_sqrt_is_zero)
+from .voronoi import diagonal_sum, expansion_rhs, sum_sqrt_is_zero
 
 __version__ = "0.1.0"

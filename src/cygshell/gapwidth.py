@@ -49,6 +49,7 @@ class GapWidth:
     spec: "AlmostPeriodicGap | None" = None
 
     def value(self, x):
+        """omega(x); an array call equals the calls per point bit for bit."""
         return self.jet(np.log(x), 0)[0]
 
     def d1(self, x):
@@ -155,14 +156,16 @@ def make_almost_periodic(spec: AlmostPeriodicGap) -> GapWidth:
 
     def _h(L, order):
         """[h(L), ..., h^(order)(L)] for order <= 2."""
-        u = L ** A
+        # float_power, not **: an array ** may take a SIMD power that rounds
+        # unlike the scalar pow, and value() must not depend on the shape
+        u = np.float_power(L, A)
         c = _jet(u, order)
-        h = [c[0] * L ** (-A)]
+        h = [c[0] * np.float_power(L, -A)]
         if order > 0:
             w = u * c[1] - c[0]
-            h.append(w * (A / L ** (A + 1)))
+            h.append(w * (A / np.float_power(L, A + 1)))
         if order > 1:
-            h.append((A * u * u * c[2] - (A + 1) * w) * (A / L ** (A + 2)))
+            h.append((A * u * u * c[2] - (A + 1) * w) * (A / np.float_power(L, A + 2)))
         return h
 
     mark = "x" if spec.mode == "product" else "+"

@@ -151,15 +151,12 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
     """
     workers = min(_thread_count(threads), len(grid.points))
     if mode == "fast":
-        xs = [p.value for p in grid.points]
-        # omega per point: an array call rounds some L ** -A (NumPy's array
-        # power) differently from the scalar libm pow whose bits are pinned
-        gaps = [float(omega.value(x)) for x in xs]
-        vs = series_with_gap(np.array(xs), np.array(gaps), r2,
-                             max(FAST_CUTOFF_FLOOR, int(grid.X)), workers).tolist()
+        xs = grid.xs
+        gaps = omega.value(xs)
+        vs = series_with_gap(xs, gaps, r2, max(FAST_CUTOFF_FLOOR, int(grid.X)), workers).tolist()
         return [ShellSample(x=x, omega_x=gap, n_inner=None, n_outer=None,
                             shell_count=None, error=v * x * x, normalized=v)
-                for x, gap, v in zip(xs, gaps, vs)]
+                for x, gap, v in zip(xs.tolist(), gaps.tolist(), vs)]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     if workers > 1:
@@ -319,12 +316,6 @@ class _NormalCdf:
         np.copyto(e, t, where=neg)
         np.place(x, tail, e)
         return x.reshape(a.shape)
-
-
-def _ndtr(a: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of an array (_NormalCdf), as a new array; a is not
-    written."""
-    return _NormalCdf()(np.array(a, dtype=np.float64))
 
 
 def mixture_cdf(spec: DensitySpec, alpha):

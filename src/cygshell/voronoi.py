@@ -25,7 +25,6 @@ __all__ = [
     "expansion_rhs",
     "sum_sqrt_is_zero",
     "diagonal_sum",
-    "r2_squared_partial_sum_check",
 ]
 
 SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi
@@ -146,18 +145,6 @@ def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int]) -> bool:
         dec = squarefree_core(m)
         groups[dec.core] = groups.get(dec.core, 0) + e * dec.k
     return all(v == 0 for v in groups.values())
-
-
-def r2_squared_partial_sum_check(y: int, r2: R2Table) -> float:
-    """sum_{n <= y} r2(n)^2 / (4 y log y), a trend diagnostic toward 1."""
-    if y < 2:
-        raise ValueError("y must be >= 2")
-    if y > r2.limit:
-        raise ValueError(f"y = {y} exceeds the r2 table limit {r2.limit}")
-    # int64: a dot of the uint16 counts would wrap modulo 2^16
-    v = r2.nonzero_values[:r2.nonzero_count_upto(y)].astype(np.int64)
-    total = int(np.dot(v, v))
-    return total / (4.0 * y * math.log(y))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ chunk loop of counting._ball_pass, chunk offsets included), and the main
 series, both summed by math.fsum over a Python list of every product or
 term (cross-check the exact partial sums of arith.exact_parts bit for bit),
 and the normal CDF that evaluates both Cephes rationals over every element
-and picks one with np.where (pins stats._ndtr's gathered tail bit for bit).
+and picks one with np.where (pins the gathered tail of stats._NormalCdf bit
+for bit); also two helpers that only the tests call: the r2^2 partial-sum
+trend of criterion 9 and stats._NormalCdf as a function of a new array.
 """
 
 import itertools
@@ -33,7 +35,7 @@ from cygshell.arith import R2Table
 from cygshell.counting import _BAND, RadiusPoint, _psi_exact
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.spectra import DensitySpec, phi_moment
-from cygshell.stats import _ERF_T, _ERF_U, _ERFC_CLAMP, _ERFC_P, _ERFC_Q
+from cygshell.stats import _ERF_T, _ERF_U, _ERFC_CLAMP, _ERFC_P, _ERFC_Q, _NormalCdf
 from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
 
 
@@ -57,6 +59,18 @@ def r2_sum_upto(r2: R2Table, y: int) -> int:
     if y > r2.limit:
         raise ValueError(f"r2 table limit {r2.limit} < requested {y}")
     return 1 + int(r2.nonzero_values[:r2.nonzero_count_upto(y)].sum(dtype=np.int64))
+
+
+def r2_squared_partial_sum_check(y: int, r2: R2Table) -> float:
+    """sum_{n <= y} r2(n)^2 / (4 y log y), a trend diagnostic toward 1."""
+    if y < 2:
+        raise ValueError("y must be >= 2")
+    if y > r2.limit:
+        raise ValueError(f"y = {y} exceeds the r2 table limit {r2.limit}")
+    # int64: a dot of the uint16 counts would wrap modulo 2^16
+    v = r2.nonzero_values[:r2.nonzero_count_upto(y)].astype(np.int64)
+    total = int(np.dot(v, v))
+    return total / (4.0 * y * math.log(y))
 
 
 def count_ball_isqrt(x: RadiusPoint, r2: R2Table) -> int:
@@ -314,12 +328,18 @@ def _horner(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
     return out
 
 
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array (stats._NormalCdf), as a new array; a
+    is not written."""
+    return _NormalCdf()(np.array(a, dtype=np.float64))
+
+
 def ndtr_two_branch(a: np.ndarray) -> np.ndarray:
-    """The standard normal CDF of stats._ndtr with both branches over every
+    """The standard normal CDF of ndtr with both branches over every
     element: the erfc rational on min(|x|, 8) and the erf rational on its
     square, x = a/sqrt 2, then np.where picks the erf side where |x| < 1.
     Each element sees the same float64 operations in the same order as in
-    stats._ndtr, which evaluates the erfc side only where it is picked."""
+    ndtr, which evaluates the erfc side only where it is picked."""
     x = a * math.sqrt(0.5)
     z = np.abs(x)
     np.minimum(z, _ERFC_CLAMP, out=z)

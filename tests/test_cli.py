@@ -468,7 +468,7 @@ def test_moments_with_an_underflowing_m2_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("A, m2", [(20, "9.57041e-22"), (400, "0")])
+@pytest.mark.parametrize("A, m2", [(20, "9.57048e-22"), (400, "0")])
 def test_diagnose_with_underflowing_moments_exits_2(tmp_path, capsys, A, m2):
     # at A = 20, m2 > 0 but m2^20, the denominator of the j = 40 ratio, is 0
     assert main(["diagnose", "--omega-spec", _vanishing_gap_spec(tmp_path, A),

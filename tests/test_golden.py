@@ -1,5 +1,7 @@
 """Byte-for-byte pins of the artifacts of seven small CLI runs, and of the
-stdout of three diagnose runs and one density run.
+stdout of three diagnose runs and one density run, and a check that the
+product gap width and its diagnose stdout keep their bits with NumPy's
+AVX-512 dispatch off.
 
 A reordered float operation in the counting kernel, the fast series, the
 sampling grid, the almost-periodic gap width or the serializers changes at
@@ -11,10 +13,19 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cygshell
 from cygshell.cli import main
+from cygshell.gapwidth import gap_from_json
+from cygshell.stats import SampleGrid
 
 SPEC_FILE = "<product spec file>"
 PRODUCT_SPEC = {"kind": "product", "polys": [[[1.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]],
@@ -104,7 +115,7 @@ DIAGNOSE_GOLDEN = [
     (["--omega", "exp_neg_sqrt_log", "--X", "100000"],
      "5fbac4a7b61b0052371687a98b6e3363352bae0b557706aca88358a013322648"),
     (["--omega-spec", SPEC_FILE, "--X", "100"],
-     "1d0f5b5ba7fb8114d28b5908a5ab9d3515f465b282febbe1d8793d48e8b8e681"),
+     "549c166f58cd953d08924106f302a4f79baafd68642052de984c26520db5cce7"),
 ]
 
 
@@ -130,3 +141,39 @@ def test_density_stdout_digest(tmp_path):
     argv = ["density", "--spec", SPEC_FILE, "--alpha", "0", "0.5", "1.0"]
     want = "012a1763733026c89a16ca9aa30ec54624ee752f088f711ff9822874035e89ed"
     assert _stdout_digest(tmp_path, argv) == want
+
+
+def product_readings(tmp_path) -> dict:
+    """The product gap width's bits on one grid, the diagnose product stdout
+    digest, and the AVX-512 dispatch targets this process may use.
+
+    The gap width is h(L) at L = math.log(x): NumPy's AVX-512 log differs
+    from libm's at one point of this grid (x = 2802.140625), so omega.value
+    depends on the dispatch through np.log, apart from the power and
+    trigonometric work that h does."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    L = np.array([math.log(x) for x in SampleGrid(X=2000.0, S=4000, Q=64).xs.tolist()])
+    return {"omega": [v.hex() for v in gap_from_json(PRODUCT_SPEC).jet(L, 0)[0].tolist()],
+            "diagnose": _stdout_digest(tmp_path, ["diagnose"] + DIAGNOSE_GOLDEN[2][0]),
+            "avx512": [t for t in __cpu_dispatch__
+                       if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__[t]]}
+
+
+def test_product_gap_bits_do_not_depend_on_simd_dispatch(tmp_path):
+    # NumPy picks an AVX-512 kernel for some array operations where the CPU
+    # has one; the gap width and diagnose must read the same bits without it
+    here = product_readings(tmp_path)
+    if not here["avx512"]:
+        pytest.skip("NumPy reports no AVX-512 dispatch target on this CPU")
+    paths = [str(Path(cygshell.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+    script = ("import json, pathlib, sys; sys.path[:0] = sys.argv[1:3]; import test_golden; "
+              "print(json.dumps(test_golden.product_readings(pathlib.Path(sys.argv[3]))))")
+    proc = subprocess.run([sys.executable, "-c", script, *paths, str(tmp_path)],
+                          env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(here["avx512"])},
+                          capture_output=True, text=True, timeout=120, check=True)
+    off = json.loads(proc.stdout)
+    assert off["avx512"] == []
+    assert off["omega"] == here["omega"] and off["diagnose"] == here["diagnose"]

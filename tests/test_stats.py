@@ -11,7 +11,7 @@ from cygshell.counting import shell_sample
 from cygshell.stats import (EmpiricalDistribution, SampleGrid, ks_distance,
                             m_j, mixture_cdf, normal_cdf, sample_errors,
                             variance_sigma2)
-from oracles import ndtr_two_branch, series_with_gap_fsum
+from oracles import ndtr, ndtr_two_branch, series_with_gap_fsum
 
 
 def test_grid_points_inside_window():
@@ -97,6 +97,14 @@ def test_fast_rows_equal_the_per_point_formula(request, r2_10k, spec):
     fast = stats.sample_shells(omega, grid, r2_10k, "fast", None)
     assert [(s.x.hex(), s.omega_x.hex(), s.error.hex(), s.normalized.hex())
             for s in fast] == want
+
+
+def test_fast_omega_column_equals_scalar_calls(r2_10k, product_gap):
+    # fast mode takes omega with one array call per grid
+    grid = SampleGrid(X=2000.0, S=4000, Q=64)
+    fast = stats.sample_shells(product_gap, grid, r2_10k, "fast", None)
+    assert ([s.omega_x.hex() for s in fast]
+            == [float(product_gap.value(p.value)).hex() for p in grid.points])
 
 
 @pytest.mark.parametrize("spec", ["inv_log", "product_gap"])
@@ -254,18 +262,18 @@ def test_mixture_cdf_consistent_with_density():
 def test_ndtr_matches_math_erf():
     grid = np.linspace(-40.0, 40.0, 400_001)
     want = np.array([0.5 * (1.0 + math.erf(a / math.sqrt(2.0))) for a in grid.tolist()])
-    assert np.abs(stats._ndtr(grid) - want).max() <= 4.5e-16
+    assert np.abs(ndtr(grid) - want).max() <= 4.5e-16
 
 
 def test_ndtr_matches_scipy_in_both_tails():
-    ndtr = pytest.importorskip("scipy.special").ndtr
+    scipy_ndtr = pytest.importorskip("scipy.special").ndtr
     # up to the erfc clamp at |x| = 8, where Cephes changes its approximation
     lower = np.linspace(-11.3, -1.0, 20_001)
-    assert np.abs(stats._ndtr(lower) / ndtr(lower) - 1.0).max() <= 2e-15
-    assert np.abs((1.0 - stats._ndtr(-lower)) - ndtr(lower)).max() <= 2.3e-16
+    assert np.abs(ndtr(lower) / scipy_ndtr(lower) - 1.0).max() <= 2e-15
+    assert np.abs((1.0 - ndtr(-lower)) - scipy_ndtr(lower)).max() <= 2.3e-16
     # past the erfc clamp at |x| = 8 the lower tail reads erfc(8)/2 < 6e-30
     far = np.linspace(-40.0, -8.0 * math.sqrt(2.0), 101)
-    assert np.all(stats._ndtr(far) < 6e-30) and np.all(stats._ndtr(-far) == 1.0)
+    assert np.all(ndtr(far) < 6e-30) and np.all(ndtr(-far) == 1.0)
 
 
 def _ndtr_regimes():
@@ -285,7 +293,7 @@ def test_ndtr_bit_equals_two_branch_oracle():
     a = _ndtr_regimes()
     before = a.copy()
     with np.errstate(over="ignore"):
-        got = stats._ndtr(a)
+        got = ndtr(a)
     assert np.array_equal(a, before)  # the argument is not written
     assert np.array_equal(got, ndtr_two_branch(a))
     assert got[a == 0.0].tolist() == [0.5, 0.5]  # 0.0 and -0.0
@@ -355,7 +363,7 @@ def test_huge_finite_alpha_is_the_clamped_limit():
     # no overflow warning (the suite makes RuntimeWarning an error): past the
     # erfc clamp the CDF is constant, and the density underflows to 0
     spec = _two_factor_spec()
-    huge, far = stats._ndtr(np.array([1e200, -1e200])), stats._ndtr(np.array([40.0, -40.0]))
+    huge, far = ndtr(np.array([1e200, -1e200])), ndtr(np.array([40.0, -40.0]))
     assert huge.tolist() == far.tolist()
     for a in (1e200, -1e200):
         assert mixture_cdf(spec, a).hex() == mixture_cdf(spec, math.copysign(40.0, a)).hex()

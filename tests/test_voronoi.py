@@ -7,10 +7,9 @@ import pytest
 
 from cygshell import arith, counting, stats, voronoi
 from cygshell.counting import RadiusPoint
-from cygshell.voronoi import (diagonal_sum, expansion_rhs, r2_squared_partial_sum_check,
-                              series_with_gap, sum_sqrt_is_zero)
+from cygshell.voronoi import diagonal_sum, expansion_rhs, series_with_gap, sum_sqrt_is_zero
 from oracles import (diagonal_sum_convolve_j4, diagonal_sum_direct_j2, grouped_pair_sum_j2,
-                     series_with_gap_fsum)
+                     r2_squared_partial_sum_check, series_with_gap_fsum)
 
 
 def test_series_empty_and_degenerate(r2_10k):
