@@ -101,6 +101,14 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _require_memory(need: float, what: str) -> None:
+    """MemoryError when what, estimated at need bytes, exceeds physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(f"{what} needs about {need / 2 ** 20:.0f} MiB, "
+                          f"more than the {have / 2 ** 20:.0f} MiB of physical memory")
+
+
 def build_r2(limit: int) -> R2Table:
     """Sieve r2(m) for all 1 <= m <= limit straight into the compressed view,
     one dense uint16 block of m at a time: rows b >= 1 of the half plane
@@ -122,11 +130,8 @@ def build_r2(limit: int) -> R2Table:
     size = 3 * limit // 4 + 2  # no m = 3 mod 4 is a sum of two squares
     # uint32 m and uint16 r2 reserved, the uint16 block with its bool mask
     # and int64 index, and the columns built on first read
-    need = 6 * size + 11 * step + (limit + 1) * _TABLE_BYTES_PER_ENTRY
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise MemoryError(f"an r2 table to {limit} needs about {need / 2 ** 20:.0f} MiB, "
-                          f"more than the {have / 2 ** 20:.0f} MiB of physical memory")
+    _require_memory(6 * size + 11 * step + (limit + 1) * _TABLE_BYTES_PER_ENTRY,
+                    f"an r2 table to {limit}")
     mnz, vnz = np.empty(size, dtype=np.uint32), np.empty(size, dtype=np.uint16)
     squares = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
     buf = np.empty(step, dtype=np.uint16)
@@ -184,11 +189,10 @@ def exact_parts(p: np.ndarray, q: np.ndarray | None = None) -> list:
     by 2^(53 - M) until the block is zero, and a row's nonzero q.sum()s are
     its parts.  A row far below the block's max thus costs the whole block
     the levels that reach it, 53 - M bits a level.
-    A row whose own sigma would lie below _EXTRACT_FLOOR, or with inf, nan or
-    a max at or above _EXTRACT_CEILING, is set aside with its nonzero
-    entries, and so is every row's remainder once sigma falls below
-    _EXTRACT_FLOOR; an all-zero row gives [-0.0] if every entry is -0.0,
-    else [0.0], as fsum does.
+    A row with inf, nan or a max at or above _EXTRACT_CEILING is set aside
+    with its nonzero entries, and so is every row's remainder once sigma
+    falls below _EXTRACT_FLOOR; an all-zero row gives [-0.0] if every entry
+    is -0.0, else [0.0], as fsum does.
     Overwrites p, and q, a scratch array of p's shape and dtype, if given.
     """
     block = p[None] if p.ndim == 1 else p
@@ -198,15 +202,15 @@ def exact_parts(p: np.ndarray, q: np.ndarray | None = None) -> list:
         return parts if p.ndim > 1 else parts[0]
     M = (block.shape[1] + 1).bit_length()
     shrink = math.ldexp(1.0, M - 53)
-    sigma = 0.0
-    for row, row_parts, top in zip(block, parts, np.abs(block, out=q).max(axis=1).tolist()):
-        own = math.ldexp(1.0, M + math.frexp(top)[1]) if 0.0 < top < _EXTRACT_CEILING else 0.0
-        if own < _EXTRACT_FLOOR:  # set aside; nan, inf and tiny tops are truthy
-            row_parts += (row[row != 0].tolist() if top else
+    top = 0.0
+    for row, row_parts, row_top in zip(block, parts, np.abs(block, out=q).max(axis=1).tolist()):
+        if 0.0 < row_top < _EXTRACT_CEILING:
+            top = max(top, row_top)
+        else:  # set aside; nan and inf tops are truthy
+            row_parts += (row[row != 0].tolist() if row_top else
                           [-0.0 if np.signbit(row).all() else 0.0])
             row.fill(0.0)
-        else:
-            sigma = max(sigma, own)
+    sigma = math.ldexp(1.0, M + math.frexp(top)[1]) if top else 0.0
     levels = []
     while sigma:
         if sigma < _EXTRACT_FLOOR:  # set every row's remainder aside

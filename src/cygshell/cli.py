@@ -24,8 +24,6 @@ EXIT_TEST_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-MAX_THREADS = stats.MAX_THREADS
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -57,8 +55,8 @@ class ExperimentConfig:
             raise ValueError("j_max must be one of 2, 4, 6, 8")
         if self.mode not in ("exact", "fast"):
             raise ValueError("mode must be exact or fast")
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ValueError(f"threads must lie in 1..{MAX_THREADS}")
+        if not 1 <= self.threads <= stats.MAX_THREADS:
+            raise ValueError(f"threads must lie in 1..{stats.MAX_THREADS}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -374,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--Q", type=int, default=64)
         p.add_argument("--phase", type=float, default=0.5)
         p.add_argument("--threads", type=int, default=1,
-                       help=f"most threads a run may use, 1 to {MAX_THREADS}: exact shells and the "
-                            "rows of each series block (fast-mode samples, expand's main "
-                            "series) are split over them; the artifacts do not depend on it")
+                       help=f"most threads a run may use, 1 to {stats.MAX_THREADS}: exact shells "
+                            "and the points of each main series call (fast-mode samples, "
+                            "expand) are split over them; the artifacts do not depend on it")
         p.add_argument("--out", help="artifact directory (default: the config's, else .)")
 
     def mode_flags(p):

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import spectra
+from . import arith, spectra
 from .spectra import DensitySpec, phi_from_poly
 
 __all__ = [
@@ -207,12 +207,20 @@ def _sign_changes(vals: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] * s[:-1] < 0))
 
 
+# Peak bytes per omega_diagnostics scan point, traced at 10^6 points, X = 1000:
+# product and sum constructions 152 (the heaviest), slowly varying kinds 64-80.
+_SCAN_BYTES_PER_POINT = 152
+
+
 def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> OmegaDiagnostics:
-    """Sampled zero counts of omega', omega'' and the moment-ratio diagnostics."""
+    """Sampled zero counts of omega', omega'' and the moment-ratio
+    diagnostics; MemoryError before the first scan when its estimated peak
+    exceeds physical memory."""
     if not (math.isfinite(X) and X >= X_MIN):
         raise ValueError(f"X = {X} must be finite and >= the domain bound {X_MIN}")
     if scan_points < 1000:
         raise ValueError("scan_points must be >= 1000")
+    arith._require_memory(scan_points * _SCAN_BYTES_PER_POINT, f"a scan of {scan_points} points")
     xs, w = _scan(omega, X, scan_points)
     wlw = w * np.log(w)
     moments = {j: float(np.mean(wlw ** j)) for j in range(2, 41, 2)}

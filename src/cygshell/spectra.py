@@ -63,11 +63,6 @@ class TrigPolyModulus:
     coeffs: tuple  # tuple[tuple[int, int], ...], length 2*degree + 1
     den: int = 1
 
-    def coeff(self, m: int) -> tuple[Fraction, Fraction]:
-        """a_m as an exact (re, im) pair of Fractions, (0, 0) past the degree."""
-        re, im = self.coeffs[m + self.degree] if abs(m) <= self.degree else (0, 0)
-        return Fraction(re, self.den), Fraction(im, self.den)
-
     def values(self, t: np.ndarray, order: int = 0) -> np.ndarray:
         """The order-th derivative of phi on a float grid: the real part of
         sum_m (2 pi i m)^order a_m e^{2 pi i m t} (the imaginary part is zero
@@ -178,11 +173,7 @@ class DensitySpec:
         """mixture_components(self), computed once per spec; MemoryError
         before allocating a grid estimated past physical memory."""
         nodes = self.quad_points ** len(self.phis)
-        need, have = nodes * _GRID_BYTES_PER_NODE, arith._physical_memory()
-        if have is not None and need > have:
-            raise MemoryError(f"a quadrature grid of {nodes} nodes needs about "
-                              f"{need / 2 ** 20:.0f} MiB, more than the "
-                              f"{have / 2 ** 20:.0f} MiB of physical memory")
+        arith._require_memory(nodes * _GRID_BYTES_PER_NODE, f"a quadrature grid of {nodes} nodes")
         t, w = _torus_nodes(self.quad_points)
         combine = np.multiply.outer if self.mode == "product" else np.add.outer
         field_vals, weights = self.phis[0].values(t), w

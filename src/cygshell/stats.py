@@ -147,7 +147,7 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
     term; opt-in bias documented by the exact-vs-fast tests.  Fast rows
     carry the unsnapped omega(x) and no counts (n_inner, n_outer,
     shell_count and sawtooth are None).  One series call takes the whole
-    grid and splits the rows of each of its blocks over the threads.
+    grid and splits its points once over the threads.
     """
     workers = min(_thread_count(threads), len(grid.points))
     if mode == "fast":

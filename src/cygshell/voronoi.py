@@ -9,7 +9,6 @@ enumerate only zero-relation tuples via per-core generating polynomials.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
@@ -30,8 +29,9 @@ __all__ = [
 SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi
 
 
-# (point, term) pairs per series_with_gap block.  On the X = 2000, S = 4000
-# fast stage (2749 terms a row), 2^15 measured slower and 2^17 no faster.
+# (point, term) pairs in one series_with_gap call's blocks, over all its
+# threads.  On the X = 2000, S = 4000 fast stage (2749 terms a row), 2^15
+# measured slower and 2^17 no faster.
 _SERIES_BLOCK = 1 << 16
 
 
@@ -42,19 +42,17 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     x and gap, one value per point for 1-D arrays of equal length.  Any
     other pair of shapes raises ValueError.
 
-    The columns r2(m)/m and pi sqrt(m) are made once per call; the points go
-    through blocks of about _SERIES_BLOCK (point, term) pairs in two
-    buffers made once per call.  Every term keeps the float operations of
-    the one-point formula in their order, and each point's row is rounded
-    on its own, so a batch call equals the scalar calls bit for bit.
+    The columns r2(m)/m and pi sqrt(m) are made once per call.  Every term
+    keeps the float operations of the one-point formula in their order, and
+    each point's row is rounded on its own, so a batch call equals the
+    scalar calls bit for bit.
 
-    threads (>= 1) is the most threads the call may use.  The rows of each
-    block are split into contiguous ranges, one per thread and never more
-    ranges than rows; the calling thread takes the first.  Each thread fills
-    its rows of the one set of buffers and extracts their exact parts (its
-    rows of b are the scratch); after the join the calling thread takes each
-    row's fsum in row order, so the thread count changes no bit.  The helpers
-    live for this call only; a one-row block (a scalar call) runs inline.
+    threads (>= 1) is the most threads the call may use.  The points are
+    split once into k = min(threads, points) contiguous ranges; the calling
+    thread takes the first and k - 1 helpers, started and joined once, take
+    the rest.  Each thread walks its range in blocks of about
+    _SERIES_BLOCK // k (point, term) pairs through its own two buffers and
+    rounds its own rows, so the thread count changes no bit.
     """
     xs, gaps = np.asarray(x, dtype=np.float64), np.asarray(gap, dtype=np.float64)
     if not (xs.ndim == gaps.ndim == 0 or xs.ndim == gaps.ndim == 1 and xs.size == gaps.size):
@@ -71,32 +69,32 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     root *= math.pi
     gaps = gaps.reshape(-1)
     phases = 2.0 * xs.reshape(-1) + gaps
-    rows = max(1, _SERIES_BLOCK // max(n, 1))
-    a, b = np.empty((2, min(rows, gaps.size), n))
-    workers = min(threads, len(a))
+    k = max(1, min(threads, gaps.size))
+    rows = max(1, _SERIES_BLOCK // k // max(n, 1))
+    cuts = [gaps.size * i // k for i in range(k + 1)]
+    # made here: a helper's own buffers stayed resident in its malloc arena
+    bufs = np.empty((k, 2, min(rows, -(-gaps.size // k)), n))
 
-    def parts(lo, hi, at):
-        """The exact parts of grid rows lo:hi, from their terms in buffer
-        rows at:at + hi - lo."""
-        sa = np.multiply(gaps[lo:hi, None], root, out=a[at:at + hi - lo])
-        np.sin(sa, out=sa)
-        sb = np.multiply(phases[lo:hi, None], root, out=b[at:at + hi - lo])
-        np.sin(sb, out=sb)
-        sa *= amp
-        sa *= sb
-        return exact_parts(sa, sb)
+    def run(i):
+        """Thread i's rows cuts[i]:cuts[i + 1], a block at a time in bufs[i]."""
+        a, b = bufs[i]
+        out = []
+        for s in range(cuts[i], cuts[i + 1], rows):
+            e = min(s + rows, cuts[i + 1])
+            sa = np.multiply(gaps[s:e, None], root, out=a[:e - s])
+            np.sin(sa, out=sa)
+            sb = np.multiply(phases[s:e, None], root, out=b[:e - s])
+            np.sin(sb, out=sb)
+            sa *= amp
+            sa *= sb
+            out += [SERIES_PREFACTOR * math.fsum(row) for row in exact_parts(sa, sb)]
+        return out
 
-    out = []
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
-        for lo in range(0, gaps.size, rows):
-            size = min(rows, gaps.size - lo)
-            k = min(workers, size)
-            cuts = [size * i // k for i in range(k + 1)]
-            helpers = [pool.submit(parts, lo + s, lo + e, s) for s, e in zip(cuts[1:-1], cuts[2:])]
-            block = parts(lo, lo + cuts[1], 0)
-            for h in helpers:
-                block += h.result()
-            out += [SERIES_PREFACTOR * math.fsum(row) for row in block]
+    with ThreadPoolExecutor(max(1, k - 1)) as pool:  # starts no thread for k = 1
+        helpers = [pool.submit(run, i) for i in range(1, k)]
+        out = run(0)
+        for h in helpers:
+            out += h.result()
     return out[0] if xs.ndim == 0 else np.array(out)
 
 

@@ -21,8 +21,9 @@ series, both summed by math.fsum over a Python list of every product or
 term (cross-check the exact partial sums of arith.exact_parts bit for bit),
 and the normal CDF that evaluates both Cephes rationals over every element
 and picks one with np.where (pins the gathered tail of stats._NormalCdf bit
-for bit); also two helpers that only the tests call: the r2^2 partial-sum
-trend of criterion 9 and stats._NormalCdf as a function of a new array.
+for bit); also three helpers that only the tests call: the r2^2 partial-sum
+trend of criterion 9, stats._NormalCdf as a function of a new array and
+the exact coefficient a_m of a spectra.TrigPolyModulus.
 """
 
 import itertools
@@ -171,12 +172,12 @@ def diagonal_sum_convolve_j4(omega: GapWidth, X: float, Y: int, r2: R2Table,
     for core, rows in _cores_upto(Y, r2).items():
         kmax = max(k for k, _ in rows)
         for i, o in enumerate(om):
-            coeff = np.zeros(2 * kmax + 1)
+            g = np.zeros(2 * kmax + 1)
             for k, w in rows:
                 wk = w * math.sin(math.pi * math.sqrt(core) * k * o)
-                coeff[kmax + k] += wk
-                coeff[kmax - k] -= wk
-            sq = np.convolve(coeff, coeff)
+                g[kmax + k] += wk
+                g[kmax - k] -= wk
+            sq = np.convolve(g, g)
             p2[i] += sq[2 * kmax]
             s22[i] += sq[2 * kmax] ** 2
             p4[i] += np.convolve(sq, sq)[4 * kmax]
@@ -186,6 +187,13 @@ def diagonal_sum_convolve_j4(omega: GapWidth, X: float, Y: int, r2: R2Table,
 _IMAG_TOL = 1e-10
 
 
+def coeff(phi, m: int) -> tuple[Fraction, Fraction]:
+    """a_m of the TrigPolyModulus phi as an exact (re, im) pair of Fractions,
+    (0, 0) past the degree."""
+    re, im = phi.coeffs[m + phi.degree] if abs(m) <= phi.degree else (0, 0)
+    return Fraction(re, phi.den), Fraction(im, phi.den)
+
+
 def _fourier_terms(spec: AlmostPeriodicGap):
     """Flatten the construction into [(frequency, complex coefficient)] terms
     of u -> construction(lambda * u)."""
@@ -193,7 +201,7 @@ def _fourier_terms(spec: AlmostPeriodicGap):
     for phi, lam in zip(spec.to_phis(), spec.lambdas):
         row = []
         for m in range(-phi.degree, phi.degree + 1):
-            c = phi.coeff(m)
+            c = coeff(phi, m)
             cc = complex(float(c[0]), float(c[1]))
             if cc != 0:
                 row.append((m * lam, cc))
@@ -201,12 +209,12 @@ def _fourier_terms(spec: AlmostPeriodicGap):
     if spec.mode == "product":
         stack = [(0.0, 1 + 0j)]
         for row in factors:
-            stack = [(freq + f, coeff * cc) for freq, coeff in stack for f, cc in row]
+            stack = [(freq + f, a * cc) for freq, a in stack for f, cc in row]
     else:
         stack = [term for row in factors for term in row]
     terms: dict[float, complex] = {}
-    for freq, coeff in stack:
-        terms[freq] = terms.get(freq, 0j) + coeff
+    for freq, a in stack:
+        terms[freq] = terms.get(freq, 0j) + a
     return sorted(terms.items())
 
 
@@ -285,7 +293,7 @@ def constrained_sum_convolution(spec: DensitySpec, j: int) -> Fraction:
     for mvec in itertools.product(*(range(-phi.degree, phi.degree + 1) for phi in spec.phis)):
         c = (Fraction(1), Fraction(0))
         for phi, m in zip(spec.phis, mvec):
-            c = _cmul(c, phi.coeff(m))
+            c = _cmul(c, coeff(phi, m))
         if c != _CZERO:
             base[mvec] = c
     acc = base

@@ -420,6 +420,28 @@ def test_density_grid_past_physical_memory_exits_3(tmp_path, monkeypatch, capsys
     assert "physical memory" in capsys.readouterr().err
 
 
+def test_diagnose_scan_past_physical_memory_exits_3(monkeypatch, capsys):
+    # the estimate is the heaviest family's 152 B a point for every family:
+    # 1000 points run in 152 000 B and are refused one byte below
+    monkeypatch.setattr(arith, "_physical_memory", lambda: 152_000)
+    assert main(["diagnose", "--scan-points", "1000"]) == cli.EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(arith, "_physical_memory", lambda: 151_999)
+    assert main(["diagnose", "--scan-points", "1000"]) == cli.EXIT_RESOURCE
+    assert "physical memory" in capsys.readouterr().err
+    # 10^5 points, about 14.5 MiB against 1 MiB
+    monkeypatch.setattr(arith, "_physical_memory", lambda: 1 << 20)
+    tracemalloc.start()
+    try:
+        assert main(["diagnose", "--scan-points", "100000"]) == cli.EXIT_RESOURCE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # refused before the first scan
+    captured = capsys.readouterr()
+    assert captured.out == "" and "physical memory" in captured.err
+
+
 def test_count_both_checks_the_brute_cap_before_the_table(monkeypatch, capsys):
     built, build_r2 = [], arith.build_r2
     monkeypatch.setattr(arith, "build_r2", lambda limit: built.append(limit) or build_r2(limit))

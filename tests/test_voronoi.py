@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,24 @@ def test_series_threads_keep_zero_gaps_and_empty_cutoffs(r2_200k, product_gap, c
         got = series_with_gap(xs, gaps, r2_200k, cutoff, threads)
         assert [v.hex() for v in got.tolist()] == want, threads
 
+
+
+def test_series_threads_share_one_block_of_memory(r2_200k, product_gap):
+    # nine blocks at cutoff 10^4: each of k threads takes buffers of
+    # _SERIES_BLOCK // k pairs, so the traced peak stays at the 1-thread one
+    # (about 1.06 MiB) rather than growing by a full block per thread
+    grid = stats.SampleGrid(X=300.0, S=200, Q=64, phase=0.5)
+    xs = grid.xs
+    gaps = np.asarray(product_gap.value(xs), dtype=np.float64)
+    peaks = {}
+    for threads in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            series_with_gap(xs, gaps, r2_200k, 10_000, threads)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.25 * peaks[1] and peaks[3] <= 1.25 * peaks[1], peaks
 
 def test_series_window_and_cutoff_guards(r2_10k, inv_log):
     gap = float(inv_log.value(350.0))
