@@ -29,9 +29,9 @@ __all__ = [
 SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi
 
 
-# (point, term) pairs in one series_with_gap call's blocks, over all its
-# threads.  On the X = 2000, S = 4000 fast stage (2749 terms a row), 2^15
-# measured slower and 2^17 no faster.
+# (point, term) pairs that one series_with_gap call's blocks hold at once,
+# shared out over its threads.  On the X = 2000, S = 4000 fast stage (2749
+# terms a row), 2^15 measured slower and 2^17 no faster.
 _SERIES_BLOCK = 1 << 16
 
 
