@@ -111,18 +111,19 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg if args.out is None else replace(cfg, out=args.out)
 
 
-def _experiment(cfg: ExperimentConfig):
-    """The gap width, sample grid and r2 table of a sampling experiment; in
-    exact mode the top grid point's shell is snapped and checked first, so a
-    radius past the exactness cap or the float exactness bound fails before
-    the table is allocated."""
+def _experiment(cfg: ExperimentConfig, sawtooth: bool = False):
+    """The one run path of sample, moments and expand: the gap width, sample
+    grid, r2 table and shell samples.  In exact mode the top grid point's
+    shell is snapped and checked first, so a radius past the exactness cap
+    or the float exactness bound fails before the table is allocated."""
     omega = gapwidth.gap_from_json(cfg.omega)
     grid = stats.SampleGrid(X=cfg.X, S=cfg.samples, Q=cfg.Q, phase=cfg.phase)
     if cfg.mode == "exact":
         top = grid.points[-1]
         counting.check_float_exactness(
             counting.snap_outer_radius(top, float(omega.value(top.value)))[0])
-    return omega, grid, arith.build_r2(stats.r2_limit(cfg.X, cfg.mode))
+    r2 = arith.build_r2(stats.r2_limit(cfg.X, cfg.mode))
+    return omega, grid, r2, stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads, sawtooth)
 
 
 def _distribution(cfg: ExperimentConfig, omega, grid, rows, m2: float | None = None):
@@ -158,23 +159,24 @@ def cmd_count(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _config_from_args(args)
-    omega, grid, r2 = _experiment(cfg)
-    rows = stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads)
+    omega, grid, _, rows = _experiment(cfg)
     dist = _distribution(cfg, omega, grid, rows)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     stats.write_samples_csv(out / "samples.csv", rows)
     stats.write_distribution_csv(out / "distribution.csv", dist)
     ks = stats.ks_distance(dist, stats.normal_cdf)
-    (out / "summary.json").write_text(stats.summary_json(cfg.X, cfg.samples, dist, ks))
+    summary = {"X": cfg.X, "S": cfg.samples, "sigma2": dist.sigma ** 2,
+               "moments": {str(j): dist.moments[j] for j in sorted(dist.moments)},
+               "ks_normal": ks}
+    (out / "summary.json").write_text(stats.dump_json(summary))
     print(f"wrote {out}/samples.csv, distribution.csv, summary.json (ks_normal={ks:.4f})")
     return EXIT_OK
 
 
 def cmd_moments(args) -> int:
     cfg = _config_from_args(args)
-    omega, grid, r2 = _experiment(cfg)
-    rows = stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads)
+    omega, grid, _, rows = _experiment(cfg)
     m2 = stats.m_j(omega, cfg.X, cfg.samples, 2)
     dist = _distribution(cfg, omega, grid, rows, m2)
     summary = {
@@ -199,10 +201,8 @@ def cmd_moments(args) -> int:
 
 def cmd_expand(args) -> int:
     cfg = replace(_config_from_args(args), mode="exact")  # expand always counts exactly
-    omega, grid, r2 = _experiment(cfg)
-    X = cfg.X
-    samples = stats.sample_shells(omega, grid, r2, "exact", cfg.threads, sawtooth=True)
-    rhs = voronoi.expansion_rhs(samples, X, r2, cfg.threads).tolist()
+    _, _, r2, samples = _experiment(cfg, sawtooth=True)
+    rhs = voronoi.expansion_rhs(samples, cfg.X, r2, cfg.threads).tolist()
     rows = [(s.x, s.normalized, r, abs(s.normalized - r)) for s, r in zip(samples, rhs)]
     resid = np.array([r[3] for r in rows])
     out = Path(cfg.out)
@@ -211,7 +211,7 @@ def cmd_expand(args) -> int:
         fh.write("x,ehat,rhs,residual\n")
         for row in rows:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    summary = {"X": X, "S": cfg.samples,
+    summary = {"X": cfg.X, "S": cfg.samples,
                "median_residual": float(np.median(resid)),
                "q95_residual": float(np.quantile(resid, 0.95))}
     print(stats.dump_json(summary))

@@ -38,7 +38,6 @@ __all__ = [
     "mixture_cdf",
     "write_samples_csv",
     "write_distribution_csv",
-    "summary_json",
     "dump_json",
 ]
 
@@ -352,18 +351,6 @@ def write_distribution_csv(path, dist: EmpiricalDistribution) -> None:
         fh.write("normalized\n")
         for v in dist.normalized:
             fh.write(_fmt(v) + "\n")
-
-
-def summary_json(X: float, S: int, dist: EmpiricalDistribution,
-                 ks_normal_value: float) -> str:
-    obj = {
-        "X": X,
-        "S": S,
-        "sigma2": dist.sigma ** 2,
-        "moments": {str(j): dist.moments[j] for j in sorted(dist.moments)},
-        "ks_normal": ks_normal_value,
-    }
-    return dump_json(obj)
 
 
 def dump_json(obj) -> str:

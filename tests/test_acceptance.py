@@ -62,7 +62,7 @@ def test_criterion_01_counting_oracle_equivalence(r2_big):
 def _expansion_residuals(X: float, r2, omega, S: int = 100) -> np.ndarray:
     grid = stats.SampleGrid(X=X, S=S, Q=64)
     rows = stats.sample_shells(omega, grid, r2, "exact", 1, sawtooth=True)
-    return np.array([abs(s.normalized - voronoi.expansion_rhs(s, X, r2)) for s in rows])
+    return np.abs(np.array([s.normalized for s in rows]) - voronoi.expansion_rhs(rows, X, r2))
 
 
 def test_criterion_02_expansion_envelope(r2_big, inv_log):
@@ -99,7 +99,7 @@ def test_criterion_03_variance_law(r2_big, inv_log):
 
     def ratio(X: float) -> float:
         grid = stats.SampleGrid(X=X, S=1000, Q=64)
-        vals = stats.sample_errors(inv_log, grid, r2_big, mode="exact", threads=2)
+        vals = [s.normalized for s in stats.sample_shells(inv_log, grid, r2_big, "exact", 2)]
         s2 = stats.variance_sigma2(vals)
         return s2 / (32.0 * stats.m_j(inv_log, X, 1000, 2))
 
@@ -115,7 +115,7 @@ def _ks_median(X: float, r2, inv_log) -> float:
     out = []
     for phase in (0.25, 0.5, 0.75):
         grid = stats.SampleGrid(X=X, S=4000, Q=64, phase=phase)
-        vals = stats.sample_errors(inv_log, grid, r2, mode="fast")
+        vals = [s.normalized for s in stats.sample_shells(inv_log, grid, r2, "fast", None)]
         dist = stats.EmpiricalDistribution.from_samples(vals)
         out.append(stats.ks_distance(dist, stats.normal_cdf))
     return float(np.median(out))

@@ -356,6 +356,16 @@ def test_exact_parts_zero_width_blocks(shape):
     assert arith.exact_parts(np.empty(shape)) == [[]] * shape[0]
 
 
+@pytest.mark.parametrize("row, sign", [([-0.0] * 5, -1.0), ([0.0, -0.0, -0.0, 0.0, -0.0], 1.0)],
+                         ids=["all -0.0", "mixed zeros"])
+def test_exact_parts_zero_row_sign(row, sign):
+    # math.fsum on Python 3.11 drops the sign of -0.0, so the fsum oracles
+    # above cannot tell [-0.0] from [0.0]: read the sign bit of the part itself
+    block = np.array([row, [1.0, 2.0, -3.0, 0.5, 0.25]])
+    for parts in (arith.exact_parts(np.array(row)), arith.exact_parts(block)[0]):
+        assert parts == [0.0] and math.copysign(1.0, parts[0]) == sign
+
+
 def test_exact_parts_is_short():
     rng = np.random.default_rng(7)
     p = rng.standard_normal(1 << 16) * rng.integers(4, 64, 1 << 16)

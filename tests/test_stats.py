@@ -1,4 +1,3 @@
-import json
 import math
 import threading
 import tracemalloc
@@ -6,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cygshell import gapwidth, spectra, stats
+from cygshell import arith, gapwidth, spectra, stats
 from cygshell.counting import shell_sample
 from cygshell.stats import (EmpiricalDistribution, SampleGrid, ks_distance,
                             m_j, mixture_cdf, normal_cdf, sample_errors,
@@ -166,6 +165,24 @@ def test_exact_vs_fast_bias(r2_200k, inv_log):
     exact = sample_errors(inv_log, grid, r2_200k, mode="exact")
     fast = sample_errors(inv_log, grid, r2_200k, mode="fast")
     assert float(np.mean(np.abs(exact - fast))) <= 0.1
+
+
+def test_fast_vs_exact_at_acceptance_scale(inv_log):
+    # the fast-mode oracle at X = 500, S = 400: fast mode drops the sawtooth
+    # and truncates the series, so it tracks the exact errors only closely
+    grid = SampleGrid(X=500.0, S=400, Q=64, phase=0.5)
+    r2 = arith.build_r2(stats.r2_limit(500.0, "exact"))
+    exact, fast = (np.array([s.normalized for s in stats.sample_shells(inv_log, grid, r2, mode, 2)])
+                   for mode in ("exact", "fast"))
+    rms = math.sqrt(np.mean((fast - exact) ** 2) / variance_sigma2(exact))
+    assert rms <= 0.03  # measured 0.0168 (sigma = 1.967): margin 1.8x
+    a, b = (EmpiricalDistribution.from_samples(v).normalized for v in (exact, fast))
+    both = np.concatenate([a, b])
+    ks = np.max(np.abs(np.searchsorted(a, both, side="right") / a.size
+                       - np.searchsorted(b, both, side="right") / b.size))
+    # measured 0.020: margin 2.5x; the two-sample 5 % critical value at
+    # n = m = 400 is 0.096, so a bound of 0.05 is stricter than that test
+    assert ks <= 0.05
 
 
 def test_sigma_grid_stability(r2_10k, inv_log):
@@ -390,11 +407,6 @@ def test_csv_and_json_determinism(tmp_path, r2_10k, inv_log):
     stats.write_distribution_csv(tmp_path / "d.csv", dist)
     text = (tmp_path / "d.csv").read_text().splitlines()
     assert len(text) == 21 and text[0] == "normalized"
-    j1 = stats.summary_json(30.0, 20, dist, 0.25)
-    j2 = stats.summary_json(30.0, 20, dist, 0.25)
-    assert j1 == j2
-    parsed = json.loads(j1)
-    assert parsed["S"] == 20 and "ks_mixture" not in parsed
 
 
 def test_distinguishing_experiment_logged(r2_10k):
