@@ -55,8 +55,7 @@ class ExperimentConfig:
             raise ValueError("j_max must be one of 2, 4, 6, 8")
         if self.mode not in ("exact", "fast"):
             raise ValueError("mode must be exact or fast")
-        if not 1 <= self.threads <= stats.MAX_THREADS:
-            raise ValueError(f"threads must lie in 1..{stats.MAX_THREADS}")
+        voronoi._thread_count(self.threads)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--Q", type=int, default=64)
         p.add_argument("--phase", type=float, default=0.5)
         p.add_argument("--threads", type=int, default=1,
-                       help=f"most threads a run may use, 1 to {stats.MAX_THREADS}: exact shells "
+                       help=f"most threads a run may use, 1 to {voronoi.MAX_THREADS}: exact shells "
                             "and the points of each main series call (fast-mode samples, "
                             "expand) are split over them; the artifacts do not depend on it")
         p.add_argument("--out", help="artifact directory (default: the config's, else .)")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ from .arith import R2Table
 from .counting import RadiusPoint, ShellSample, shell_sample
 from .gapwidth import GapWidth, midpoint_grid
 from .spectra import DensitySpec, _mixture_sum, mixture_components
-from .voronoi import series_with_gap
+from .voronoi import _thread_count, series_with_gap
 
 __all__ = [
     "SampleGrid",
@@ -42,9 +41,6 @@ __all__ = [
 ]
 
 FAST_CUTOFF_FLOOR = 10_000
-
-# ThreadPoolExecutor's own default ceiling on its worker count
-MAX_THREADS = 32
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -115,29 +111,15 @@ def r2_limit(X: float, mode: str) -> int:
     return (int(2 * X) + 2) ** 2
 
 
-def _thread_count(threads: int | None) -> int:
-    """The most threads a sampling call may use: threads itself (an int in
-    1..MAX_THREADS), or for None the CPUs this process may run on, capped
-    at MAX_THREADS."""
-    if threads is None:
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        return min(cpus, MAX_THREADS)
-    if isinstance(threads, bool) or not isinstance(threads, int) or not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must be None or an int in 1..{MAX_THREADS}, not {threads!r}")
-    return threads
-
-
 def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
                   threads: int | None, sawtooth: bool = False) -> list[ShellSample]:
     """One ShellSample per grid point, in grid order.
 
-    threads is the most threads the call may use, in both modes: an int in
-    1..MAX_THREADS, or None for the CPUs the process may run on, capped at
-    MAX_THREADS (anything else raises ValueError).  No call starts more
-    threads than there are points, and every thread is joined before it
-    returns.  Each row depends only on its own point, so the
-    thread count cannot change the output.
+    threads is the most threads the call may use, in both modes, as
+    voronoi._thread_count reads it.  No call starts more threads than there
+    are points, and every thread is joined before it returns.  Each row
+    depends only on its own point, so the thread count cannot change the
+    output.
 
     exact: two exact ball counts per point, and the shell's sawtooth when
     sawtooth is set.  On more than one thread the points go to the pool

@@ -10,6 +10,7 @@ enumerate only zero-relation tuples via per-core generating polynomials.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
@@ -27,6 +28,22 @@ __all__ = [
 ]
 
 SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi
+
+# ThreadPoolExecutor's own default ceiling on its worker count
+MAX_THREADS = 32
+
+
+def _thread_count(threads: int | None) -> int:
+    """The most threads a call may use: threads itself (an int in
+    1..MAX_THREADS), or for None the CPUs this process may run on, capped
+    at MAX_THREADS.  Anything else raises ValueError."""
+    if threads is None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        return min(cpus, MAX_THREADS)
+    if isinstance(threads, bool) or not isinstance(threads, int) or not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be None or an int in 1..{MAX_THREADS}, not {threads!r}")
+    return threads
 
 
 # (point, term) pairs that one series_with_gap call's blocks hold at once,
@@ -47,12 +64,12 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     each point's row is rounded on its own, so a batch call equals the
     scalar calls bit for bit.
 
-    threads (>= 1) is the most threads the call may use.  The points are
-    split once into k = min(threads, points) contiguous ranges; the calling
-    thread takes the first and k - 1 helpers, started and joined once, take
-    the rest.  Each thread walks its range in blocks of about
-    _SERIES_BLOCK // k (point, term) pairs through its own two buffers and
-    rounds its own rows, so the thread count changes no bit.
+    threads is the most threads the call may use, as _thread_count reads
+    it.  The points are split once into k = min(threads, points) contiguous
+    ranges; the calling thread takes the first and k - 1 helpers, started
+    and joined once, take the rest.  Each thread walks its range in blocks
+    of about _SERIES_BLOCK // k (point, term) pairs through its own two
+    buffers and rounds its own rows, so the thread count changes no bit.
     """
     xs, gaps = np.asarray(x, dtype=np.float64), np.asarray(gap, dtype=np.float64)
     if not (xs.ndim == gaps.ndim == 0 or xs.ndim == gaps.ndim == 1 and xs.size == gaps.size):
@@ -60,8 +77,7 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
                          f"not shapes {xs.shape} and {gaps.shape}")
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, not {threads}")
+    threads = _thread_count(threads)
     n = r2.nonzero_count_upto(cutoff)
     m = r2.nonzero_m[:n].astype(np.float64)
     amp = r2.nonzero_values[:n] / m
@@ -152,17 +168,18 @@ def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int]) -> bool:
 def _cores_upto(Y: int, r2: R2Table):
     """Group m <= Y by square-free core: core -> (k array, weight rows r2(c k^2)/(c k^2))."""
     cores: dict[int, list[tuple[int, float]]] = {}
-    for i in range(r2.nonzero_count_upto(Y)):
-        m = int(r2.nonzero_m[i])
+    n = r2.nonzero_count_upto(Y)
+    for m, v in zip(r2.nonzero_m[:n].tolist(), r2.nonzero_values[:n].tolist()):
         dec = squarefree_core(m)
-        cores.setdefault(dec.core, []).append((dec.k, float(r2.nonzero_values[i]) / m))
+        cores.setdefault(dec.core, []).append((dec.k, float(v) / m))
     return cores
 
 
-def diagonal_sum(omega: GapWidth, X: float, j: int, Y: int, r2: R2Table,
-                 samples: int = 1024) -> float:
-    """(-1)^{j/2} (sqrt(2)/pi)^j times the sign-weighted grid average of the
-    zero-relation tuple sums at truncation Y, for j in {2, 4}.
+def diagonal_sum(omega: GapWidth, X: float, Y: int, r2: R2Table,
+                 samples: int = 1024) -> tuple[float, float]:
+    """(d2, d4): (-1)^{j/2} (sqrt(2)/pi)^j times the sign-weighted grid
+    average of the zero-relation j-tuple sums at truncation Y, for j = 2 and
+    j = 4, from one pass over the cores.
 
     Per core c the signed single-position weights form the Laurent polynomial
     g_c(z) = sum_k w_{c,k}(x) (z^k - z^{-k}); a j-tuple satisfies the relation
@@ -170,8 +187,6 @@ def diagonal_sum(omega: GapWidth, X: float, j: int, Y: int, r2: R2Table,
     from constant terms of powers of the g_c via the multinomial split
     j = sum_c j_c (odd j_c drop out by antisymmetry).
     """
-    if j not in (2, 4):
-        raise ValueError("diagonal sums implemented for j in {2, 4}")
     if Y > r2.limit:
         raise ValueError(f"Y = {Y} exceeds the r2 table limit {r2.limit}")
     xs = midpoint_grid(X, samples)
@@ -191,16 +206,12 @@ def diagonal_sum(omega: GapWidth, X: float, j: int, Y: int, r2: R2Table,
         c2 = -2.0 * np.sum(wk * wk, axis=0)
         p2 += c2
         s22 += c2 * c2
-        if j == 4:
-            # on |z| = 1, g_c = 2i sum_k w_k sin(k theta) and g_c^4 has degree
-            # 4 kmax, so its mean over 4 kmax + 1 equispaced theta is [z^0] g_c^4
-            n = 4 * int(ks.max()) + 1
-            theta = 2.0 * math.pi / n * np.arange(n)
-            p4 += 16.0 * np.mean((np.sin(np.multiply.outer(theta, ks)) @ wk) ** 4, axis=0)
-    if j == 2:
-        tuple_sum = p2
-    else:
-        # multinomial split: one core takes all four, or two cores take 2 + 2
-        tuple_sum = p4 + 3.0 * (p2 * p2 - s22)
-    sign = -1.0 if (j // 2) % 2 else 1.0
-    return sign * (math.sqrt(2.0) / math.pi) ** j * float(np.mean(tuple_sum))
+        # on |z| = 1, g_c = 2i sum_k w_k sin(k theta) and g_c^4 has degree
+        # 4 kmax, so its mean over 4 kmax + 1 equispaced theta is [z^0] g_c^4
+        n = 4 * int(ks.max()) + 1
+        theta = 2.0 * math.pi / n * np.arange(n)
+        p4 += 16.0 * np.mean((np.sin(np.multiply.outer(theta, ks)) @ wk) ** 4, axis=0)
+    d2 = -1.0 * (math.sqrt(2.0) / math.pi) ** 2 * float(np.mean(p2))
+    # multinomial split: one core takes all four, or two cores take 2 + 2
+    d4 = (math.sqrt(2.0) / math.pi) ** 4 * float(np.mean(p4 + 3.0 * (p2 * p2 - s22)))
+    return d2, d4

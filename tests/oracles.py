@@ -6,8 +6,8 @@ partial sums of r2 over the compressed view, a
 pure-integer ball count (cross-checks counting.count_ball_fast above the
 brute-force cap, on sieved tables and on tables of chosen slices up to the
 float exactness bound), the j = 2 diagonal sum in its plain-sum form and in the
-literal square-free pair regrouping (both cross-check voronoi.diagonal_sum),
-the j = 4 diagonal sum with each core's constant term taken from np.convolve
+literal square-free pair regrouping (both cross-check d2 of voronoi.diagonal_sum),
+d4 with each core's constant term taken from np.convolve
 (cross-checks the circle mean in voronoi.diagonal_sum),
 the Fourier-side evaluation of an almost-periodic gap width and of its
 first two derivatives (cross-check the factor-value evaluation in gapwidth),
@@ -164,7 +164,7 @@ def grouped_pair_sum_j2(omega: GapWidth, X: float, Y: int, r2: R2Table,
 
 def diagonal_sum_convolve_j4(omega: GapWidth, X: float, Y: int, r2: R2Table,
                              samples: int) -> float:
-    """voronoi.diagonal_sum at j = 4, with [z^0] g_c^2 and [z^0] g_c^4 read
+    """d4 of voronoi.diagonal_sum, with [z^0] g_c^2 and [z^0] g_c^4 read
     from np.convolve of the coefficient array of g_c (exponents -kmax..kmax)
     at every sample point."""
     om = np.asarray(omega.value(midpoint_grid(X, samples)), dtype=np.float64)

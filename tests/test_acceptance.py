@@ -207,7 +207,7 @@ def test_criterion_08_diagonal_sum(r2_big, inv_log):
     grouped = grouped_pair_sum_j2(inv_log, X, 50, r2_big, samples=1024)
     direct = diagonal_sum_direct_j2(inv_log, X, 50, r2_big, samples=1024)
     identity_ok = abs(grouped - direct) <= 1e-10 * abs(direct)
-    diag = voronoi.diagonal_sum(inv_log, X, 2, 200, r2_big, samples=2048)
+    diag = voronoi.diagonal_sum(inv_log, X, 200, r2_big, samples=2048)[0]
     m2 = stats.m_j(inv_log, X, 2048, 2)
     ratio = diag / (32.0 * m2)
     band_ok = 0.5 <= ratio <= 2.0
@@ -325,8 +325,7 @@ def test_criterion_11_finite_x_moments_from_diagonal_sums(r2_big, inv_log):
     t0 = time.process_time()
     X, S, Y = 500.0, 1000, 6400
     m2 = stats.m_j(inv_log, X, S, 2)
-    d2 = voronoi.diagonal_sum(inv_log, X, 2, Y, r2_big, samples=S)
-    d4 = voronoi.diagonal_sum(inv_log, X, 4, Y, r2_big, samples=S)
+    d2, d4 = voronoi.diagonal_sum(inv_log, X, Y, r2_big, samples=S)
     pred_ratio, pred_m4 = d2 / (32.0 * m2), d4 / (d2 * d2)
     rows = stats.sample_shells(inv_log, stats.SampleGrid(X=X, S=S, Q=64), r2_big, "exact", 2)
     dist = stats.EmpiricalDistribution.from_samples([s.normalized for s in rows])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cygshell import arith, gapwidth, spectra, stats
+from cygshell import arith, gapwidth, spectra, stats, voronoi
 from cygshell.counting import shell_sample
 from cygshell.stats import (EmpiricalDistribution, SampleGrid, ks_distance,
                             m_j, mixture_cdf, normal_cdf, sample_errors,
@@ -145,19 +145,28 @@ def test_exact_points_go_to_the_pool_largest_first(monkeypatch, r2_200k, inv_log
 
 
 @pytest.mark.parametrize("threads", [0, -1, 33, 1.5, True, "2"])
-def test_sample_shells_rejects_bad_threads(r2_10k, inv_log, threads):
+def test_sample_shells_rejects_bad_threads(r2_200k, inv_log, threads):
+    # and so do the series calls, all before any thread starts
     grid = SampleGrid(X=60.0, S=20, Q=64)
+    rows = stats.sample_shells(inv_log, grid, r2_200k, "exact", 1, sawtooth=True)
+    before = threading.active_count()
     for mode in ("exact", "fast"):
         with pytest.raises(ValueError, match="threads"):
-            stats.sample_shells(inv_log, grid, r2_10k, mode, threads)
+            stats.sample_shells(inv_log, grid, r2_200k, mode, threads)
+    with pytest.raises(ValueError, match="threads"):
+        voronoi.series_with_gap(grid.xs, np.array([s.omega_x for s in rows]), r2_200k, 3600,
+                                threads)
+    with pytest.raises(ValueError, match="threads"):
+        voronoi.expansion_rhs(rows, 60.0, r2_200k, threads)
+    assert threading.active_count() == before
 
 
 def test_threads_none_means_the_usable_cpus(monkeypatch):
-    monkeypatch.setattr(stats.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert stats._thread_count(None) == 3
-    monkeypatch.setattr(stats.os, "sched_getaffinity", lambda pid: set(range(100)), raising=False)
-    assert stats._thread_count(None) == stats.MAX_THREADS
-    assert stats._thread_count(5) == 5
+    monkeypatch.setattr(voronoi.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert voronoi._thread_count(None) == 3
+    monkeypatch.setattr(voronoi.os, "sched_getaffinity", lambda pid: set(range(100)), raising=False)
+    assert voronoi._thread_count(None) == voronoi.MAX_THREADS
+    assert voronoi._thread_count(5) == 5
 
 
 def test_exact_vs_fast_bias(r2_200k, inv_log):

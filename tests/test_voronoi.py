@@ -178,7 +178,7 @@ def test_regrouping_identity_y50(r2_10k, inv_log):
 
 
 def test_diagonal_j2_matches_direct_form(r2_10k, inv_log):
-    val = diagonal_sum(inv_log, 1000.0, 2, 120, r2_10k, samples=181)
+    val = diagonal_sum(inv_log, 1000.0, 120, r2_10k, samples=181)[0]
     direct = diagonal_sum_direct_j2(inv_log, 1000.0, 120, r2_10k, samples=181)
     expected = -(math.sqrt(2) / math.pi) ** 2 * direct
     assert abs(val - expected) <= 1e-10 * abs(expected)
@@ -206,13 +206,13 @@ def brute_diagonal(omega, X, j, Y, r2, samples):
 
 
 def test_diagonal_j4_matches_brute(r2_10k, inv_log):
-    got = diagonal_sum(inv_log, 500.0, 4, 8, r2_10k, samples=9)
+    got = diagonal_sum(inv_log, 500.0, 8, r2_10k, samples=9)[1]
     want = brute_diagonal(inv_log, 500.0, 4, 8, r2_10k, samples=9)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_diagonal_j4_matches_brute_wider(r2_10k, inv_log):
-    got = diagonal_sum(inv_log, 300.0, 4, 12, r2_10k, samples=5)
+    got = diagonal_sum(inv_log, 300.0, 12, r2_10k, samples=5)[1]
     want = brute_diagonal(inv_log, 300.0, 4, 12, r2_10k, samples=5)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -220,24 +220,22 @@ def test_diagonal_j4_matches_brute_wider(r2_10k, inv_log):
 def test_diagonal_j4_matches_convolution(r2_10k, inv_log):
     # every core up to Y = 400 (kmax = 20 at core 1); with one circle node fewer per
     # core the sum moves by 1.3e-6 relative
-    got = diagonal_sum(inv_log, 1000.0, 4, 400, r2_10k, samples=256)
+    got = diagonal_sum(inv_log, 1000.0, 400, r2_10k, samples=256)[1]
     want = diagonal_sum_convolve_j4(inv_log, 1000.0, 400, r2_10k, samples=256)
     assert abs(got - want) <= 1e-10 * abs(want)
     # past the old Y = 400 cap: kmax = 80 at core 1
-    got = diagonal_sum(inv_log, 1000.0, 4, 6400, r2_10k, samples=16)
+    got = diagonal_sum(inv_log, 1000.0, 6400, r2_10k, samples=16)[1]
     want = diagonal_sum_convolve_j4(inv_log, 1000.0, 6400, r2_10k, samples=16)
     assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_diagonal_guards(r2_10k, inv_log):
-    with pytest.raises(ValueError):
-        diagonal_sum(inv_log, 500.0, 6, 50, r2_10k)
     with pytest.raises(ValueError, match="r2 table limit"):
-        diagonal_sum(inv_log, 500.0, 2, 10_001, r2_10k)
+        diagonal_sum(inv_log, 500.0, 10_001, r2_10k)
 
 
 def test_diagonal_zero_gap(r2_10k, zero_gap):
-    assert diagonal_sum(zero_gap, 500.0, 2, 50, r2_10k, samples=33) == 0.0
+    assert diagonal_sum(zero_gap, 500.0, 50, r2_10k, samples=33) == (0.0, 0.0)
 
 
 def test_r2_squared_fixture(r2_10k):
