@@ -112,16 +112,20 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _experiment(cfg: ExperimentConfig, sawtooth: bool = False):
     """The one run path of sample, moments and expand: the gap width, sample
-    grid, r2 table and shell samples.  In exact mode the top grid point's
-    shell is snapped and checked first, so a radius past the exactness cap
-    or the float exactness bound fails before the table is allocated."""
+    grid, r2 table and shell samples.  The table reaches the fast series
+    cutoff, or in exact mode floor(x^2) of the largest snapped outer radius,
+    checked first: a radius past the exactness cap or the float exactness
+    bound fails before the table is allocated."""
     omega = gapwidth.gap_from_json(cfg.omega)
     grid = stats.SampleGrid(X=cfg.X, S=cfg.samples, Q=cfg.Q, phase=cfg.phase)
+    limit = stats.fast_cutoff(cfg.X)
     if cfg.mode == "exact":
-        top = grid.points[-1]
-        counting.check_float_exactness(
-            counting.snap_outer_radius(top, float(omega.value(top.value)))[0])
-    r2 = arith.build_r2(stats.r2_limit(cfg.X, cfg.mode))
+        top = max((counting.snap_outer_radius(p, gap)[0]
+                   for p, gap in zip(grid.points, omega.value(grid.xs).tolist())),
+                  key=lambda outer: outer.k)  # one denominator, Q << OUTER_REFINE_SHIFT
+        counting.check_float_exactness(top)
+        limit = top.floor_sq
+    r2 = arith.build_r2(limit)
     return omega, grid, r2, stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads, sawtooth)
 
 
@@ -282,13 +286,13 @@ def _fixtures():
                == [math.fsum(r).hex() for r in rows], "exact_parts row fsums")
 
     def expansion_batch():
-        X, r2 = 10.0, arith.build_r2(stats.r2_limit(10.0, "exact"))
+        X, r2 = 10.0, arith.build_r2(21 * 21)  # the outer radii here all lie below 21
         om = gapwidth.make_slowly_varying("inv_log")
         rows = [counting.shell_sample(counting.RadiusPoint(k, 8), om, r2, sawtooth=True)
                 for k in (81, 113, 159)]
         _check([v.hex() for v in voronoi.expansion_rhs(rows, X, r2, 2).tolist()]
-               == [voronoi.expansion_rhs(s, X, r2).hex() for s in rows],
-               "expansion_rhs of three samples = three one-sample calls")
+               == [voronoi.expansion_rhs([s], X, r2)[0].hex() for s in rows],
+               "expansion_rhs of three samples = three one-sample batches")
 
     def spectra_exact():
         phi = spectra.phi_from_poly([1, 1])

@@ -264,8 +264,8 @@ def snap_outer_radius(x: RadiusPoint, gap: float) -> tuple[RadiusPoint, float]:
     (a gap width near a root of its construction does this).  Negative gaps
     are a domain error.
     """
-    if gap < 0:
-        raise ValueError("gap width must be nonnegative")
+    if not gap >= 0:
+        raise ValueError(f"gap width must be nonnegative, not {gap}")
     inner = x.refined()
     ko = max(inner.k, round((x.value + gap) * inner.Q))
     return RadiusPoint(k=ko, Q=inner.Q), (ko - inner.k) / inner.Q
@@ -299,21 +299,17 @@ def shell_sample(x: RadiusPoint, omega, r2: R2Table, sawtooth: bool = False) -> 
 
     The outer radius x + omega(x) is snapped onto the refined grid; the same
     snapped gap is used in the volume subtraction, so the reported error is
-    an exact algebraic identity in the realised radii.  sawtooth=True takes
-    each ball's count and sawtooth from one sawtooth_ball_sum pass.  A gap
+    an exact algebraic identity in the realised radii.  Each ball takes one
+    pass: sawtooth_ball_sum with sawtooth=True, else count_ball_fast.  A gap
     that realises 0 takes one pass: the outer ball is the inner one.
     """
     gap = float(omega.value(x.value))
     if not gap > 0:
         raise ValueError(f"omega(x) = {gap} must be positive at x = {x.value}")
     outer, snapped_gap = snap_outer_radius(x, gap)
-    if sawtooth:
-        n_inner, saw_in = sawtooth_ball_sum(x, r2)
-        n_outer, saw_out = sawtooth_ball_sum(outer, r2) if snapped_gap else (n_inner, saw_in)
-        xi = saw_out - saw_in
-    else:
-        n_inner, xi = count_ball_fast(x, r2), None
-        n_outer = count_ball_fast(outer, r2) if snapped_gap else n_inner
+    ball = sawtooth_ball_sum if sawtooth else lambda p, table: (count_ball_fast(p, table), None)
+    n_inner, saw_in = ball(x, r2)
+    n_outer, saw_out = ball(outer, r2) if snapped_gap else (n_inner, saw_in)
     shell = n_outer - n_inner
     err = shell - _shell_volume(x.value, snapped_gap)
     return ShellSample(
@@ -324,5 +320,5 @@ def shell_sample(x: RadiusPoint, omega, r2: R2Table, sawtooth: bool = False) -> 
         shell_count=shell,
         error=err,
         normalized=err / (x.value * x.value),
-        sawtooth=xi,
+        sawtooth=saw_out - saw_in if sawtooth else None,
     )

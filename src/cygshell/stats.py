@@ -27,7 +27,7 @@ from .voronoi import _thread_count, series_with_gap
 __all__ = [
     "SampleGrid",
     "EmpiricalDistribution",
-    "r2_limit",
+    "fast_cutoff",
     "sample_shells",
     "sample_errors",
     "variance_sigma2",
@@ -102,13 +102,10 @@ class SampleGrid:
         return np.array([p.value for p in self.points])
 
 
-def r2_limit(X: float, mode: str) -> int:
-    """Size of the r2 table that sample_shells needs on the window (X, 2X):
-    every slice under the outer radii in exact mode, the series cutoff in
-    fast mode."""
-    if mode == "fast":
-        return max(FAST_CUTOFF_FLOOR, int(X)) + 1
-    return (int(2 * X) + 2) ** 2
+def fast_cutoff(X: float) -> int:
+    """The main series cutoff of fast-mode samples on the window (X, 2X):
+    max(10^4, floor(X)), and so the least r2 table limit they need."""
+    return max(FAST_CUTOFF_FLOOR, int(X))
 
 
 def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
@@ -124,7 +121,7 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
     exact: two exact ball counts per point, and the shell's sawtooth when
     sawtooth is set.  On more than one thread the points go to the pool
     largest first, so the pool's idle tail is one small shell.
-    fast: the truncated main series at cutoff max(10^4, X), no sawtooth
+    fast: the truncated main series at cutoff fast_cutoff(X), no sawtooth
     term; opt-in bias documented by the exact-vs-fast tests.  Fast rows
     carry the unsnapped omega(x) and no counts (n_inner, n_outer,
     shell_count and sawtooth are None).  One series call takes the whole
@@ -134,7 +131,7 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
     if mode == "fast":
         xs = grid.xs
         gaps = omega.value(xs)
-        vs = series_with_gap(xs, gaps, r2, max(FAST_CUTOFF_FLOOR, int(grid.X)), workers).tolist()
+        vs = series_with_gap(xs, gaps, r2, fast_cutoff(grid.X), workers).tolist()
         return [ShellSample(x=x, omega_x=gap, n_inner=None, n_outer=None,
                             shell_count=None, error=v * x * x, normalized=v)
                 for x, gap, v in zip(xs.tolist(), gaps.tolist(), vs)]

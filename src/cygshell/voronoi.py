@@ -52,17 +52,17 @@ def _thread_count(threads: int | None) -> int:
 _SERIES_BLOCK = 1 << 16
 
 
-def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
+def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1) -> np.ndarray:
     """sum over 1 <= m <= cutoff of (2^{3/2}/pi) r2(m)/m sin(pi sqrt(m) gap)
     sin(pi sqrt(m) (2x + gap)), the sum of the terms correctly rounded (the
-    fsum of their exact partial sums, arith.exact_parts): a float for scalar
-    x and gap, one value per point for 1-D arrays of equal length.  Any
-    other pair of shapes raises ValueError.
+    fsum of their exact partial sums, arith.exact_parts): one value per
+    point of x and gap, two 1-D arrays of one length.  Any other pair of
+    shapes raises ValueError.
 
     The columns r2(m)/m and pi sqrt(m) are made once per call.  Every term
     keeps the float operations of the one-point formula in their order, and
     each point's row is rounded on its own, so a batch call equals the
-    scalar calls bit for bit.
+    one-point calls bit for bit.
 
     threads is the most threads the call may use, as _thread_count reads
     it.  The points are split once into k = min(threads, points) contiguous
@@ -72,8 +72,8 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     buffers and rounds its own rows, so the thread count changes no bit.
     """
     xs, gaps = np.asarray(x, dtype=np.float64), np.asarray(gap, dtype=np.float64)
-    if not (xs.ndim == gaps.ndim == 0 or xs.ndim == gaps.ndim == 1 and xs.size == gaps.size):
-        raise ValueError(f"x and gap must be two scalars or two 1-D arrays of one length, "
+    if not xs.ndim == gaps.ndim == 1 or xs.size != gaps.size:
+        raise ValueError(f"x and gap must be two 1-D arrays of one length, "
                          f"not shapes {xs.shape} and {gaps.shape}")
     if cutoff > r2.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the r2 table limit {r2.limit}")
@@ -83,8 +83,7 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
     amp = r2.nonzero_values[:n] / m
     root = np.sqrt(m, out=m)
     root *= math.pi
-    gaps = gaps.reshape(-1)
-    phases = 2.0 * xs.reshape(-1) + gaps
+    phases = 2.0 * xs + gaps
     k = max(1, min(threads, gaps.size))
     rows = max(1, _SERIES_BLOCK // k // max(n, 1))
     cuts = [gaps.size * i // k for i in range(k + 1)]
@@ -111,14 +110,13 @@ def series_with_gap(x, gap, r2: R2Table, cutoff: int, threads: int = 1):
         out = run(0)
         for h in helpers:
             out += h.result()
-    return out[0] if xs.ndim == 0 else np.array(out)
+    return np.array(out)
 
 
-def expansion_rhs(samples: ShellSample | Sequence[ShellSample], X: float, r2: R2Table,
-                  threads: int = 1):
+def expansion_rhs(samples: Sequence[ShellSample], X: float, r2: R2Table,
+                  threads: int = 1) -> np.ndarray:
     """Main series at cutoff floor(X^2) minus the exact sawtooth correction
-    of the shell, 2 xi / x^2 with xi = sample.sawtooth: a float for one
-    sample, an array with one value per sample for a sequence of them.
+    of the shell, 2 xi / x^2 with xi = sample.sawtooth: one value per sample.
 
     Each sample is shell_sample(..., sawtooth=True): its gap and sawtooth are
     those of the snapped outer radius the exact shell count realises, so the
@@ -127,18 +125,15 @@ def expansion_rhs(samples: ShellSample | Sequence[ShellSample], X: float, r2: R2
     then one series_with_gap call on threads takes all of them, which equals
     the one-sample calls bit for bit.
     """
-    one = isinstance(samples, ShellSample)
-    rows = [samples] if one else list(samples)
-    for s in rows:
+    for s in samples:
         if not X < s.x < 2 * X:
             raise ValueError(f"x = {s.x} outside the dyadic window ({X}, {2 * X})")
         if s.sawtooth is None:
             raise ValueError("sample has no sawtooth: take it with shell_sample(..., sawtooth=True)")
-    xs = np.array([s.x for s in rows], dtype=np.float64)
-    series = series_with_gap(xs, np.array([s.omega_x for s in rows], dtype=np.float64),
+    xs = np.array([s.x for s in samples], dtype=np.float64)
+    series = series_with_gap(xs, np.array([s.omega_x for s in samples], dtype=np.float64),
                              r2, int(X * X), threads)
-    rhs = series - 2.0 / (xs * xs) * np.array([s.sawtooth for s in rows], dtype=np.float64)
-    return float(rhs[0]) if one else rhs
+    return series - 2.0 / (xs * xs) * np.array([s.sawtooth for s in samples], dtype=np.float64)
 
 
 def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int]) -> bool:

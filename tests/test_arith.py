@@ -122,6 +122,11 @@ def test_r2_table_dtypes(r2_10k):
                           np.cumsum(r2_10k.nonzero_values.astype(np.int64)))
 
 
+def test_build_r2_rejects_a_negative_limit():
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        arith.build_r2(-1)
+
+
 def test_build_r2_rejects_limit_past_uint32(monkeypatch):
     monkeypatch.setattr(arith, "_physical_memory", lambda: None)
     tracemalloc.start()
@@ -199,7 +204,7 @@ def test_prefix_and_sqrt_are_built_on_first_read():
     lazy = {"values", "nonzero_prefix", "nonzero_sqrt"}
     assert counting.count_ball_fast(counting.RadiusPoint(99, 1), table) > 0
     assert counting.sawtooth_ball_sum(counting.RadiusPoint(99, 1), table)[0] > 0
-    voronoi.series_with_gap(40.0, 0.3, table, 2000)
+    voronoi.series_with_gap(np.array([40.0]), np.array([0.3]), table, 2000)
     assert not lazy & table.__dict__.keys()
     prefix = table.nonzero_prefix
     assert table.__dict__.keys() & lazy == {"nonzero_prefix"}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cygshell import arith, cli, gapwidth, spectra, stats
+from cygshell import arith, cli, counting, gapwidth, spectra, stats
 from cygshell.cli import ExperimentConfig, main
 
 
@@ -110,6 +111,85 @@ def test_float_exactness_bound_fails_before_table(tmp_path, monkeypatch, capsys,
         argv = argv + ["--out", str(tmp_path)]
     assert main(argv) == cli.EXIT_USAGE
     assert "exactness bound" in capsys.readouterr().err
+
+
+# omega = 100 / log^2 x runs from about 19 down to 11 on (10, 20), so outer
+# radii reach about 31: past the (2X + 2)^2 = 484 table of a size guessed from X
+_WIDE_GAP_SPEC = {"kind": "product", "polys": [[[10, 0]]], "lambdas": [1.0], "A": 2}
+
+
+@pytest.mark.parametrize("command", [["sample", "--mode", "exact"], ["expand"]],
+                         ids=["sample-exact", "expand"])
+def test_exact_table_reaches_exactly_the_largest_outer_radius(tmp_path, monkeypatch, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_WIDE_GAP_SPEC))
+    built, build_r2 = [], arith.build_r2
+    monkeypatch.setattr(arith, "build_r2", lambda limit: built.append(limit) or build_r2(limit))
+    rows, sample_shells = [], stats.sample_shells
+    monkeypatch.setattr(stats, "sample_shells", lambda *a: rows.extend(sample_shells(*a)) or rows)
+    assert main(command + ["--omega-spec", str(spec), "--X", "10", "--samples", "20",
+                           "--out", str(tmp_path / "out")]) == 0
+    assert len(rows) == 20
+    shift = counting.OUTER_REFINE_SHIFT
+    outers = []
+    for s in rows:  # x = k/64 and the gap (ko - 64k)/4096, both exact in float64
+        inner = counting.RadiusPoint(round(s.x * 64), 64)
+        outer = counting.RadiusPoint((inner.k << shift) + round(s.omega_x * (64 << shift)),
+                                     64 << shift)
+        assert outer.value < 60
+        assert s.shell_count == counting.count_ball_brute(outer) - counting.count_ball_brute(inner)
+        outers.append(outer)
+    assert built == [max(o.floor_sq for o in outers)]
+
+
+def test_fast_table_reaches_the_series_cutoff(tmp_path, monkeypatch):
+    built, build_r2 = [], arith.build_r2
+    monkeypatch.setattr(arith, "build_r2", lambda limit: built.append(limit) or build_r2(limit))
+    assert main(["sample", "--mode", "fast", "--X", "30", "--samples", "20",
+                 "--out", str(tmp_path)]) == 0
+    assert built == [stats.fast_cutoff(30.0)] == [10_000]
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5, math.nan], ids=repr)
+@pytest.mark.parametrize("command", [["sample", "--mode", "exact"], ["expand"]],
+                         ids=["sample-exact", "expand"])
+def test_nonpositive_gap_exits_2(tmp_path, monkeypatch, capsys, value, command):
+    bad = gapwidth.GapWidth(name="bad", jet=lambda L, order: [L * 0.0 + value])
+    monkeypatch.setattr(gapwidth, "gap_from_json", lambda obj: bad)
+    out = tmp_path / "out"
+    assert main(command + ["--X", "30", "--samples", "20", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search("must be (positive|nonnegative)", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, bad, what", [("samples", 5, "samples must be >= 10"),
+                                              ("Q", 0, "Q must be >= 1"),
+                                              ("mode", "bogus", "mode must be exact or fast")])
+def test_config_value_out_of_range_exits_2_before_table(tmp_path, monkeypatch, capsys,
+                                                        field, bad, what):
+    def build_r2(limit):
+        raise AssertionError(f"build_r2({limit}) called for a rejected config")
+
+    monkeypatch.setattr(arith, "build_r2", build_r2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"omega": {"kind": "inv_log"}, "X": 100.0, "samples": 20,
+                                    "mode": "exact", field: bad}))
+    argv = ["sample", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {what}\n"
+
+
+def test_diagnose_reads_the_config_gap_width(tmp_path, capsys):
+    spec = {"kind": "product", "polys": [[[1, 0], [2, 0]]], "lambdas": [1.0], "A": 2}
+    spec_path, cfg_path = tmp_path / "spec.json", tmp_path / "cfg.json"
+    spec_path.write_text(json.dumps(spec))
+    cfg_path.write_text(json.dumps({"omega": spec, "X": 100.0, "samples": 20}))
+    outs = []
+    for argv in (["--config", str(cfg_path)], ["--omega-spec", str(spec_path)], []):
+        assert main(["diagnose", "--X", "50", "--scan-points", "1000"] + argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]  # the last is the default inv_log
 
 
 def test_config_unknown_field_exits_2(tmp_path, capsys):

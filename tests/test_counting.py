@@ -342,6 +342,8 @@ def test_radius_cap():
         RadiusPoint((1 << 26) + 1, 1)
     with pytest.raises(ValueError):
         RadiusPoint(0, 1)
+    with pytest.raises(ValueError, match="denominator"):
+        RadiusPoint(1, 0)
 
 
 def test_shell_sample_constant_gap(r2_10k, constant_gap):

@@ -46,7 +46,7 @@ spec = spectra.DensitySpec(mode="product", phis=(spectra.phi_from_poly([1, 1]),
                                                  spectra.phi_from_poly([2, 1])), quad_points=16)
 grid = stats.SampleGrid(X=200.0, S=20, Q=64, phase=0.5)
 values = stats.sample_errors(gapwidth.make_slowly_varying("inv_log"), grid,
-                             arith.build_r2(stats.r2_limit(200.0, "fast")), mode="fast")
+                             arith.build_r2(stats.fast_cutoff(200.0)), mode="fast")
 stats.mixture_cdf(spec, np.sort(values))
 spectra.density_moment(spec, 2)
 record("mixture", first, 0)

@@ -13,9 +13,14 @@ from oracles import (diagonal_sum_convolve_j4, diagonal_sum_direct_j2, grouped_p
                      r2_squared_partial_sum_check, series_with_gap_fsum)
 
 
+def one_point(x, gap, r2, cutoff, threads=1):
+    """series_with_gap at one point, as a one-point batch."""
+    return series_with_gap(np.array([x]), np.array([gap]), r2, cutoff, threads)[0]
+
+
 def test_series_empty_and_degenerate(r2_10k):
-    assert series_with_gap(150.0, 1.0 / math.log(150.0), r2_10k, 0) == 0.0
-    assert series_with_gap(150.0, 0.0, r2_10k, 5000) == 0.0
+    assert one_point(150.0, 1.0 / math.log(150.0), r2_10k, 0) == 0.0
+    assert one_point(150.0, 0.0, r2_10k, 5000) == 0.0
     xs = np.array([150.0, 151.5, 152.25])
     gaps = np.array([0.0, 0.2, 0.0])
     assert np.array_equal(series_with_gap(xs, gaps + 0.1, r2_10k, 0), np.zeros(3))
@@ -24,10 +29,9 @@ def test_series_empty_and_degenerate(r2_10k):
 
 
 def test_series_block_contract(r2_10k):
-    # a 0-d input is a one-row block that returns a Python float
-    one = series_with_gap(np.array(150.0), np.array(0.2), r2_10k, 5000)
-    assert type(one) is float
-    assert one.hex() == series_with_gap(150.0, 0.2, r2_10k, 5000).hex()
+    # every call returns an array, one float64 per point, none for no points
+    one = series_with_gap(np.array([150.0]), np.array([0.2]), r2_10k, 5000)
+    assert isinstance(one, np.ndarray) and one.shape == (1,) and one.dtype == np.float64
     empty = series_with_gap(np.empty(0), np.empty(0), r2_10k, 5000)
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
@@ -36,9 +40,11 @@ def test_series_block_contract(r2_10k):
     (np.array([150.0, 160.0, 170.0]), np.array([0.2]), "(3,) and (1,)"),
     (150.0, np.array([0.2, 0.3]), "() and (2,)"),
     (np.full((2, 2), 150.0), np.full((2, 2), 0.2), "(2, 2) and (2, 2)"),
-], ids=["lengths", "scalar-x", "2-D"])
+    (150.0, 0.2, "() and ()"),
+], ids=["lengths", "scalar-x", "2-D", "scalars"])
 def test_series_rejects_unequal_shapes(r2_10k, x, gap, shapes):
-    # no broadcasting: every point needs its own gap, and a block is 1-D
+    # no broadcasting: every point needs its own gap, and a block is 1-D,
+    # even for one point
     with pytest.raises(ValueError, match=re.escape(shapes)):
         series_with_gap(x, gap, r2_10k, 5000)
 
@@ -73,8 +79,7 @@ def test_series_threads_change_no_bit(r2_200k, product_gap, cutoff):
                                                     cutoff, t).tolist()]
                for t in (1, 2, 3)}
         assert got[2] == got[1] and got[3] == got[1], (cutoff, size)
-    one = series_with_gap(xs[0], gaps[0], r2_200k, cutoff, 3)
-    assert one.hex() == got[1][0]
+    assert one_point(xs[0], gaps[0], r2_200k, cutoff, 3).hex() == got[1][0]
     with pytest.raises(ValueError, match="threads"):
         series_with_gap(xs, gaps, r2_200k, cutoff, 0)
 
@@ -119,10 +124,10 @@ def test_series_window_and_cutoff_guards(r2_10k, inv_log):
     gap = float(inv_log.value(350.0))
     outside = counting.ShellSample(x=350.0, omega_x=gap, n_inner=None, n_outer=None,
                                    shell_count=None, error=0.0, normalized=0.0, sawtooth=0.0)
-    with pytest.raises(ValueError):
-        expansion_rhs(outside, 100.0, r2_10k)
-    with pytest.raises(ValueError):
-        series_with_gap(150.0, 1.0 / math.log(150.0), r2_10k, 20_000)
+    with pytest.raises(ValueError, match="dyadic window"):
+        expansion_rhs([outside], 100.0, r2_10k)
+    with pytest.raises(ValueError, match="cutoff 20000 exceeds"):
+        one_point(150.0, 1.0 / math.log(150.0), r2_10k, 20_000)
 
 
 def test_series_matches_direct_sum(r2_10k):
@@ -135,7 +140,7 @@ def test_series_matches_direct_sum(r2_10k):
             total += (r / m) * math.sin(math.pi * math.sqrt(m) * gap) \
                      * math.sin(math.pi * math.sqrt(m) * (2 * x + gap))
     total *= 2 ** 1.5 / math.pi
-    assert abs(series_with_gap(x, gap, r2_10k, cutoff) - total) < 1e-12
+    assert abs(one_point(x, gap, r2_10k, cutoff) - total) < 1e-12
 
 
 def test_series_matches_list_fsum_oracle(r2_200k, inv_log):
@@ -145,7 +150,7 @@ def test_series_matches_list_fsum_oracle(r2_200k, inv_log):
     for p in grid.points:
         gap = float(inv_log.value(p.value))
         for cutoff in (10_000, int(X * X)):
-            got = series_with_gap(p.value, gap, r2_200k, cutoff)
+            got = one_point(p.value, gap, r2_200k, cutoff)
             assert got.hex() == series_with_gap_fsum(p.value, gap, r2_200k, cutoff).hex(), p
 
 
@@ -267,8 +272,8 @@ def test_series_tail_law(r2_200k, inv_log):
     sq_diff = []
     for x in xs:
         gap = 1.0 / math.log(x)
-        a = series_with_gap(float(x), gap, r2_200k, Y)
-        b = series_with_gap(float(x), gap, r2_200k, 4 * Y)
+        a = one_point(float(x), gap, r2_200k, Y)
+        b = one_point(float(x), gap, r2_200k, 4 * Y)
         sq_diff.append((a - b) ** 2)
     rms = math.sqrt(float(np.mean(sq_diff)))
     assert rms <= 5.0 * Y ** (-1 / 8)
@@ -281,7 +286,7 @@ def test_expansion_rhs_consistency(r2_200k, inv_log):
     for k in (6433, 6561, 7041, 7717, 8539, 9215, 10881, 12223):
         p = RadiusPoint(k, 64)
         s = counting.shell_sample(p, inv_log, r2_200k, sawtooth=True)
-        rhs = expansion_rhs(s, X, r2_200k)
+        rhs = expansion_rhs([s], X, r2_200k)[0]
         resid.append(abs(s.normalized - rhs))
     assert np.median(resid) < 0.05
     assert max(resid) < 0.2
@@ -293,8 +298,8 @@ def test_expansion_residual_falls_with_the_series_cutoff(r2_200k, inv_log):
     X = 100.0
     rows = stats.sample_shells(inv_log, stats.SampleGrid(X=X, S=100, Q=64), r2_200k,
                                "exact", 1, sawtooth=True)
-    default = [abs(s.normalized - expansion_rhs(s, X, r2_200k)) for s in rows]
-    wide = [abs(s.normalized - (series_with_gap(s.x, s.omega_x, r2_200k, 16 * int(X * X))
+    default = [abs(s.normalized - expansion_rhs([s], X, r2_200k)[0]) for s in rows]
+    wide = [abs(s.normalized - (one_point(s.x, s.omega_x, r2_200k, 16 * int(X * X))
                                  - 2.0 / (s.x * s.x) * s.sawtooth)) for s in rows]
     assert np.quantile(wide, 0.95) < np.quantile(default, 0.95)
 
@@ -305,14 +310,14 @@ def test_expansion_residual_falls_with_the_series_cutoff(r2_200k, inv_log):
 def test_expansion_rhs_batch_equals_one_sample_calls(request, r2_200k, spec, X, S, tail):
     # the golden product grid (two zero-gap rows; three 61-row blocks and a
     # partial one of 17) and a grid of two 23-row blocks and a partial one
-    # of 5 at cutoff 10^4; every value must equal its one-sample call
+    # of 5 at cutoff 10^4; every value must equal its one-sample batch
     rows = stats.sample_shells(request.getfixturevalue(spec), stats.SampleGrid(X=X, S=S, Q=64),
                                r2_200k, "exact", 1, sawtooth=True)
     per_row = voronoi._SERIES_BLOCK // r2_200k.nonzero_count_upto(int(X * X))
     assert S % per_row == tail
     if spec == "product_gap":
         assert sum(s.omega_x == 0.0 for s in rows) == 2
-    want = [expansion_rhs(s, X, r2_200k).hex() for s in rows]
+    want = [expansion_rhs([s], X, r2_200k)[0].hex() for s in rows]
     for threads in (1, 2, 3):
         got = expansion_rhs(rows, X, r2_200k, threads)
         assert isinstance(got, np.ndarray) and got.shape == (S,)
@@ -340,7 +345,7 @@ def test_expansion_rhs_checks_every_sample_first(r2_200k, inv_log, monkeypatch, 
 
 def test_expansion_rhs_window_guard(r2_10k, inv_log):
     with pytest.raises(ValueError):
-        expansion_rhs(counting.shell_sample(RadiusPoint(50, 1), inv_log, r2_10k, sawtooth=True),
+        expansion_rhs([counting.shell_sample(RadiusPoint(50, 1), inv_log, r2_10k, sawtooth=True)],
                       100.0, r2_10k)
 
 
@@ -348,4 +353,4 @@ def test_expansion_rhs_needs_the_sawtooth(r2_200k, inv_log):
     # a count-only sample inside the window: the cause is named, not a TypeError on None
     s = counting.shell_sample(RadiusPoint(6433, 64), inv_log, r2_200k)
     with pytest.raises(ValueError, match="sawtooth=True"):
-        expansion_rhs(s, 100.0, r2_200k)
+        expansion_rhs([s], 100.0, r2_200k)
