@@ -82,7 +82,7 @@ def _parse_radius(text: str) -> counting.RadiusPoint:
         return counting.RadiusPoint(k=k, Q=Q)
     if not math.isfinite(value):
         raise ValueError(f"--x must be finite, not {text!r}")
-    return counting.RadiusPoint.from_value(value, 64)
+    return counting.RadiusPoint(k=round(value * 64), Q=64)
 
 
 def _gap_json(args) -> dict:
@@ -121,7 +121,7 @@ def _experiment(cfg: ExperimentConfig, sawtooth: bool = False):
     limit = stats.fast_cutoff(cfg.X)
     if cfg.mode == "exact":
         top = max((counting.snap_outer_radius(p, gap)[0]
-                   for p, gap in zip(grid.points, omega.value(grid.xs).tolist())),
+                   for p, gap in zip(grid.points, omega.on_grid(grid.xs).tolist())),
                   key=lambda outer: outer.k)  # one denominator, Q << OUTER_REFINE_SHIFT
         counting.check_float_exactness(top)
         limit = top.floor_sq
@@ -152,7 +152,7 @@ def cmd_count(args) -> int:
         results["brute"] = counting.count_ball_brute(x)
     if both or args.method == "fast":
         counting.check_float_exactness(x)
-        results["fast"] = counting.count_ball_fast(x, arith.build_r2(x.floor_sq + 1))
+        results["fast"] = counting.count_ball_fast(x, arith.build_r2(x.floor_sq))
     if both and results["fast"] != results["brute"]:
         print(f"DISAGREEMENT: fast={results['fast']} brute={results['brute']}")
         return EXIT_TEST_FAILURE
@@ -288,8 +288,8 @@ def _fixtures():
     def expansion_batch():
         X, r2 = 10.0, arith.build_r2(21 * 21)  # the outer radii here all lie below 21
         om = gapwidth.make_slowly_varying("inv_log")
-        rows = [counting.shell_sample(counting.RadiusPoint(k, 8), om, r2, sawtooth=True)
-                for k in (81, 113, 159)]
+        rows = [counting.shell_sample(counting.RadiusPoint(k, 8), float(om.value(k / 8)), r2,
+                                      sawtooth=True) for k in (81, 113, 159)]
         _check([v.hex() for v in voronoi.expansion_rhs(rows, X, r2, 2).tolist()]
                == [voronoi.expansion_rhs([s], X, r2)[0].hex() for s in rows],
                "expansion_rhs of three samples = three one-sample batches")

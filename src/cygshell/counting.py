@@ -73,11 +73,6 @@ class RadiusPoint:
             raise OverflowError(
                 f"radius numerator {self.k} exceeds the exactness cap {_MAX_K}")
 
-    @classmethod
-    def from_value(cls, x: float, Q: int) -> "RadiusPoint":
-        """Snap x to the nearest multiple of 1/Q."""
-        return cls(k=round(x * Q), Q=Q)
-
     @property
     def value(self) -> float:
         return self.k / self.Q
@@ -244,12 +239,14 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> tuple[int, float]:
 
 
 def _psi_exact(v: int, q2: int) -> float:
-    """psi(sqrt(v)/q2) decided with exact integer parts (v, q2 big ints)."""
+    """psi(sqrt(v)/q2) for big ints v, q2: tb // q2, tb = isqrt(v), is the exact
+    integer part, and two Newton steps from tb give the fraction.  Its domain
+    is the fixup band, v = 0 or sqrt(v)/q2 within _BAND of a positive integer;
+    there it is within 2^-50 (1 + sqrt(v)/q2) for q2 = 1 and q2 >= 4096, and
+    off it need not be (v = 3, q2 = 1 reads 1.75 for sqrt 3)."""
     tb = math.isqrt(v)
     if tb * tb == v and tb % q2 == 0:
         return -0.5
-    # Two Newton refinements of sqrt(v) seeded at tb; the integer part tb//q2
-    # is exact, only the residual fraction is approximated.
     s1 = tb + (v - tb * tb) / (2.0 * tb)
     s1 = 0.5 * (s1 + v / s1)
     frac = ((tb % q2) + (s1 - tb)) / q2
@@ -294,16 +291,16 @@ def _shell_volume(x: float, gap: float) -> float:
                              for j in (1, 2, 3, 4))
 
 
-def shell_sample(x: RadiusPoint, omega, r2: R2Table, sawtooth: bool = False) -> ShellSample:
-    """Exact shell count and error term at inner radius x.
+def shell_sample(x: RadiusPoint, gap: float, r2: R2Table, sawtooth: bool = False) -> ShellSample:
+    """Exact shell count and error term at inner radius x and gap width
+    gap = omega(x).
 
-    The outer radius x + omega(x) is snapped onto the refined grid; the same
+    The outer radius x + gap is snapped onto the refined grid; the same
     snapped gap is used in the volume subtraction, so the reported error is
     an exact algebraic identity in the realised radii.  Each ball takes one
     pass: sawtooth_ball_sum with sawtooth=True, else count_ball_fast.  A gap
     that realises 0 takes one pass: the outer ball is the inner one.
     """
-    gap = float(omega.value(x.value))
     if not gap > 0:
         raise ValueError(f"omega(x) = {gap} must be positive at x = {x.value}")
     outer, snapped_gap = snap_outer_radius(x, gap)

@@ -52,6 +52,16 @@ class GapWidth:
         """omega(x); an array call equals the calls per point bit for bit."""
         return self.jet(np.log(x), 0)[0]
 
+    def on_grid(self, xs: np.ndarray) -> np.ndarray:
+        """value(xs), unchanged; ValueError at the first x where omega(x) is
+        not positive and finite, outside the domain of E(x; omega)."""
+        w = self.value(xs)
+        bad = ~((w > 0) & (w < math.inf))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"omega(x) = {w[i]} must be positive and finite at x = {xs[i]}")
+        return w
+
     def d1(self, x):
         """omega'(x) = h'(L) / x."""
         x = np.asarray(x, dtype=np.float64)
@@ -192,16 +202,6 @@ def midpoint_grid(X: float, n: int) -> np.ndarray:
     return X * (1.0 + (np.arange(n) + 0.5) / n)
 
 
-def _scan(omega: GapWidth, X: float, scan_points: int):
-    """(xs, omega(xs)) on the window midpoints; omega must be finite there."""
-    xs = midpoint_grid(X, scan_points)
-    w = omega.value(xs)
-    if not np.all(np.isfinite(w)):
-        bad = xs[~np.isfinite(w)][0]
-        raise FloatingPointError(f"omega evaluation not finite at x = {bad}")
-    return xs, w
-
-
 def _sign_changes(vals: np.ndarray) -> int:
     s = np.sign(vals)
     return int(np.count_nonzero(s[1:] * s[:-1] < 0))
@@ -221,7 +221,8 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
     if scan_points < 1000:
         raise ValueError("scan_points must be >= 1000")
     arith._require_memory(scan_points * _SCAN_BYTES_PER_POINT, f"a scan of {scan_points} points")
-    xs, w = _scan(omega, X, scan_points)
+    xs = midpoint_grid(X, scan_points)
+    w = omega.on_grid(xs)
     wlw = w * np.log(w)
     moments = {j: float(np.mean(wlw ** j)) for j in range(2, 41, 2)}
     m2 = moments[2]
@@ -235,7 +236,7 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
     ratios = {j: m / m2 ** (j / 2) for j, m in moments.items()}
     logm2 = [math.log(m2)]
     for mult in (2, 4, 8):
-        wm = _scan(omega, mult * X, scan_points)[1]
+        wm = omega.on_grid(midpoint_grid(mult * X, scan_points))
         logm2.append(math.log(float(np.mean((wm * np.log(wm)) ** 2))))
     slope = np.polyfit([math.log(mult * X) for mult in (1, 2, 4, 8)], logm2, 1)[0]
     partials = itertools.accumulate((spectra.gauss_moment(j) * r) ** (-1.0 / j)

@@ -112,6 +112,8 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
                   threads: int | None, sawtooth: bool = False) -> list[ShellSample]:
     """One ShellSample per grid point, in grid order.
 
+    omega is taken for the whole grid with one GapWidth.on_grid call, so a
+    gap width that is not positive and finite fails before any row.
     threads is the most threads the call may use, in both modes, as
     voronoi._thread_count reads it.  No call starts more threads than there
     are points, and every thread is joined before it returns.  Each row
@@ -128,21 +130,22 @@ def sample_shells(omega: GapWidth, grid: SampleGrid, r2: R2Table, mode: str,
     grid and splits its points once over the threads.
     """
     workers = min(_thread_count(threads), len(grid.points))
+    xs = grid.xs
+    gaps = omega.on_grid(xs)
     if mode == "fast":
-        xs = grid.xs
-        gaps = omega.value(xs)
         vs = series_with_gap(xs, gaps, r2, fast_cutoff(grid.X), workers).tolist()
         return [ShellSample(x=x, omega_x=gap, n_inner=None, n_outer=None,
                             shell_count=None, error=v * x * x, normalized=v)
                 for x, gap, v in zip(xs.tolist(), gaps.tolist(), vs)]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
+    jobs = list(zip(grid.points, gaps.tolist()))
     if workers > 1:
         # grid points ascend in k, so reversed is largest first
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(lambda p: shell_sample(p, omega, r2, sawtooth), grid.points[::-1]))
+            rows = list(ex.map(lambda job: shell_sample(*job, r2, sawtooth), jobs[::-1]))
         return rows[::-1]
-    return [shell_sample(p, omega, r2, sawtooth) for p in grid.points]
+    return [shell_sample(p, gap, r2, sawtooth) for p, gap in jobs]
 
 
 def sample_errors(omega: GapWidth, grid: SampleGrid, r2: R2Table,
@@ -163,13 +166,12 @@ def variance_sigma2(samples: Sequence[float]) -> float:
 def m_j(omega: GapWidth, X: float, S: int, j: int) -> float:
     """Grid average of (omega(x) log omega(x))^j over (X, 2X).
 
-    Requires 0 < omega < 1 on the grid so the log factor is negative.
+    Requires omega < 1 on the grid, and on_grid's rule, so log omega < 0.
     """
     xs = midpoint_grid(X, S)
-    w = np.asarray(omega.value(xs), dtype=np.float64)
-    if np.any(w <= 0) or np.any(w >= 1):
-        bad = xs[(w <= 0) | (w >= 1)][0]
-        raise ValueError(f"omega(x) outside (0, 1) at x = {bad}")
+    w = omega.on_grid(xs)
+    if np.any(w >= 1):
+        raise ValueError(f"omega(x) outside (0, 1) at x = {xs[w >= 1][0]}")
     return float(np.mean((w * np.log(w)) ** j))
 
 

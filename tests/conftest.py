@@ -29,16 +29,6 @@ def product_gap():
 
 
 @pytest.fixture(scope="session")
-def constant_gap():
-    """A test-only constant gap width (value 1/4, zero derivatives)."""
-    return gapwidth.GapWidth(
-        name="const_quarter",
-        jet=lambda L, order: ([np.full_like(np.asarray(L, dtype=float), 0.25)]
-                              + [np.zeros_like(np.asarray(L, dtype=float))] * order),
-    )
-
-
-@pytest.fixture(scope="session")
 def zero_gap():
     """Degenerate omega == 0, only for cancellation identities."""
     return gapwidth.GapWidth(

@@ -15,8 +15,9 @@ the constrained frequency sum as a j-fold tensor convolution over the
 frequency lattice (cross-checks the packed power in spectra), the sum-mode
 construction moment by the multinomial expansion over per-factor moments
 (cross-checks the binomial fold in spectra), the sawtooth correction,
-from its own unchunked float sqrt, psi and fixup band (cross-checks the
-chunk loop of counting._ball_pass, chunk offsets included), and the main
+from its own unchunked float sqrt, psi and fixup band, with psi in the band
+from integers only (cross-checks the chunk loop of counting._ball_pass,
+chunk offsets included, and counting._psi_exact), and the main
 series, both summed by math.fsum over a Python list of every product or
 term (cross-check the exact partial sums of arith.exact_parts bit for bit),
 and the normal CDF that evaluates both Cephes rationals over every element
@@ -33,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from cygshell.arith import R2Table
-from cygshell.counting import _BAND, RadiusPoint, _psi_exact
+from cygshell.counting import _BAND, RadiusPoint
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.spectra import DensitySpec, phi_moment
 from cygshell.stats import _ERF_T, _ERF_U, _ERFC_CLAMP, _ERFC_P, _ERFC_Q, _NormalCdf
@@ -95,18 +96,28 @@ def float_s(x: RadiusPoint, m: np.ndarray) -> np.ndarray:
     return np.sqrt((fk2 - mq2) * (mq2 + fk2)) * (1.0 / (x.Q * x.Q))
 
 
-def sawtooth_ball_sum_fsum(x: RadiusPoint, r2: R2Table) -> float:
+def psi_isqrt(v: int, q2: int) -> float:
+    """psi(sqrt(v)/q2) = frac(sqrt(v)/q2) - 1/2 from integers only, rounded
+    once: isqrt(v 4^80) = floor(sqrt(v) 2^80), so its residue mod q2 2^80,
+    over q2 2^80, is the fraction to within 2^-80 / q2."""
+    den = q2 << 80
+    return float(Fraction(math.isqrt(v << 160) % den, den) - Fraction(1, 2))
+
+
+def sawtooth_ball_sum_fsum(x: RadiusPoint, r2: R2Table, band_psi=psi_isqrt) -> float:
     """The sawtooth sum of counting.sawtooth_ball_sum over every slice as one
     unchunked array: s from float_s, psi = s - [s] - 1/2 and the band of s
     within _BAND of an integer, then one fsum over the list of every product
-    r2(m) psi, then the band corrections in slice order."""
+    r2(m) psi, then the band corrections in slice order, each to
+    band_psi(k^4 - m^2 Q^4, Q^2): psi_isqrt, or counting._psi_exact to compare
+    the chunk loop bit for bit."""
     k4, Q2 = x.k ** 4, x.Q * x.Q
     n = r2.nonzero_count_upto(x.floor_sq)
     m, v = r2.nonzero_m[:n], r2.nonzero_values[:n]
     s = float_s(x, m)
     psi = s - np.floor(s) - 0.5
     band = np.flatnonzero(np.abs(np.rint(s) - s) < _BAND).tolist()
-    corrections = [float(v[i]) * (_psi_exact(k4 - int(m[i]) ** 2 * Q2 * Q2, Q2) - psi[i])
+    corrections = [float(v[i]) * (band_psi(k4 - int(m[i]) ** 2 * Q2 * Q2, Q2) - psi[i])
                    for i in band]
     total = math.fsum((v * psi).tolist())
     for c in corrections:

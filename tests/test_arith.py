@@ -371,6 +371,18 @@ def test_exact_parts_zero_row_sign(row, sign):
         assert parts == [0.0] and math.copysign(1.0, parts[0]) == sign
 
 
+def test_exact_parts_ceiling_keeps_sigma_finite_on_a_wide_row():
+    # sigma = 2^(M + e) with 2^M > n + 1 and 2^e > max|row|, so a row below a
+    # ceiling of 2^900 extracts at any width under 2^122; one just below 2^1000
+    # would need sigma = 2^1024 at this width (8 M entries, 64 MB)
+    n = (1 << 23) - 1
+    values = [1.5 * 2.0 ** 999, -2.0 ** 999, 2.0 ** -60]
+    assert (n + 1).bit_length() + math.frexp(values[0])[1] == 1024
+    p = np.zeros(n)
+    p[[0, n // 2, n - 1]] = values
+    assert math.fsum(arith.exact_parts(p)) == math.fsum(values)
+
+
 def test_exact_parts_is_short():
     rng = np.random.default_rng(7)
     p = rng.standard_normal(1 << 16) * rng.integers(4, 64, 1 << 16)

@@ -150,17 +150,46 @@ def test_fast_table_reaches_the_series_cutoff(tmp_path, monkeypatch):
     assert built == [stats.fast_cutoff(30.0)] == [10_000]
 
 
+# the commands that take a gap width on a grid or a scan, and their size flags
+_GRID_COMMANDS = {
+    "sample-exact": ["sample", "--mode", "exact", "--samples", "20"],
+    "sample-fast": ["sample", "--mode", "fast", "--samples", "20"],
+    "moments-fast": ["moments", "--mode", "fast", "--samples", "20"],
+    "expand": ["expand", "--samples", "20"],
+    "diagnose": ["diagnose", "--scan-points", "1000"],
+}
+
+
 @pytest.mark.parametrize("value", [0.0, -0.5, math.nan], ids=repr)
-@pytest.mark.parametrize("command", [["sample", "--mode", "exact"], ["expand"]],
-                         ids=["sample-exact", "expand"])
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
 def test_nonpositive_gap_exits_2(tmp_path, monkeypatch, capsys, value, command):
     bad = gapwidth.GapWidth(name="bad", jet=lambda L, order: [L * 0.0 + value])
     monkeypatch.setattr(gapwidth, "gap_from_json", lambda obj: bad)
     out = tmp_path / "out"
-    assert main(command + ["--X", "30", "--samples", "20", "--out", str(out)]) == cli.EXIT_USAGE
+    argv = _GRID_COMMANDS[command] + ["--X", "30"]
+    assert main(argv + ([] if command == "diagnose" else ["--out", str(out)])) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error:") and re.search("must be (positive|nonnegative)", err), err
+    assert re.fullmatch(rf"error: omega\(x\) = {value} must be positive and finite at x = 30\.\d+\n",
+                        err), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
+def test_nan_gap_width_exits_2(tmp_path, command):
+    # lambda u overflows to inf, so omega is nan at every x; in a subprocess,
+    # since the overflow's RuntimeWarning is an error under pytest
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps({"kind": "product", "polys": [[[1, 0]]], "lambdas": [1e308], "A": 2}))
+    argv = _GRID_COMMANDS[command] + ["--X", "30", "--omega-spec", str(spec)]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = f"import sys; sys.path.insert(0, {src!r}); import cygshell.cli; sys.exit(cygshell.cli.main())"
+    proc = subprocess.run([sys.executable, "-c", script] + argv
+                          + ([] if command == "diagnose" else ["--out", str(out)]),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert re.search(r"^error: omega\(x\) = nan must be positive and finite at x = 30\.\d+$",
+                     proc.stderr, re.M), proc.stderr
+    assert proc.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("field, bad, what", [("samples", 5, "samples must be >= 10"),

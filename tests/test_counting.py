@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cygshell import arith, counting, gapwidth
+from cygshell import arith, counting
 from cygshell.counting import RadiusPoint
-from oracles import count_ball_isqrt, float_s, r2_sum_upto, sawtooth_ball_sum_fsum
+from oracles import count_ball_isqrt, float_s, psi_isqrt, r2_sum_upto, sawtooth_ball_sum_fsum
 
 
 def triple_loop_count(k: int, Q: int) -> int:
@@ -292,9 +292,18 @@ def test_threads_keep_their_own_buffers():
 
 
 def test_sawtooth_matches_list_fsum_oracle():
+    # bit for bit with the kernel's own band psi, which pins the chunk loop; with
+    # the integer psi, within test_psi_exact_on_its_band_domain's bound per band
+    # slice (s <= x^2) and half an ulp per correction on either side
     r2 = arith.build_r2(300 ** 2)
     for x in _chunk_radii():
-        assert counting.sawtooth_ball_sum(x, r2)[1].hex() == sawtooth_ball_sum_fsum(x, r2).hex(), x
+        saw = counting.sawtooth_ball_sum(x, r2)[1]
+        assert saw.hex() == sawtooth_ball_sum_fsum(x, r2, counting._psi_exact).hex(), x
+        n = r2.nonzero_count_upto(x.floor_sq)
+        s = float_s(x, r2.nonzero_m[:n])
+        band = r2.nonzero_values[:n][np.abs(np.rint(s) - s) < counting._BAND]
+        bound = 2.0 ** -50 * (1 + x.value ** 2) * int(band.sum()) + len(band) * math.ulp(saw)
+        assert abs(saw - sawtooth_ball_sum_fsum(x, r2)) <= bound, x
 
 
 @pytest.mark.parametrize("chunk", [counting._KERNEL_CHUNK, 1000])
@@ -308,7 +317,24 @@ def test_one_pass_kernel_matches_count_and_sawtooth_oracles(monkeypatch, chunk):
     for x in _chunk_radii():
         n, saw = counting.sawtooth_ball_sum(x, r2)
         assert n == counting.count_ball_fast(x, r2) == count_ball_isqrt(x, r2), x
-        assert saw.hex() == sawtooth_ball_sum_fsum(x, r2).hex(), x
+        assert saw.hex() == sawtooth_ball_sum_fsum(x, r2, counting._psi_exact).hex(), x
+
+
+@pytest.mark.parametrize("Q", [1, 64, 4096])
+def test_psi_exact_on_its_band_domain(Q):
+    # v = (n q2)^2 + d puts sqrt(v)/q2 within |d| / (2 n q2^2) of n, inside the
+    # fixup band for every n >= 1 at Q >= 64, but at Q = 1 only past n = 5e5
+    q2, first = Q * Q, 10 ** 6 if Q == 1 else 1
+    checked = 0
+    for n in range(first, first + 300):
+        for d in (-n, -7, -2, -1, 1, 3, n):
+            v = (n * q2) ** 2 + d
+            want = psi_isqrt(v, q2)
+            if 0.5 - abs(want) >= counting._BAND:  # the fraction is _BAND from 0 and 1
+                continue
+            checked += 1
+            assert abs(counting._psi_exact(v, q2) - want) <= 2.0 ** -50 * (1 + math.sqrt(v) / q2), v
+    assert checked == (900 if Q == 1 else 2100)
 
 
 def test_counts_odd_and_monotone(r2_10k):
@@ -346,8 +372,8 @@ def test_radius_cap():
         RadiusPoint(1, 0)
 
 
-def test_shell_sample_constant_gap(r2_10k, constant_gap):
-    s = counting.shell_sample(RadiusPoint(2, 1), constant_gap, r2_10k)
+def test_shell_sample_constant_gap(r2_10k):
+    s = counting.shell_sample(RadiusPoint(2, 1), 0.25, r2_10k)
     n_inner = counting.count_ball_brute(RadiusPoint(2, 1))
     n_outer = counting.count_ball_brute(RadiusPoint(9, 4))
     assert s.omega_x == 0.25
@@ -360,7 +386,7 @@ def test_shell_error_identity(r2_200k, inv_log):
     # snapped radii, and the stored fields reproduce it
     for k in (6433, 7171, 9015):
         x = RadiusPoint(k, 64)
-        s = counting.shell_sample(x, inv_log, r2_200k)
+        s = counting.shell_sample(x, float(inv_log.value(x.value)), r2_200k)
         outer = s.x + s.omega_x
         ball_err_diff = ((s.n_outer - counting.BALL_VOLUME * outer ** 4)
                          - (s.n_inner - counting.BALL_VOLUME * s.x ** 4))
@@ -375,15 +401,16 @@ def test_shell_sample_sawtooth_keeps_the_counts(r2_200k, inv_log):
     # sawtooth=True takes the counts from the one-pass kernel and adds only the sawtooth
     for k in (6433, 7171, 9015):
         x = RadiusPoint(k, 64)
-        s = counting.shell_sample(x, inv_log, r2_200k, sawtooth=True)
+        gap = float(inv_log.value(x.value))
+        s = counting.shell_sample(x, gap, r2_200k, sawtooth=True)
         assert s.sawtooth is not None
-        assert replace(s, sawtooth=None) == counting.shell_sample(x, inv_log, r2_200k)
-        assert s.sawtooth == sawtooth_shell_sum(x, float(inv_log.value(x.value)), r2_200k)
+        assert replace(s, sawtooth=None) == counting.shell_sample(x, gap, r2_200k)
+        assert s.sawtooth == sawtooth_shell_sum(x, gap, r2_200k)
 
 
-def test_shell_rejects_nonpositive_gap(r2_10k, zero_gap):
+def test_shell_rejects_nonpositive_gap(r2_10k):
     with pytest.raises(ValueError):
-        counting.shell_sample(RadiusPoint(2, 1), zero_gap, r2_10k)
+        counting.shell_sample(RadiusPoint(2, 1), 0.0, r2_10k)
 
 
 def test_sawtooth_single_ball_fixture(r2_10k):
@@ -424,12 +451,6 @@ def test_snap_outer_radius_refines():
     assert abs(gap - 0.1) <= 0.5 / outer.Q
 
 
-def _constant_gap(value):
-    return gapwidth.GapWidth(name="constant", jet=lambda L, order: (
-        [np.full_like(np.asarray(L, dtype=float), value)]
-        + [np.zeros_like(np.asarray(L, dtype=float))] * order))
-
-
 def test_snap_outer_radius_realises_zero_gap(r2_200k):
     # the first zero-gap row of `sample --mode exact` with the product gap
     # (1+z)(2+z), lambda = (1, sqrt 2), A = 2 at X = 60: omega = 3.26e-6
@@ -441,7 +462,7 @@ def test_snap_outer_radius_realises_zero_gap(r2_200k):
     assert outer.k == x.refined().k + 1 and gap == step
     with pytest.raises(ValueError):
         counting.snap_outer_radius(x, -step)
-    s = counting.shell_sample(x, _constant_gap(1e-6), r2_200k)
+    s = counting.shell_sample(x, 1e-6, r2_200k)
     assert (s.omega_x, s.shell_count, s.error, s.normalized) == (0.0, 0, 0.0, 0.0)
     assert s.n_outer == s.n_inner == counting.count_ball_fast(x, r2_200k)
 
@@ -454,13 +475,13 @@ def test_zero_gap_row_makes_one_kernel_pass(r2_200k, monkeypatch, sawtooth):
         kernel = getattr(counting, name)
         monkeypatch.setattr(counting, name,
                             lambda p, r2, kernel=kernel: calls.append(p) or kernel(p, r2))
-    s = counting.shell_sample(x, _constant_gap(1e-6), r2_200k, sawtooth=sawtooth)
+    s = counting.shell_sample(x, 1e-6, r2_200k, sawtooth=sawtooth)
     assert calls == [x]
     assert (s.omega_x, s.shell_count, s.n_outer) == (0.0, 0, s.n_inner)
     if sawtooth:
         assert math.copysign(1.0, s.sawtooth) == 1.0 and s.sawtooth == 0.0
     calls.clear()
     step = 1.0 / x.refined().Q
-    s = counting.shell_sample(x, _constant_gap(0.51 * step), r2_200k, sawtooth=sawtooth)
+    s = counting.shell_sample(x, 0.51 * step, r2_200k, sawtooth=sawtooth)
     assert calls == [x, RadiusPoint(x.refined().k + 1, x.refined().Q)]
     assert s.omega_x == step

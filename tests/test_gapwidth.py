@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cygshell.gapwidth import (AlmostPeriodicGap, gap_from_json, make_almost_periodic,
+from cygshell.gapwidth import (AlmostPeriodicGap, GapWidth, gap_from_json, make_almost_periodic,
                                make_slowly_varying, omega_diagnostics)
 from cygshell.spectra import phi_from_poly
 from cygshell.stats import SampleGrid
@@ -63,6 +63,21 @@ def test_array_value_equals_scalar_calls_bit_for_bit(name):
         xs = SampleGrid(X=2000.0, S=4000, phase=phase).xs
         want = [float(gap.value(x)).hex() for x in xs.tolist()]
         assert [v.hex() for v in gap.value(xs).tolist()] == want
+
+
+def test_on_grid_returns_the_value_bits():
+    xs = SampleGrid(X=2000.0, S=4000).xs
+    for name, gap in _array_scalar_gaps().items():
+        assert gap.on_grid(xs).tobytes() == gap.value(xs).tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf], ids=repr)
+def test_on_grid_names_the_first_bad_point(bad):
+    # omega is bad at every x past 10.5: the message names x = 11
+    gap = GapWidth(name="bad", jet=lambda L, order: [np.where(L > math.log(10.5), bad, 0.25)])
+    with pytest.raises(ValueError) as err:
+        gap.on_grid(np.array([10.0, 11.0, 12.0]))
+    assert str(err.value) == f"omega(x) = {bad} must be positive and finite at x = 11.0"
 
 
 def test_closed_form_fixtures():

@@ -77,7 +77,7 @@ def test_sample_errors_contract(r2_200k, inv_log):
 def test_sample_shells_rows(r2_200k, inv_log):
     grid = SampleGrid(X=60.0, S=20, Q=64)
     exact = stats.sample_shells(inv_log, grid, r2_200k, "exact", 2)
-    assert exact == [shell_sample(p, inv_log, r2_200k) for p in grid.points]
+    assert exact == [shell_sample(p, float(inv_log.value(p.value)), r2_200k) for p in grid.points]
     fast = stats.sample_shells(inv_log, grid, r2_200k, "fast", None)
     assert [s.x for s in fast] == [p.value for p in grid.points]
     assert all(s.shell_count is None and s.n_inner is None for s in fast)
@@ -136,14 +136,30 @@ def test_exact_points_go_to_the_pool_largest_first(monkeypatch, r2_200k, inv_log
 
         def map(self, fn, points):
             points = list(points)
-            submitted.extend(p.k for p in points)
+            submitted.extend(p.k for p, _ in points)
             return map(fn, points)
 
     monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
     grid = SampleGrid(X=60.0, S=20, Q=64)
     rows = stats.sample_shells(inv_log, grid, r2_200k, "exact", 2)
     assert submitted == sorted((p.k for p in grid.points), reverse=True)
-    assert rows == [shell_sample(p, inv_log, r2_200k) for p in grid.points]
+    assert rows == [shell_sample(p, float(inv_log.value(p.value)), r2_200k) for p in grid.points]
+
+
+def test_exact_sample_shells_makes_one_jet_call(r2_200k, inv_log):
+    shapes = []
+    counted = gapwidth.GapWidth(name="counted",
+                                jet=lambda L, order: shapes.append(np.shape(L)) or inv_log.jet(L, order))
+    grid = SampleGrid(X=60.0, S=20, Q=64)
+    rows = stats.sample_shells(counted, grid, r2_200k, "exact", 2)
+    assert shapes == [(20,)]
+    assert rows == stats.sample_shells(inv_log, grid, r2_200k, "exact", 1)
+
+
+def test_m_j_rejects_a_nan_gap_width():
+    nan_gap = gapwidth.GapWidth(name="nan", jet=lambda L, order: [L * math.nan])
+    with pytest.raises(ValueError, match=r"omega\(x\) = nan must be positive and finite at x = "):
+        m_j(nan_gap, 100.0, 50, 2)
 
 
 @pytest.mark.parametrize("threads", [0, -1, 33, 1.5, True, "2"])
@@ -408,8 +424,7 @@ def test_csv_and_json_determinism(tmp_path, r2_10k, inv_log):
     grid = SampleGrid(X=30.0, S=20, Q=64)
     vals = sample_errors(inv_log, grid, r2_10k, mode="exact")
     dist = EmpiricalDistribution.from_samples(vals, j_max=4)
-    rows = [__import__("cygshell").counting.shell_sample(p, inv_log, r2_10k)
-            for p in grid.points]
+    rows = [shell_sample(p, float(inv_log.value(p.value)), r2_10k) for p in grid.points]
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     stats.write_samples_csv(out_a, rows)

@@ -285,7 +285,7 @@ def test_expansion_rhs_consistency(r2_200k, inv_log):
     resid = []
     for k in (6433, 6561, 7041, 7717, 8539, 9215, 10881, 12223):
         p = RadiusPoint(k, 64)
-        s = counting.shell_sample(p, inv_log, r2_200k, sawtooth=True)
+        s = counting.shell_sample(p, float(inv_log.value(p.value)), r2_200k, sawtooth=True)
         rhs = expansion_rhs([s], X, r2_200k)[0]
         resid.append(abs(s.normalized - rhs))
     assert np.median(resid) < 0.05
@@ -332,10 +332,11 @@ def test_expansion_rhs_of_no_samples(r2_10k):
 @pytest.mark.parametrize("bad", ["window", "sawtooth"])
 def test_expansion_rhs_checks_every_sample_first(r2_200k, inv_log, monkeypatch, bad):
     # one bad sample after good ones: the error comes before any series work
-    good = [counting.shell_sample(RadiusPoint(k, 64), inv_log, r2_200k, sawtooth=True)
-            for k in (6433, 7041)]
+    good = [counting.shell_sample(RadiusPoint(k, 64), float(inv_log.value(k / 64)), r2_200k,
+                                  sawtooth=True) for k in (6433, 7041)]
     k = 12_900 if bad == "window" else 7717  # x = 201.6 lies outside (100, 200)
-    last = counting.shell_sample(RadiusPoint(k, 64), inv_log, r2_200k, sawtooth=bad == "window")
+    last = counting.shell_sample(RadiusPoint(k, 64), float(inv_log.value(k / 64)), r2_200k,
+                                 sawtooth=bad == "window")
     calls = []
     monkeypatch.setattr(voronoi, "series_with_gap", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="dyadic window" if bad == "window" else "sawtooth=True"):
@@ -344,13 +345,13 @@ def test_expansion_rhs_checks_every_sample_first(r2_200k, inv_log, monkeypatch, 
 
 
 def test_expansion_rhs_window_guard(r2_10k, inv_log):
+    s = counting.shell_sample(RadiusPoint(50, 1), float(inv_log.value(50.0)), r2_10k, sawtooth=True)
     with pytest.raises(ValueError):
-        expansion_rhs([counting.shell_sample(RadiusPoint(50, 1), inv_log, r2_10k, sawtooth=True)],
-                      100.0, r2_10k)
+        expansion_rhs([s], 100.0, r2_10k)
 
 
 def test_expansion_rhs_needs_the_sawtooth(r2_200k, inv_log):
     # a count-only sample inside the window: the cause is named, not a TypeError on None
-    s = counting.shell_sample(RadiusPoint(6433, 64), inv_log, r2_200k)
+    s = counting.shell_sample(RadiusPoint(6433, 64), float(inv_log.value(6433 / 64)), r2_200k)
     with pytest.raises(ValueError, match="sawtooth=True"):
         expansion_rhs([s], 100.0, r2_200k)
