@@ -169,9 +169,9 @@ def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]
     (check_float_exactness).  The floors f of s are re-done as
     isqrt(k^4 - m^2 Q^4) // Q^2 in the band, the entries within _BAND of an
     integer.  The m = 0 slice is 2 floor(x^2) + 1; each chunk adds the int64
-    sums 2 sum r2 f + sum r2.  With sawtooth, the products r2 psi go to exact
-    partial sums (arith.exact_parts) that one fsum rounds, then the band
-    corrections follow in slice order, so neither result depends on
+    sums 2 sum r2 f + sum r2.  With sawtooth, psi = s - f - 1/2, from integers
+    (_psi_exact) in the band, and the products r2 psi go to exact partial sums
+    (arith.exact_parts) that one fsum rounds, so neither result depends on
     _KERNEL_CHUNK.  Raises before the first chunk when x is past the float
     exactness bound or the table does not reach floor(x^2).
     """
@@ -184,7 +184,7 @@ def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]
     fk2, fq2, inv_q2 = float(k2), float(Q2), 1.0 / Q2
     bufs = _buffers()
     total = 2 * mmax + 1  # the m = 0 slice: |c| <= floor(x^2)
-    parts, corrections = [], []
+    parts = []
     n = r2.nonzero_count_upto(mmax)
     for lo in range(0, n, _KERNEL_CHUNK):
         hi = min(n, lo + _KERNEL_CHUNK)
@@ -206,7 +206,8 @@ def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]
             np.copyto(t, psi, casting="unsafe")
             np.subtract(s, psi, out=psi)
             psi -= 0.5
-            corrections.extend(float(v[i]) * (_psi_exact(d, Q2) - psi[i]) for i, d in band)
+            for i, d in band:
+                psi[i] = _psi_exact(d, Q2)
             psi *= v
             parts.extend(exact_parts(psi, bufs.q[:hi - lo]))
         else:
@@ -215,10 +216,7 @@ def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]
             t[i] = math.isqrt(d) // Q2
         t *= v
         total += 2 * int(t.sum()) + int(v.sum(dtype=np.int64))
-    saw = math.fsum(parts)
-    for c in corrections:
-        saw += c
-    return total, saw
+    return total, math.fsum(parts)
 
 
 def count_ball_fast(x: RadiusPoint, r2: R2Table) -> int:
@@ -233,21 +231,22 @@ def sawtooth_ball_sum(x: RadiusPoint, r2: R2Table) -> tuple[int, float]:
     One pass: N(x) is count_ball_fast's, from the floors that give psi.  psi
     evaluates to -1/2 at exact integer arguments (the literal formula).  The
     sawtooth excludes m = 0: the series convention starts at m = 1.  The sum
-    is correctly rounded, then the band corrections follow (_ball_pass).
+    is correctly rounded, with psi from integers in the fixup band (_ball_pass).
     """
     return _ball_pass(x, r2, sawtooth=True)
 
 
 def _psi_exact(v: int, q2: int) -> float:
     """psi(sqrt(v)/q2) for big ints v, q2: tb // q2, tb = isqrt(v), is the exact
-    integer part, and two Newton steps from tb give the fraction.  Its domain
-    is the fixup band, v = 0 or sqrt(v)/q2 within _BAND of a positive integer;
-    there it is within 2^-50 (1 + sqrt(v)/q2) for q2 = 1 and q2 >= 4096, and
-    off it need not be (v = 3, q2 = 1 reads 1.75 for sqrt 3)."""
+    integer part, and three Newton steps from tb give the fraction.  Its
+    domain is the fixup band, v = 0 or sqrt(v)/q2 within _BAND of a positive
+    integer; there it is within 2^-50 (1 + sqrt(v)/q2) for every q2, and off
+    it need not be (v = 3, q2 = 1 reads 1.75 for sqrt 3)."""
     tb = math.isqrt(v)
     if tb * tb == v and tb % q2 == 0:
         return -0.5
     s1 = tb + (v - tb * tb) / (2.0 * tb)
+    s1 = 0.5 * (s1 + v / s1)
     s1 = 0.5 * (s1 + v / s1)
     frac = ((tb % q2) + (s1 - tb)) / q2
     return frac - 0.5

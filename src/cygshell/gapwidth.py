@@ -55,7 +55,8 @@ class GapWidth:
     def on_grid(self, xs: np.ndarray) -> np.ndarray:
         """value(xs), unchanged; ValueError at the first x where omega(x) is
         not positive and finite, outside the domain of E(x; omega)."""
-        w = self.value(xs)
+        with np.errstate(over="ignore", invalid="ignore"):  # the error names the nan or inf
+            w = self.value(xs)
         bad = ~((w > 0) & (w < math.inf))
         if bad.any():
             i = int(np.argmax(bad))

@@ -10,7 +10,8 @@ stopping at its first failure.  A mutant is killed when the suite fails and
 survives when it passes: a survivor is an edit no test can see, a missing
 oracle.  The unmutated copy runs first and must pass, or every mutant would
 read killed.  Prints one line per mutant and exits 1 when any survives.
-Pytest does not collect this file (it does not match test_*.py).
+Pytest does not collect this file (it does not match test_*.py); tier-1's
+test_mutants.py checks that each edit's text still occurs once.
 """
 
 import os
@@ -28,10 +29,12 @@ MUTANTS = {
     "_BAND = 1e-12": ("src/cygshell/counting.py", "_BAND = 1e-6", "_BAND = 1e-12"),
     "float bound _BAND / 4 -> _BAND * 4": ("src/cygshell/counting.py", ">= _BAND / 4:",
                                            ">= _BAND * 4:"),
-    "sawtooth band corrections dropped": ("src/cygshell/counting.py", "        saw += c\n",
-                                          "        pass\n"),
-    "_psi_exact without its second Newton step": ("src/cygshell/counting.py",
-                                                  "    s1 = 0.5 * (s1 + v / s1)\n", ""),
+    "band psi left as the float psi": ("src/cygshell/counting.py",
+                                       "                psi[i] = _psi_exact(d, Q2)\n",
+                                       "                pass\n"),
+    "_psi_exact without its third Newton step": ("src/cygshell/counting.py",
+                                                 "    s1 = 0.5 * (s1 + v / s1)\n    frac = ",
+                                                 "    frac = "),
     "_EXTRACT_CEILING = 2^1000": ("src/cygshell/arith.py", "_EXTRACT_CEILING = 2.0 ** 900",
                                   "_EXTRACT_CEILING = 2.0 ** 1000"),
     "on_grid accepts NaN": ("src/cygshell/gapwidth.py", "bad = ~((w > 0) & (w < math.inf))",

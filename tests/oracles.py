@@ -106,23 +106,18 @@ def psi_isqrt(v: int, q2: int) -> float:
 
 def sawtooth_ball_sum_fsum(x: RadiusPoint, r2: R2Table, band_psi=psi_isqrt) -> float:
     """The sawtooth sum of counting.sawtooth_ball_sum over every slice as one
-    unchunked array: s from float_s, psi = s - [s] - 1/2 and the band of s
-    within _BAND of an integer, then one fsum over the list of every product
-    r2(m) psi, then the band corrections in slice order, each to
-    band_psi(k^4 - m^2 Q^4, Q^2): psi_isqrt, or counting._psi_exact to compare
-    the chunk loop bit for bit."""
+    unchunked array: s from float_s, psi = s - [s] - 1/2, set to
+    band_psi(k^4 - m^2 Q^4, Q^2) on the band of s within _BAND of an integer
+    (psi_isqrt, or counting._psi_exact to compare the chunk loop bit for
+    bit), then one fsum over the list of every product r2(m) psi."""
     k4, Q2 = x.k ** 4, x.Q * x.Q
     n = r2.nonzero_count_upto(x.floor_sq)
     m, v = r2.nonzero_m[:n], r2.nonzero_values[:n]
     s = float_s(x, m)
     psi = s - np.floor(s) - 0.5
-    band = np.flatnonzero(np.abs(np.rint(s) - s) < _BAND).tolist()
-    corrections = [float(v[i]) * (band_psi(k4 - int(m[i]) ** 2 * Q2 * Q2, Q2) - psi[i])
-                   for i in band]
-    total = math.fsum((v * psi).tolist())
-    for c in corrections:
-        total += c
-    return total
+    for i in np.flatnonzero(np.abs(np.rint(s) - s) < _BAND).tolist():
+        psi[i] = band_psi(k4 - int(m[i]) ** 2 * Q2 * Q2, Q2)
+    return math.fsum((v * psi).tolist())
 
 
 def series_with_gap_fsum(x: float, gap: float, r2: R2Table, cutoff: int) -> float:

@@ -176,8 +176,8 @@ def test_nonpositive_gap_exits_2(tmp_path, monkeypatch, capsys, value, command):
 
 @pytest.mark.parametrize("command", _GRID_COMMANDS)
 def test_nan_gap_width_exits_2(tmp_path, command):
-    # lambda u overflows to inf, so omega is nan at every x; in a subprocess,
-    # since the overflow's RuntimeWarning is an error under pytest
+    # lambda u overflows to inf, so omega is nan at every x; in a subprocess, so
+    # that a RuntimeWarning would reach stderr, which holds only the error line
     spec, out = tmp_path / "spec.json", tmp_path / "out"
     spec.write_text(json.dumps({"kind": "product", "polys": [[[1, 0]]], "lambdas": [1e308], "A": 2}))
     argv = _GRID_COMMANDS[command] + ["--X", "30", "--omega-spec", str(spec)]
@@ -187,8 +187,8 @@ def test_nan_gap_width_exits_2(tmp_path, command):
                           + ([] if command == "diagnose" else ["--out", str(out)]),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr
-    assert re.search(r"^error: omega\(x\) = nan must be positive and finite at x = 30\.\d+$",
-                     proc.stderr, re.M), proc.stderr
+    assert re.fullmatch(r"error: omega\(x\) = nan must be positive and finite at x = 30\.\d+\n",
+                        proc.stderr), proc.stderr
     assert proc.stdout == "" and not out.exists()
 
 
