@@ -146,9 +146,11 @@ def phi_moment(phi: TrigPolyModulus, j: int) -> Fraction:
 
 # Bytes per tensor quadrature node: float64 construction values, weights,
 # sigmas and one row of the mixture evaluator's block buffer (a block is a
-# whole row once nodes > _MIXTURE_BLOCK), then the normal CDF's scratch for
-# that row: four float64 and two bool buffers and np.compress's int64 index.
-_GRID_BYTES_PER_NODE = 4 * 8 + 5 * 8 + 2
+# whole row once nodes > _MIXTURE_BLOCK), the distinct sigmas, their int64
+# inverse index and their block row, then the normal CDF's scratch for that
+# row: four float64 and two bool buffers and np.compress's int64 index.
+# np.unique's transient (about 57 B beside weights and sigmas) stays below.
+_GRID_BYTES_PER_NODE = 7 * 8 + 5 * 8 + 2
 
 
 @dataclass(frozen=True)
@@ -340,20 +342,38 @@ def mixture_components(spec: DensitySpec):
 _MIXTURE_BLOCK = 1 << 16  # (alpha, component) pairs per _mixture_sum block
 
 
+def _first_occurrences(sigmas):
+    """The distinct sigmas by first occurrence and each component's int64
+    index among them, or (sigmas, None) when none repeats.  The sort's
+    scratch is freed on return, before _mixture_sum makes its blocks."""
+    first, inverse = np.unique(sigmas, return_index=True, return_inverse=True)[1:]
+    if first.size == sigmas.size:
+        return sigmas, None
+    order = np.argsort(first)
+    return sigmas[first[order]], np.argsort(order)[inverse]
+
+
 def _mixture_sum(weights, sigmas, alpha, kernel):
-    """sum_i weights[i] kernel(alpha / sigmas[i]), a float for a scalar alpha,
-    elementwise for an array.  `kernel` maps a block of alpha/sigma, one row
-    per alpha, to its values (in place or not).  Each row is summed on its
-    own, so the bits do not depend on the block; the block buffer is made
-    once per call, since fresh 512 KB arrays fault in new pages."""
+    """sum_i weights[i] kernel(alpha / sigmas[i], sigmas[i]), a float for a
+    scalar alpha, elementwise for an array.  `kernel(z, sig)` maps a block
+    of alpha/sig, one row per alpha and one column per distinct sig, to its
+    values (in place or not); np.take gathers the columns back into
+    component order, so each keeps its bits.  Each row is summed on its own,
+    so the bits do not depend on the block; the block buffers are made once
+    per call, since fresh 512 KB arrays fault in new pages."""
     a = np.asarray(alpha, dtype=np.float64)
     flat = a.reshape(-1)
     out = np.empty(flat.size)
+    distinct, inverse = _first_occurrences(sigmas)
     rows = max(1, _MIXTURE_BLOCK // sigmas.size)
     buf = np.empty((min(rows, flat.size), sigmas.size))
+    cols = buf if inverse is None else np.empty((buf.shape[0], distinct.size))
     with np.errstate(over="ignore"):  # a huge alpha/sigma is inf: both kernels take it to a limit
         for lo in range(0, flat.size, rows):
-            vals = kernel(np.divide(flat[lo:lo + rows, None], sigmas, out=buf[:flat.size - lo]))
+            z = np.divide(flat[lo:lo + rows, None], distinct, out=cols[:flat.size - lo])
+            vals = kernel(z, distinct)
+            if inverse is not None:  # mode="clip" writes into buf; "raise" would buffer a copy
+                vals = np.take(vals, inverse, axis=1, out=buf[:flat.size - lo], mode="clip")
             vals *= weights
             vals.sum(axis=1, out=out[lo:lo + rows])  # not np.dot, which spins BLAS threads
     return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
@@ -365,11 +385,11 @@ def density_eval(spec: DensitySpec, alpha):
     for an array."""
     weights, sigmas, _ = mixture_components(spec)
 
-    def kernel(z):  # exp(-z^2/2)/sigma, in place
+    def kernel(z, sig):  # exp(-z^2/2)/sig, in place
         np.square(z, out=z)
         z *= -0.5
         np.exp(z, out=z)
-        z /= sigmas
+        z /= sig
         return z
 
     return _mixture_sum(weights, sigmas, alpha, kernel) / math.sqrt(2 * math.pi)

@@ -249,7 +249,7 @@ class _NormalCdf:
     """Standard normal CDF after Cephes' ndtr, in place over each array it is
     called on: 1/2 + erf(x)/2 for |x| < 1 and erfc(|x|)/2 or 1 - erfc(|x|)/2
     beyond, x = a/sqrt 2.  It is within 4.5e-16 absolute of
-    0.5 (1 + math.erf(x)).
+    0.5 (1 + math.erf(x)).  As a _mixture_sum kernel it ignores `sig`.
 
     The erf rational runs over the whole array.  The erfc rational and its
     exp run only on the entries with not |x| < 1, gathered into the scratch
@@ -261,7 +261,7 @@ class _NormalCdf:
     def __init__(self):
         self._scratch = None
 
-    def __call__(self, a: np.ndarray) -> np.ndarray:
+    def __call__(self, a: np.ndarray, sig=None) -> np.ndarray:
         n = a.size
         if self._scratch is None or self._scratch[0].size < n:
             self._scratch = (np.empty(n), np.empty(n), np.empty(n), np.empty(n),
@@ -301,7 +301,8 @@ class _NormalCdf:
 def mixture_cdf(spec: DensitySpec, alpha):
     """CDF of the limiting Gaussian mixture, quadrature-weighted normal CDFs:
     a float for a scalar alpha, elementwise for an array.  One _NormalCdf,
-    with its scratch, serves every block of the call."""
+    with its scratch, serves every block of the call, one column per
+    distinct sigma."""
     weights, sigmas, _ = mixture_components(spec)
     return _mixture_sum(weights, sigmas, alpha, _NormalCdf())
 

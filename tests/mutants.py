@@ -1,5 +1,5 @@
-"""Mutants of the exactness argument and the gap-width rule, run against the
-tier-1 suite.
+"""Mutants of the exactness argument, the gap-width rule and the mixture
+evaluator's shared columns, run against the tier-1 suite.
 
     python tests/mutants.py [name ...]
 
@@ -39,6 +39,9 @@ MUTANTS = {
                                   "_EXTRACT_CEILING = 2.0 ** 1000"),
     "on_grid accepts NaN": ("src/cygshell/gapwidth.py", "bad = ~((w > 0) & (w < math.inf))",
                             "bad = (w <= 0) | (w == math.inf)"),
+    "mixture columns not gathered back": ("src/cygshell/spectra.py",
+                                          "np.take(vals, inverse, axis=1",
+                                          "np.take(vals, np.sort(inverse), axis=1"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

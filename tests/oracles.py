@@ -22,9 +22,12 @@ series, both summed by math.fsum over a Python list of every product or
 term (cross-check the exact partial sums of arith.exact_parts bit for bit),
 and the normal CDF that evaluates both Cephes rationals over every element
 and picks one with np.where (pins the gathered tail of stats._NormalCdf bit
-for bit); also three helpers that only the tests call: the r2^2 partial-sum
-trend of criterion 9, stats._NormalCdf as a function of a new array and
-the exact coefficient a_m of a spectra.TrigPolyModulus.
+for bit), and the Gaussian-mixture sum with one kernel column per component
+and its density kernel (cross-check the columns that spectra._mixture_sum
+shares between bit-equal sigmas, bit for bit); also three helpers that
+only the tests call: the r2^2 partial-sum trend of criterion 9,
+stats._NormalCdf as a function of a new array and the exact coefficient
+a_m of a spectra.TrigPolyModulus.
 """
 
 import itertools
@@ -372,3 +375,27 @@ def ndtr_two_branch(a: np.ndarray) -> np.ndarray:
     centre += 0.5
     out = np.where(x < 0.0, tail, 1.0 - tail)
     return np.where(z < 1.0, centre, out)
+
+
+def mixture_sum_per_component(weights, sigmas, alpha, kernel):
+    """sum_i weights[i] kernel(alpha / sigmas[i], sigmas[i]) with one kernel
+    column per component, bit-equal sigmas or not: blocks of about 2^16
+    (alpha, component) pairs, each row weighted and summed on its own.  A
+    float for a scalar alpha, elementwise for an array (cross-checks the
+    columns spectra._mixture_sum shares between bit-equal sigmas)."""
+    a = np.asarray(alpha, dtype=np.float64)
+    flat = a.reshape(-1)
+    out = np.empty(flat.size)
+    rows = max(1, (1 << 16) // sigmas.size)
+    with np.errstate(over="ignore"):
+        for lo in range(0, flat.size, rows):
+            vals = kernel(flat[lo:lo + rows, None] / sigmas, sigmas)
+            vals *= weights
+            vals.sum(axis=1, out=out[lo:lo + rows])
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+
+
+def normal_density_over_sigma(z: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """exp(-z^2/2)/sig as a new array: the unnormalised density kernel of
+    spectra.density_eval."""
+    return np.exp(-0.5 * (z * z)) / sig

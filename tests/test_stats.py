@@ -10,7 +10,8 @@ from cygshell.counting import shell_sample
 from cygshell.stats import (EmpiricalDistribution, SampleGrid, ks_distance,
                             m_j, mixture_cdf, normal_cdf, sample_errors,
                             variance_sigma2)
-from oracles import ndtr, ndtr_two_branch, series_with_gap_fsum
+from oracles import (mixture_sum_per_component, ndtr, ndtr_two_branch,
+                     normal_density_over_sigma, series_with_gap_fsum)
 
 
 def test_grid_points_inside_window():
@@ -351,9 +352,96 @@ def test_mixture_cdf_bit_equals_two_branch_oracle():
     weights, sigmas, _ = spectra.mixture_components(spec)
     alpha = np.concatenate([np.sort(np.random.default_rng(7).normal(scale=1.5, size=600)),
                             [1e200, -1e200, np.inf, -np.inf, 0.0, -0.0]])
-    want = spectra._mixture_sum(weights, sigmas, alpha, ndtr_two_branch)
+    want = spectra._mixture_sum(weights, sigmas, alpha, lambda z, sig: ndtr_two_branch(z))
     assert np.array_equal(mixture_cdf(spec, alpha), want)
     assert np.array_equal([mixture_cdf(spec, a) for a in alpha.tolist()], want)
+
+
+def _workload_mixture_spec():
+    # the benchmark's mixture workload: (1 + z)(2 + z), lambda = (1, sqrt 2)
+    gap = gapwidth.make_almost_periodic(gapwidth.AlmostPeriodicGap(
+        polys=((1, 1), (2, 1)), lambdas=(1.0, math.sqrt(2.0)), exponent=2, mode="product"))
+    return spectra.DensitySpec(mode="product", phis=gap.spec.to_phis(), quad_points=64)
+
+
+def _two_poly_spec(mode, *polys):
+    return spectra.DensitySpec(mode=mode, phis=tuple(spectra.phi_from_poly(p) for p in polys))
+
+
+# spec -> (its builder, distinct sigmas among its components)
+_MIXTURE_SPECS = {
+    "workload": (_workload_mixture_spec, 1855),
+    "product": (lambda: _two_poly_spec("product", [2, 1], [1, 0, 1j]), 2751),
+    "sum": (lambda: _two_poly_spec("sum", [2, 1], [1, 0, 1j]), 2724),
+    "one-factor": (lambda: _two_poly_spec("product", [1, 1j]), 64),
+    "all-distinct": (lambda: _two_poly_spec("product", [1, 1j, 0.5], [2, 1j]), 4096),
+}
+
+
+def _distinct_sigmas(sigmas):
+    """The distinct sigmas in order of first occurrence."""
+    return sigmas[np.sort(np.unique(sigmas, return_index=True)[1])]
+
+
+def _mixture_alphas(shape):
+    edges = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e308, -1e308]
+    rng = np.random.default_rng(33)
+    alpha = np.concatenate([np.sort(rng.normal(scale=1.5, size=293)), edges])
+    return {"1-d": alpha, "empty": np.array([]), "2-d": alpha.reshape(12, 25),
+            "scalars": edges}[shape]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", ["1-d", "empty", "2-d", "scalars"])
+@pytest.mark.parametrize("name", list(_MIXTURE_SPECS))
+def test_mixture_cdf_and_density_bit_equal_the_per_component_oracle(name, shape):
+    build, distinct = _MIXTURE_SPECS[name]
+    spec = build()
+    weights, sigmas, _ = spectra.mixture_components(spec)
+    assert _distinct_sigmas(sigmas).size == distinct
+    alpha = _mixture_alphas(shape)
+
+    def cdf_kernel(z, sig):
+        return ndtr_two_branch(z)
+
+    def want(kernel, a):
+        return mixture_sum_per_component(weights, sigmas, a, kernel)
+
+    if shape == "scalars":
+        for a in alpha:
+            got = mixture_cdf(spec, a)
+            assert type(got) is float and _same_bits(got, want(cdf_kernel, a)), a
+            want_density = want(normal_density_over_sigma, a) / math.sqrt(2 * math.pi)
+            assert _same_bits(spectra.density_eval(spec, a), want_density), a
+        return
+    assert _same_bits(mixture_cdf(spec, alpha), want(cdf_kernel, alpha))
+    want_density = want(normal_density_over_sigma, alpha) / math.sqrt(2 * math.pi)
+    assert _same_bits(spectra.density_eval(spec, alpha), want_density)
+
+
+@pytest.mark.parametrize("name", ["workload", "all-distinct"])
+def test_mixture_kernel_runs_once_per_distinct_sigma(name):
+    # the workload's 4000 alpha: 4000 x 1855 = 7 420 000 (alpha, sigma) pairs,
+    # not 4000 x 4096 = 16 384 000 as with one column per component
+    build, distinct = _MIXTURE_SPECS[name]
+    spec = build()
+    weights, sigmas, _ = spectra.mixture_components(spec)
+    columns = _distinct_sigmas(sigmas)
+    alpha = np.sort(np.random.default_rng(0).normal(scale=1.5, size=4000))
+    cdf, evaluated = stats._NormalCdf(), []
+
+    def kernel(z, sig):
+        assert z.shape[1] == distinct and _same_bits(sig, columns)
+        evaluated.append(z.size)
+        return cdf(z, sig)
+
+    got = spectra._mixture_sum(weights, sigmas, alpha, kernel)
+    assert sum(evaluated) == 4000 * distinct
+    assert _same_bits(got, mixture_cdf(spec, alpha))
 
 
 def test_grid_memory_guard_counts_the_cdf_scratch(monkeypatch):
