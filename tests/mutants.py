@@ -1,5 +1,6 @@
-"""Mutants of the exactness argument, the gap-width rule and the mixture
-evaluator's shared columns, run against the tier-1 suite.
+"""Mutants of the exactness argument, the gap-width rule, the mixture
+evaluator's shared columns and the KS distance's pruning bound, run against
+the tier-1 suite.
 
     python tests/mutants.py [name ...]
 
@@ -42,6 +43,9 @@ MUTANTS = {
     "mixture columns not gathered back": ("src/cygshell/spectra.py",
                                           "np.take(vals, inverse, axis=1",
                                           "np.take(vals, np.sort(inverse), axis=1"),
+    "one-sided bracket": ("src/cygshell/stats.py",
+                          "np.maximum(ref[1:] - (j + 1) / n, k / n - ref[:-1])",
+                          "ref[1:] - (j + 1) / n"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -22,9 +22,11 @@ series, both summed by math.fsum over a Python list of every product or
 term (cross-check the exact partial sums of arith.exact_parts bit for bit),
 and the normal CDF that evaluates both Cephes rationals over every element
 and picks one with np.where (pins the gathered tail of stats._NormalCdf bit
-for bit), and the Gaussian-mixture sum with one kernel column per component
+for bit), the Gaussian-mixture sum with one kernel column per component
 and its density kernel (cross-check the columns that spectra._mixture_sum
-shares between bit-equal sigmas, bit for bit); also three helpers that
+shares between bit-equal sigmas, bit for bit), and the KS distance from one
+CDF call on every sample point (pins the pruned runs of stats.ks_distance
+bit for bit); also three helpers that
 only the tests call: the r2^2 partial-sum trend of criterion 9,
 stats._NormalCdf as a function of a new array and the exact coefficient
 a_m of a spectra.TrigPolyModulus.
@@ -40,7 +42,8 @@ from cygshell.arith import R2Table
 from cygshell.counting import _BAND, RadiusPoint
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.spectra import DensitySpec, phi_moment
-from cygshell.stats import _ERF_T, _ERF_U, _ERFC_CLAMP, _ERFC_P, _ERFC_Q, _NormalCdf
+from cygshell.stats import (_ERF_T, _ERF_U, _ERFC_CLAMP, _ERFC_P, _ERFC_Q,
+                            EmpiricalDistribution, _NormalCdf)
 from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
 
 
@@ -399,3 +402,14 @@ def normal_density_over_sigma(z: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """exp(-z^2/2)/sig as a new array: the unnormalised density kernel of
     spectra.density_eval."""
     return np.exp(-0.5 * (z * z)) / sig
+
+
+def ks_distance_full(dist: EmpiricalDistribution, cdf) -> float:
+    """The KS distance of stats.ks_distance from one cdf call on every sorted
+    sample point: the max over all n points i of |F_i - i/n| and
+    |F_i - (i+1)/n|."""
+    values = dist.normalized
+    n = values.size
+    ref = np.asarray(cdf(values), dtype=np.float64)
+    i = np.arange(n)
+    return float(np.maximum(np.abs(ref - i / n), np.abs(ref - (i + 1) / n)).max())

@@ -10,7 +10,7 @@ from cygshell.counting import shell_sample
 from cygshell.stats import (EmpiricalDistribution, SampleGrid, ks_distance,
                             m_j, mixture_cdf, normal_cdf, sample_errors,
                             variance_sigma2)
-from oracles import (mixture_sum_per_component, ndtr, ndtr_two_branch,
+from oracles import (ks_distance_full, mixture_sum_per_component, ndtr, ndtr_two_branch,
                      normal_density_over_sigma, series_with_gap_fsum)
 
 
@@ -266,15 +266,103 @@ def _normal_quantile(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _exact_quantiles(n):
+    return EmpiricalDistribution.from_samples(
+        [_normal_quantile((i + 0.5) / n) for i in range(n)])
+
+
 def test_ks_of_exact_quantiles():
     n = 1000
-    samples = np.array([_normal_quantile((i + 0.5) / n) for i in range(n)])
-    dist = EmpiricalDistribution.from_samples(samples)
+    dist = _exact_quantiles(n)
     # self-normalization rescales by sigma ~= 1; allow that drift
     sigma_shift = abs(dist.sigma - 1.0)
     assert sigma_shift < 0.01
     ks = ks_distance(dist, normal_cdf)
     assert ks <= 1 / (2 * n) + 0.5 * sigma_shift + 1e-6
+
+
+@pytest.fixture(scope="module")
+def fast_dists(r2_10k, product_gap, inv_log):
+    """Fast-mode samples at S = 4000 by (gap width, X, phase): the mixture
+    workload's at three phases, and inv_log's, whose KS against the normal
+    sits at the noise floor."""
+    cases = [("product", 2000.0, p) for p in (0.25, 0.5, 0.75)]
+    cases += [("inv_log", X, 0.5) for X in (500.0, 2000.0)]
+    gaps = {"product": product_gap, "inv_log": inv_log}
+    return {(g, X, p): EmpiricalDistribution.from_samples(sample_errors(
+        gaps[g], SampleGrid(X=X, S=4000, Q=64, phase=p), r2_10k, mode="fast"))
+        for g, X, p in cases}
+
+
+def _workload_cdf():
+    spec = _workload_mixture_spec()
+    return lambda a: mixture_cdf(spec, a)
+
+
+# name -> (the fast_dists key, or exact normal quantiles at n = 1000, and the CDF)
+_KS_CASES = {
+    **{f"product-{p}-{c}": (("product", 2000.0, p), c)
+       for p in (0.25, 0.5, 0.75) for c in ("mixture", "normal")},
+    **{f"inv_log-{X:g}-normal": (("inv_log", X, 0.5), "normal") for X in (500.0, 2000.0)},
+    "quantiles-normal": ("quantiles", "normal"),
+}
+
+
+@pytest.mark.parametrize("name", _KS_CASES)
+def test_ks_distance_bit_equals_the_full_oracle(fast_dists, name):
+    case, cdf = _KS_CASES[name]
+    dist = _exact_quantiles(1000) if case == "quantiles" else fast_dists[case]
+    cdf = _workload_cdf() if cdf == "mixture" else normal_cdf
+    assert ks_distance(dist, cdf).hex() == ks_distance_full(dist, cdf).hex()
+
+
+def test_ks_distance_bit_equals_the_full_oracle_on_random_samples():
+    # n from 10 (below the stride) to 5000; every third sample is rounded
+    # to one decimal, so it has ties
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        n = int(10 ** rng.uniform(1.0, math.log10(5000.0)))
+        raw = rng.normal(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0), size=n)
+        if seed % 3 == 0:
+            raw = np.round(raw, 1)
+        dist = EmpiricalDistribution.from_samples(raw)
+        got, want = ks_distance(dist, normal_cdf), ks_distance_full(dist, normal_cdf)
+        assert got.hex() == want.hex(), (seed, n)
+
+
+def test_ks_distance_nan_and_empty():
+    values = np.sort(np.r_[np.random.default_rng(1).normal(size=999), np.nan])
+    dist = EmpiricalDistribution(sigma=1.0, normalized=values, moments={})
+    assert math.isnan(ks_distance(dist, normal_cdf))
+    assert math.isnan(ks_distance_full(dist, normal_cdf))
+    with pytest.raises(ValueError):
+        ks_distance(EmpiricalDistribution(sigma=1.0, normalized=np.array([]), moments={}),
+                    normal_cdf)
+
+
+def _cdf_calls(dist, cdf):
+    """ks_distance(dist, cdf) and the sorted-sample indices of each cdf call."""
+    calls = []
+
+    def counted(a):
+        calls.append(np.searchsorted(dist.normalized, a))
+        return cdf(a)
+
+    return ks_distance(dist, counted), calls
+
+
+def test_ks_distance_evaluates_only_where_the_supremum_can_be(fast_dists):
+    cdf = _workload_cdf()
+    dist = fast_dists[("product", 2000.0, 0.5)]
+    assert np.all(np.diff(dist.normalized) > 0)  # an index per value
+    calls = _cdf_calls(dist, cdf)[1]
+    assert len(calls) <= 6 and sum(c.size for c in calls) <= 600
+    seen = np.concatenate(calls)
+    assert all(np.all(np.diff(c) > 0) for c in calls)
+    assert np.unique(seen).size == seen.size  # no index twice
+    # at exact quantiles every term is about 1/(2n): nothing is pruned
+    dist = _exact_quantiles(1000)
+    assert sum(c.size for c in _cdf_calls(dist, normal_cdf)[1]) == 1000
 
 
 def test_normal_cdf_fixture():
