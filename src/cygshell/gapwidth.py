@@ -258,15 +258,28 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
 # JSON schema shared by gap widths and density specs
 # ---------------------------------------------------------------------------
 
+def _numbers(values, field: str, shape: str, length: int | None = None) -> list:
+    """A JSON array of numbers as finite floats, with `length` entries when
+    given.  JSON's true and false are no numbers, though Python's bools are
+    ints; a ValueError names the field, its expected shape and the value."""
+    if (not isinstance(values, (list, tuple)) or length not in (None, len(values))
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        raise ValueError(f'"{field}" must be {shape}, not {values!r}')
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:  # an integer past the float range
+        floats = [math.inf]
+    if not all(math.isfinite(v) for v in floats):
+        raise ValueError(f'"{field}" must be finite, not {values!r}')
+    return floats
+
+
 def _parse_polys(obj) -> tuple:
     """The "polys" field: a list of polynomials, each a list of finite [re, im] pairs."""
-    try:
-        polys = tuple(tuple(complex(re, im) for re, im in coeffs) for coeffs in obj)
-    except TypeError:
-        raise ValueError('"polys" must be a list of lists of [re, im] number pairs') from None
-    if not all(math.isfinite(c.real) and math.isfinite(c.imag) for cs in polys for c in cs):
-        raise ValueError(f'"polys" coefficients must be finite, not {obj!r}')
-    return polys
+    shape = "a list of lists of [re, im] number pairs"
+    if not isinstance(obj, (list, tuple)) or not all(isinstance(cs, (list, tuple)) for cs in obj):
+        raise ValueError(f'"polys" must be {shape}, not {obj!r}')
+    return tuple(tuple(complex(*_numbers(pair, "polys", shape, 2)) for pair in cs) for cs in obj)
 
 
 def _spec_kind(obj) -> str:
@@ -284,12 +297,7 @@ def gap_from_json(obj: dict) -> GapWidth:
     if kind in SLOWLY_VARYING_KINDS:
         return make_slowly_varying(kind)
     if kind in ("product", "sum"):
-        try:
-            lambdas = tuple(float(v) for v in obj["lambdas"])
-        except TypeError:
-            raise ValueError('"lambdas" must be a list of numbers') from None
-        if not all(math.isfinite(v) for v in lambdas):
-            raise ValueError(f'"lambdas" must be finite, not {obj["lambdas"]!r}')
+        lambdas = tuple(_numbers(obj["lambdas"], "lambdas", "a list of numbers"))
         exponent = obj["A"]
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise ValueError(f'"A" must be an integer, not {exponent!r}')

@@ -1,16 +1,18 @@
 """Mutants of the exactness argument, the gap-width rule, the mixture
-evaluator's shared columns and the KS distance's pruning bound, run against
-the tier-1 suite.
+evaluator's shared columns, the normal CDF's branch choice and the KS
+distance's pruning bound, run against the tier-1 suite.
 
     python tests/mutants.py [name ...]
 
 Each mutant is one named source edit.  It is applied to a copy of the
 repository in a temporary directory, never to the working tree, and the
 tier-1 suite runs in that copy without the slow acceptance criteria 2-4,
-stopping at its first failure.  A mutant is killed when the suite fails and
-survives when it passes: a survivor is an edit no test can see, a missing
-oracle.  The unmutated copy runs first and must pass, or every mutant would
-read killed.  Prints one line per mutant and exits 1 when any survives.
+stopping at its first failure, and without test_mutants.py, which checks
+each edit's text and so fails on every mutant.  A mutant is killed when the
+suite fails and survives when it passes: a survivor is an edit no test can
+see, a missing oracle.  The unmutated copy runs first and must pass, or
+every mutant would read killed.  Prints one line per mutant and exits 1
+when any survives.
 Pytest does not collect this file (it does not match test_*.py); tier-1's
 test_mutants.py checks that each edit's text still occurs once.
 """
@@ -43,6 +45,8 @@ MUTANTS = {
     "mixture columns not gathered back": ("src/cygshell/spectra.py",
                                           "np.take(vals, inverse, axis=1",
                                           "np.take(vals, np.sort(inverse), axis=1"),
+    "lower tail read as 1 - erfc/2": ("src/cygshell/stats.py",
+                                      "    np.copyto(x, tail, where=neg)\n", ""),
     "one-sided bracket": ("src/cygshell/stats.py",
                           "np.maximum(ref[1:] - (j + 1) / n, k / n - ref[:-1])",
                           "ref[1:] - (j + 1) / n"),
@@ -53,10 +57,12 @@ _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_
 
 
 def run_suite(copy: Path) -> tuple[bool, str]:
-    """(passed, the first failure's summary line) of tier-1 without criteria 2-4."""
+    """(passed, the first failure's summary line) of tier-1 without criteria
+    2-4 and test_mutants.py."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--ignore=tests/test_mutants.py",
          "-k", "not criterion_02 and not criterion_03 and not criterion_04"],
         cwd=copy, env=env, capture_output=True, text=True, timeout=1800)
     failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]

@@ -21,14 +21,14 @@ chunk offsets included, and counting._psi_exact), and the main
 series, both summed by math.fsum over a Python list of every product or
 term (cross-check the exact partial sums of arith.exact_parts bit for bit),
 and the normal CDF that evaluates both Cephes rationals over every element
-and picks one with np.where (pins the gathered tail of stats._NormalCdf bit
-for bit), the Gaussian-mixture sum with one kernel column per component
-and its density kernel (cross-check the columns that spectra._mixture_sum
+into new arrays and picks one with np.where (pins the in-place branch
+choice of stats._normal_cdf bit for bit), the Gaussian-mixture sum with
+one kernel column per component and its density kernel (cross-check the columns that spectra._mixture_sum
 shares between bit-equal sigmas, bit for bit), and the KS distance from one
 CDF call on every sample point (pins the pruned runs of stats.ks_distance
 bit for bit); also three helpers that
 only the tests call: the r2^2 partial-sum trend of criterion 9,
-stats._NormalCdf as a function of a new array and the exact coefficient
+stats._normal_cdf on a copy of its argument and the exact coefficient
 a_m of a spectra.TrigPolyModulus.
 """
 
@@ -43,7 +43,7 @@ from cygshell.counting import _BAND, RadiusPoint
 from cygshell.gapwidth import AlmostPeriodicGap, GapWidth, midpoint_grid
 from cygshell.spectra import DensitySpec, phi_moment
 from cygshell.stats import (_ERF_T, _ERF_U, _ERFC_CLAMP, _ERFC_P, _ERFC_Q,
-                            EmpiricalDistribution, _NormalCdf)
+                            EmpiricalDistribution, _normal_cdf)
 from cygshell.voronoi import SERIES_PREFACTOR, _cores_upto
 
 
@@ -349,9 +349,9 @@ def _horner(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
 
 
 def ndtr(a: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of an array (stats._NormalCdf), as a new array; a
+    """Standard normal CDF of an array (stats._normal_cdf), as a new array; a
     is not written."""
-    return _NormalCdf()(np.array(a, dtype=np.float64))
+    return _normal_cdf(np.array(a, dtype=np.float64))
 
 
 def ndtr_two_branch(a: np.ndarray) -> np.ndarray:
@@ -359,7 +359,8 @@ def ndtr_two_branch(a: np.ndarray) -> np.ndarray:
     element: the erfc rational on min(|x|, 8) and the erf rational on its
     square, x = a/sqrt 2, then np.where picks the erf side where |x| < 1.
     Each element sees the same float64 operations in the same order as in
-    ndtr, which evaluates the erfc side only where it is picked."""
+    ndtr, which writes its result into its argument and picks each branch
+    with np.copyto."""
     x = a * math.sqrt(0.5)
     z = np.abs(x)
     np.minimum(z, _ERFC_CLAMP, out=z)

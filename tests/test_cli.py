@@ -255,7 +255,9 @@ def test_malformed_coefficient_exits_2(tmp_path, capsys):
 
 def test_gap_spec_bad_field_type_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
-    for field, bad in (("A", [2]), ("A", 2.5), ("lambdas", 1)):
+    for field, bad in (("A", [2]), ("A", 2.5), ("lambdas", 1), ("lambdas", "12"),
+                       ("lambdas", [True]), ("polys", [[[True, 0], [1, 0]]]),
+                       ("polys", [[[1, 0, 0], [1, 0]]]), ("lambdas", [10 ** 400])):
         spec = {"kind": "product", "polys": [[[1, 0], [1, 0]]], "lambdas": [1.0], "A": 2}
         spec_path.write_text(json.dumps({**spec, field: bad}))
         assert main(["sample", "--mode", "fast", "--X", "50", "--samples", "10",

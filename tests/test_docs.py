@@ -1,7 +1,8 @@
 """README's examples stay in step with the code: every `cygshell` line of its
 code blocks parses with the CLI's own parser (nothing is run), its JSON
-spec block builds as both a gap width and a density spec, and every
-backticked `module.name` in its prose names an attribute of the package."""
+spec block builds as both a gap width and a density spec, every
+backticked `module.name` in its prose names an attribute of the package,
+and the per-node and per-point memory estimates it quotes are the code's."""
 
 import importlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cygshell import cli, gapwidth
+from cygshell import cli, gapwidth, spectra
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.M | re.S)
@@ -54,3 +55,12 @@ def test_readme_name_resolves(name):
     for attr in path:
         assert hasattr(obj, attr), f"README names {name}, but {attr} is missing"
         obj = getattr(obj, attr)
+
+
+@pytest.mark.parametrize("phrase, constant", [
+    (r"at (\d+) B per node", spectra._GRID_BYTES_PER_NODE),
+    (r"at (\d+) B per `--scan-points` point", gapwidth._SCAN_BYTES_PER_POINT),
+], ids=["grid node", "scan point"])
+def test_readme_memory_estimates_match_the_code(phrase, constant):
+    quoted = re.findall(phrase.replace(" ", r"\s+"), README)
+    assert quoted and all(int(q) == constant for q in quoted), (phrase, quoted, constant)

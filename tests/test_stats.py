@@ -520,12 +520,12 @@ def test_mixture_kernel_runs_once_per_distinct_sigma(name):
     weights, sigmas, _ = spectra.mixture_components(spec)
     columns = _distinct_sigmas(sigmas)
     alpha = np.sort(np.random.default_rng(0).normal(scale=1.5, size=4000))
-    cdf, evaluated = stats._NormalCdf(), []
+    evaluated = []
 
     def kernel(z, sig):
         assert z.shape[1] == distinct and _same_bits(sig, columns)
         evaluated.append(z.size)
-        return cdf(z, sig)
+        return stats._normal_cdf(z, sig)
 
     got = spectra._mixture_sum(weights, sigmas, alpha, kernel)
     assert sum(evaluated) == 4000 * distinct
@@ -534,7 +534,7 @@ def test_mixture_kernel_runs_once_per_distinct_sigma(name):
 
 def test_grid_memory_guard_counts_the_cdf_scratch(monkeypatch):
     # 300^2 nodes > _MIXTURE_BLOCK, so a block is one row of nodes and the
-    # normal CDF's scratch for it is as large as the grid's own arrays
+    # normal CDF's temporaries for it are as large as the grid's own arrays
     nodes = 300 ** 2
     assert nodes > spectra._MIXTURE_BLOCK
 
@@ -555,6 +555,27 @@ def test_grid_memory_guard_counts_the_cdf_scratch(monkeypatch):
         assert tracemalloc.get_traced_memory()[1] < 100_000  # refused before the grid
     finally:
         tracemalloc.stop()
+
+
+def test_grid_memory_guard_holds_with_all_but_one_sigma_distinct():
+    # the estimate's worst case: the distinct sigmas, their inverse index and
+    # their block row all exist beside a block row of every node; the
+    # estimate covers the peak and is within 2 B per node of it
+    nodes = 90_000
+    sigmas = np.linspace(0.5, 2.0, nodes)
+    sigmas[-1] = sigmas[0]
+    weights = np.full(nodes, 1.0 / nodes)
+    alpha = np.array([-3.0, 0.1, 2.0, 30.0])
+    tracemalloc.start()
+    try:
+        got = spectra._mixture_sum(weights, sigmas, alpha, stats._normal_cdf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.diff(got) > 0.0)
+    used = peak + weights.nbytes + sigmas.nbytes
+    assert nodes * (spectra._GRID_BYTES_PER_NODE - 2) < used
+    assert used <= nodes * spectra._GRID_BYTES_PER_NODE + (1 << 16)
 
 
 def _two_factor_spec():
