@@ -45,6 +45,8 @@ class ExperimentConfig:
             kind, what = (numbers.Real, "a number") if name in ("X", "phase") else (int, "an integer")
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {what}, not {value!r}")
+        if not isinstance(self.out, str):
+            raise ValueError(f"out must be a string, not {self.out!r}")
         if not (math.isfinite(self.X) and self.X >= 10):
             raise ValueError(f"X = {self.X} must be finite and >= 10")
         if self.samples < 10:

@@ -149,9 +149,9 @@ def phi_moment(phi: TrigPolyModulus, j: int) -> Fraction:
 # _MIXTURE_BLOCK), the distinct sigmas, their int64 inverse index and their
 # block row, then the normal CDF's five float64 temporaries for that row.
 # tracemalloc reads 88.05 B per node for a mixture_cdf call on 90 000 nodes
-# with 89 999 distinct sigmas, weights and sigmas included.  The grid's
-# construction and np.unique's transient (about 57 B beside weights and
-# sigmas) stay below.
+# with all sigmas distinct and 88.03 with all but one, weights and sigmas
+# included.  The grid's construction and np.unique's transient (about 49 B
+# beside weights and sigmas) stay below.
 _GRID_BYTES_PER_NODE = 6 * 8 + 5 * 8
 
 
@@ -344,38 +344,28 @@ def mixture_components(spec: DensitySpec):
 _MIXTURE_BLOCK = 1 << 16  # (alpha, component) pairs per _mixture_sum block
 
 
-def _first_occurrences(sigmas):
-    """The distinct sigmas by first occurrence and each component's int64
-    index among them, or (sigmas, None) when none repeats.  The sort's
-    scratch is freed on return, before _mixture_sum makes its blocks."""
-    first, inverse = np.unique(sigmas, return_index=True, return_inverse=True)[1:]
-    if first.size == sigmas.size:
-        return sigmas, None
-    order = np.argsort(first)
-    return sigmas[first[order]], np.argsort(order)[inverse]
-
-
 def _mixture_sum(weights, sigmas, alpha, kernel):
     """sum_i weights[i] kernel(alpha / sigmas[i], sigmas[i]), a float for a
     scalar alpha, elementwise for an array.  `kernel(z, sig)` maps a block
-    of alpha/sig, one row per alpha and one column per distinct sig, to its
-    values (in place or not); np.take gathers the columns back into
-    component order, so each keeps its bits.  Each row is summed on its own,
-    so the bits do not depend on the block; the block buffers are made once
-    per call, since fresh 512 KB arrays fault in new pages."""
+    of alpha/sig, one row per alpha and one column per distinct sig
+    (ascending), to its values (in place or not); np.take gathers the
+    columns back into component order, so each keeps its bits.  Each row is
+    summed on its own, so the bits do not depend on the block; the block
+    buffers are made once per call, since fresh 512 KB arrays fault in new
+    pages."""
     a = np.asarray(alpha, dtype=np.float64)
     flat = a.reshape(-1)
     out = np.empty(flat.size)
-    distinct, inverse = _first_occurrences(sigmas)
+    distinct, inverse = np.unique(sigmas, return_inverse=True)
     rows = max(1, _MIXTURE_BLOCK // sigmas.size)
     buf = np.empty((min(rows, flat.size), sigmas.size))
-    cols = buf if inverse is None else np.empty((buf.shape[0], distinct.size))
+    cols = np.empty((buf.shape[0], distinct.size))
     with np.errstate(over="ignore"):  # a huge alpha/sigma is inf: both kernels take it to a limit
         for lo in range(0, flat.size, rows):
             z = np.divide(flat[lo:lo + rows, None], distinct, out=cols[:flat.size - lo])
             vals = kernel(z, distinct)
-            if inverse is not None:  # mode="clip" writes into buf; "raise" would buffer a copy
-                vals = np.take(vals, inverse, axis=1, out=buf[:flat.size - lo], mode="clip")
+            # mode="clip" writes into buf; "raise" would buffer a copy
+            vals = np.take(vals, inverse, axis=1, out=buf[:flat.size - lo], mode="clip")
             vals *= weights
             vals.sum(axis=1, out=out[lo:lo + rows])  # not np.dot, which spins BLAS threads
     return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)

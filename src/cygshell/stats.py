@@ -297,7 +297,8 @@ def _normal_cdf(a: np.ndarray, sig=None) -> np.ndarray:
 def mixture_cdf(spec: DensitySpec, alpha):
     """CDF of the limiting Gaussian mixture, quadrature-weighted normal CDFs:
     a float for a scalar alpha, elementwise for an array.  _normal_cdf runs
-    in place on each block of the call, one column per distinct sigma."""
+    in place on each block of the call, one column per distinct sigma in
+    ascending order, which _mixture_sum gathers back into component order."""
     weights, sigmas, _ = mixture_components(spec)
     return _mixture_sum(weights, sigmas, alpha, _normal_cdf)
 

@@ -180,12 +180,14 @@ def diagonal_sum(omega: GapWidth, X: float, Y: int, r2: R2Table,
     g_c(z) = sum_k w_{c,k}(x) (z^k - z^{-k}); a j-tuple satisfies the relation
     exactly when every core's exponent sum is zero, so the total is assembled
     from constant terms of powers of the g_c via the multinomial split
-    j = sum_c j_c (odd j_c drop out by antisymmetry).
+    j = sum_c j_c (odd j_c drop out by antisymmetry).  omega is read with
+    GapWidth.on_grid, so a value that is not positive and finite on the grid
+    raises ValueError.
     """
     if Y > r2.limit:
         raise ValueError(f"Y = {Y} exceeds the r2 table limit {r2.limit}")
     xs = midpoint_grid(X, samples)
-    om = np.asarray(omega.value(xs), dtype=np.float64)
+    om = omega.on_grid(xs)
     cores = _cores_upto(Y, r2)
 
     p2 = np.zeros(samples)   # sum_c [z^0] g_c^2

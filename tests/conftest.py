@@ -30,7 +30,7 @@ def product_gap():
 
 @pytest.fixture(scope="session")
 def zero_gap():
-    """Degenerate omega == 0, only for cancellation identities."""
+    """Degenerate omega == 0, which GapWidth.on_grid rejects."""
     return gapwidth.GapWidth(
         name="zero",
         jet=lambda L, order: [np.zeros_like(np.asarray(L, dtype=float))] * (order + 1),

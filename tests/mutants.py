@@ -1,5 +1,7 @@
-"""Mutants of the exactness argument, the gap-width rule, the mixture
-evaluator's shared columns, the normal CDF's branch choice and the KS
+"""Mutants of the exactness argument and the numerator cap, the gap-width
+rule, the sample grid's density cap, the mixture evaluator's column gather,
+its singular-node floor and quadrature rules, the exact moments' digit
+headroom, the diagonal sum's d4, the normal CDF's branch choice and the KS
 distance's pruning bound, run against the tier-1 suite.
 
     python tests/mutants.py [name ...]
@@ -45,6 +47,18 @@ MUTANTS = {
     "mixture columns not gathered back": ("src/cygshell/spectra.py",
                                           "np.take(vals, inverse, axis=1",
                                           "np.take(vals, np.sort(inverse), axis=1"),
+    "numerator cap admits 2^26 + 1": ("src/cygshell/counting.py", "self.k > _MAX_K:",
+                                      "self.k > _MAX_K + 1:"),
+    "SampleGrid cap S <= XQ/2": ("src/cygshell/stats.py", "self.S > self.X * self.Q / 4:",
+                                 "self.S > self.X * self.Q / 2:"),
+    "_SINGULAR_NODE_FLOOR = 0": ("src/cygshell/spectra.py", "_SINGULAR_NODE_FLOOR = 1e-9",
+                                 "_SINGULAR_NODE_FLOOR = 0.0"),
+    "_power_centre headroom + 1": ("src/cygshell/spectra.py", ".bit_length() + 2",
+                                   ".bit_length() + 1"),
+    "torus midpoint rule above 64 nodes": ("src/cygshell/spectra.py", "    if n <= 1024:\n",
+                                           "    if n <= 64:\n"),
+    "d4 without the 2 + 2 term": ("src/cygshell/voronoi.py",
+                                  "np.mean(p4 + 3.0 * (p2 * p2 - s22))", "np.mean(p4)"),
     "lower tail read as 1 - erfc/2": ("src/cygshell/stats.py",
                                       "    np.copyto(x, tail, where=neg)\n", ""),
     "one-sided bracket": ("src/cygshell/stats.py",

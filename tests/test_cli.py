@@ -233,6 +233,7 @@ def test_config_unknown_field_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("field,bad", [
     ("samples", 20.5), ("samples", True), ("Q", "64"), ("j_max", 4.0),
     ("threads", 1.5), ("X", "100"), ("X", True), ("phase", "x"), ("phase", None),
+    ("out", 5), ("out", None),
 ])
 def test_config_field_type_exits_2(tmp_path, capsys, field, bad):
     cfg = {"omega": {"kind": "inv_log"}, "X": 100, "samples": 20, "mode": "fast"}

@@ -60,6 +60,8 @@ def test_grid_validation():
         SampleGrid(X=100.0, S=100, Q=64, phase=1.5)
     with pytest.raises(ValueError):
         SampleGrid(X=10.0, S=4000, Q=64)  # denser than the odd-snap resolution
+    with pytest.raises(ValueError, match="denser"):
+        SampleGrid(X=10.0, S=11, Q=4)  # one past XQ/4 = 10, which the phase sweep accepts
     with pytest.raises(ValueError, match="Q must be >= 1"):
         SampleGrid(X=100.0, S=10, Q=0)
 
@@ -467,8 +469,8 @@ _MIXTURE_SPECS = {
 
 
 def _distinct_sigmas(sigmas):
-    """The distinct sigmas in order of first occurrence."""
-    return sigmas[np.sort(np.unique(sigmas, return_index=True)[1])]
+    """The distinct sigmas, ascending."""
+    return np.unique(sigmas)
 
 
 def _mixture_alphas(shape):
@@ -558,24 +560,26 @@ def test_grid_memory_guard_counts_the_cdf_scratch(monkeypatch):
 
 
 def test_grid_memory_guard_holds_with_all_but_one_sigma_distinct():
-    # the estimate's worst case: the distinct sigmas, their inverse index and
-    # their block row all exist beside a block row of every node; the
-    # estimate covers the peak and is within 2 B per node of it
+    # the estimate's worst case, with all sigmas distinct or all but one: the
+    # distinct sigmas, their inverse index and their block row all exist
+    # beside a block row of every node; the estimate covers the peak and is
+    # within 2 B per node of it
     nodes = 90_000
-    sigmas = np.linspace(0.5, 2.0, nodes)
-    sigmas[-1] = sigmas[0]
     weights = np.full(nodes, 1.0 / nodes)
     alpha = np.array([-3.0, 0.1, 2.0, 30.0])
-    tracemalloc.start()
-    try:
-        got = spectra._mixture_sum(weights, sigmas, alpha, stats._normal_cdf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.all(np.diff(got) > 0.0)
-    used = peak + weights.nbytes + sigmas.nbytes
-    assert nodes * (spectra._GRID_BYTES_PER_NODE - 2) < used
-    assert used <= nodes * spectra._GRID_BYTES_PER_NODE + (1 << 16)
+    for repeats in (0, 1):
+        sigmas = np.linspace(0.5, 2.0, nodes)
+        sigmas[nodes - repeats:] = sigmas[0]
+        tracemalloc.start()
+        try:
+            got = spectra._mixture_sum(weights, sigmas, alpha, stats._normal_cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.diff(got) > 0.0)
+        used = peak + weights.nbytes + sigmas.nbytes
+        assert nodes * (spectra._GRID_BYTES_PER_NODE - 2) < used, repeats
+        assert used <= nodes * spectra._GRID_BYTES_PER_NODE + (1 << 16), repeats
 
 
 def _two_factor_spec():

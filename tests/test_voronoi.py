@@ -8,6 +8,7 @@ import pytest
 
 from cygshell import arith, counting, stats, voronoi
 from cygshell.counting import RadiusPoint
+from cygshell.gapwidth import GapWidth
 from cygshell.voronoi import diagonal_sum, expansion_rhs, series_with_gap, sum_sqrt_is_zero
 from oracles import (diagonal_sum_convolve_j4, diagonal_sum_direct_j2, grouped_pair_sum_j2,
                      r2_squared_partial_sum_check, series_with_gap_fsum)
@@ -240,7 +241,21 @@ def test_diagonal_guards(r2_10k, inv_log):
 
 
 def test_diagonal_zero_gap(r2_10k, zero_gap):
-    assert diagonal_sum(zero_gap, 500.0, 50, r2_10k, samples=33) == (0.0, 0.0)
+    # omega = 0 is outside E(x; omega)'s domain, as for every other grid
+    # consumer: criterion 11's M2 = mean((omega log omega)^2) is not defined there
+    with pytest.raises(ValueError, match=r"omega\(x\) = 0\.0 must be positive"):
+        diagonal_sum(zero_gap, 500.0, 50, r2_10k, samples=33)
+
+
+@pytest.mark.parametrize("bad", ["nan", "negative"])
+def test_diagonal_rejects_nan_and_negative_gap_widths(r2_10k, inv_log, bad):
+    # sin is odd, so without the check -1/log x would read as the d2, d4 of 1/log x
+    def jet(L, order):
+        h = inv_log.jet(L, order)[0]
+        return [np.full_like(h, math.nan) if bad == "nan" else -h]
+
+    with pytest.raises(ValueError, match=r"omega\(x\) = (nan|-0\.\d+) must be positive"):
+        diagonal_sum(GapWidth(name=bad, jet=jet), 500.0, 50, r2_10k, samples=33)
 
 
 def test_r2_squared_fixture(r2_10k):
