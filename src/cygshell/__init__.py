@@ -1,7 +1,7 @@
 """Lattice point counting in shrinking Cygan-Koranyi spherical shells and the
 distributional statistics of the normalized error term."""
 
-from .arith import CoreDecomposition, R2Table, build_r2, squarefree_core
+from .arith import R2Table, build_r2, squarefree_core
 from .counting import (BALL_VOLUME, RadiusPoint, ShellSample, count_ball_brute,
                        count_ball_fast, shell_sample)
 from .gapwidth import (AlmostPeriodicGap, GapWidth, OmegaDiagnostics,

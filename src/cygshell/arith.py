@@ -12,13 +12,11 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "R2Table",
-    "CoreDecomposition",
     "build_r2",
     "exact_parts",
     "squarefree_core",
@@ -229,16 +227,9 @@ def exact_parts(p: np.ndarray, q: np.ndarray | None = None) -> list:
     return parts if p.ndim > 1 else parts[0]
 
 
-class CoreDecomposition(NamedTuple):
-    """The unique factorisation m = core * k^2 with core square-free."""
-
-    m: int
-    core: int
-    k: int
-
-
-def squarefree_core(m: int) -> CoreDecomposition:
-    """Decompose m >= 1 as core * k^2 with core square-free, by trial division."""
+def squarefree_core(m: int) -> tuple[int, int]:
+    """(core, k) with m = core * k^2 and core square-free, for m >= 1, by
+    trial division."""
     if m < 1:
         raise ValueError("squarefree_core is defined for m >= 1")
     rest, core, k = m, 1, 1
@@ -252,4 +243,4 @@ def squarefree_core(m: int) -> CoreDecomposition:
             core *= d
         k *= d ** (e // 2)
         d += 1 if d == 2 else 2
-    return CoreDecomposition(m=m, core=core * rest, k=k)  # rest is 1 or a prime
+    return core * rest, k  # rest is 1 or a prime

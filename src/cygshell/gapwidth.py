@@ -63,16 +63,11 @@ class GapWidth:
             raise ValueError(f"omega(x) = {w[i]} must be positive and finite at x = {xs[i]}")
         return w
 
-    def d1(self, x):
-        """omega'(x) = h'(L) / x."""
-        x = np.asarray(x, dtype=np.float64)
-        return self.jet(np.log(x), 1)[1] / x
-
-    def d2(self, x):
-        """omega''(x) = (h''(L) - h'(L)) / x^2."""
+    def derivatives(self, x):
+        """(omega'(x), omega''(x)) = (h'/x, (h'' - h')/x^2) from one order-2 jet in L."""
         x = np.asarray(x, dtype=np.float64)
         _, h1, h2 = self.jet(np.log(x), 2)
-        return (h2 - h1) / (x * x)
+        return h1 / x, (h2 - h1) / (x * x)
 
 
 # kind -> (h, h', h'') as functions of L = log x, in the order --omega lists them
@@ -140,11 +135,13 @@ def make_almost_periodic(spec: AlmostPeriodicGap) -> GapWidth:
     The jet (C, C', C'') is folded from the factor jets
     (phi_l, lambda_l phi_l', lambda_l^2 phi_l'') at lambda_l u; the jet of h
     follows from it by the chain and product rules in L.
+
+    ValueError when a factor phi_l is at most _ROOT_FLOOR at a cell midpoint
+    (i + 1/2)/4096: any multiple root, a simple root only within ~5e-6 of one.
     """
     phis = spec.to_phis()
-    # not a no-roots test: this rejects |p|^2 <= _ROOT_FLOOR at a 4096-cell midpoint,
-    # i.e. a multiple root, or a simple root within about 5e-6 of a midpoint in t
-    if min(phi.grid_min for phi in phis) <= _ROOT_FLOOR:
+    t = (np.arange(4096) + 0.5) / 4096
+    if min(float(phi.values(t).min()) for phi in phis) <= _ROOT_FLOOR:
         raise ValueError("a factor polynomial is (numerically) zero on the unit circle")
     A = spec.exponent
     lambdas = spec.lambdas
@@ -232,8 +229,7 @@ def omega_diagnostics(omega: GapWidth, X: float, scan_points: int = 10_000) -> O
                          f"(m2 = {m2:g}; the ratios m_j / m2^(j/2) up to j = 40 need m40 and "
                          f"m2^20 above 0); the largest gap width on the scan is "
                          f"{float(w.max()):.3g}")
-    u_count = _sign_changes(np.asarray(omega.d1(xs)))
-    v_count = _sign_changes(np.asarray(omega.d2(xs)))
+    u_count, v_count = (_sign_changes(d) for d in omega.derivatives(xs))
     ratios = {j: m / m2 ** (j / 2) for j, m in moments.items()}
     logm2 = [math.log(m2)]
     for mult in (2, 4, 8):
@@ -282,26 +278,28 @@ def _parse_polys(obj) -> tuple:
     return tuple(tuple(complex(*_numbers(pair, "polys", shape, 2)) for pair in cs) for cs in obj)
 
 
-def _spec_kind(obj) -> str:
-    """The "kind" of a JSON spec, which must be an object."""
+def _field(obj, name: str):
+    """The field `name` of a JSON spec object; a ValueError names what is missing."""
     if not isinstance(obj, dict):
         raise ValueError(f"a spec must be a JSON object, not {type(obj).__name__}")
-    return obj["kind"]
+    if name not in obj:
+        raise ValueError(f'the spec has no "{name}" field')
+    return obj[name]
 
 
 def gap_from_json(obj: dict) -> GapWidth:
     """Build a gap width from the JSON spec: slowly varying kinds need only
     "kind"; product/sum kinds carry polys, lambdas and A, whose numbers must
-    be finite.  Other keys are ignored."""
-    kind = _spec_kind(obj)
+    be finite.  Other keys are ignored; a ValueError names a missing field."""
+    kind = _field(obj, "kind")
     if kind in SLOWLY_VARYING_KINDS:
         return make_slowly_varying(kind)
     if kind in ("product", "sum"):
-        lambdas = tuple(_numbers(obj["lambdas"], "lambdas", "a list of numbers"))
-        exponent = obj["A"]
+        lambdas = tuple(_numbers(_field(obj, "lambdas"), "lambdas", "a list of numbers"))
+        exponent = _field(obj, "A")
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise ValueError(f'"A" must be an integer, not {exponent!r}')
-        spec = AlmostPeriodicGap(polys=_parse_polys(obj["polys"]), lambdas=lambdas,
+        spec = AlmostPeriodicGap(polys=_parse_polys(_field(obj, "polys")), lambdas=lambdas,
                                  exponent=exponent, mode=kind)
         return make_almost_periodic(spec)
     raise ValueError(f"unknown gap-width kind {kind!r}")
@@ -310,8 +308,8 @@ def gap_from_json(obj: dict) -> GapWidth:
 def density_spec_from_json(obj: dict, quad_points: int) -> DensitySpec:
     """The density-side reading of the same schema (lambdas and A do not enter
     the limiting density); quad_points is the tensor quadrature size."""
-    kind = _spec_kind(obj)
+    kind = _field(obj, "kind")
     if kind not in ("product", "sum"):
         raise ValueError("density specs require a product or sum kind")
-    phis = tuple(phi_from_poly(c) for c in _parse_polys(obj["polys"]))
+    phis = tuple(phi_from_poly(c) for c in _parse_polys(_field(obj, "polys")))
     return DensitySpec(mode=kind, phis=phis, quad_points=quad_points)

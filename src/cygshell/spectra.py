@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _COEFF_SPAN_CAP = 10_000
-_SURROGATE_GRID = 4096
 
 def _cx(value) -> tuple[Fraction, Fraction]:
     """Coerce an int/float/complex/pair into an exact (re, im) pair.
@@ -77,14 +76,6 @@ class TrigPolyModulus:
     @cached_property
     def _float_coeffs(self) -> tuple:
         return tuple(complex(re / self.den, im / self.den) for re, im in self.coeffs)
-
-    @cached_property
-    def grid_min(self) -> float:
-        """Minimum of phi over the cell midpoints of a 4096-cell grid on [0, 1),
-        so exact roots at rational t do not mask near-root decay; computed on
-        first use, by the gap widths' no-roots check."""
-        t = (np.arange(_SURROGATE_GRID) + 0.5) / _SURROGATE_GRID
-        return float(self.values(t).min())
 
 
 def phi_from_poly(coeffs: Sequence) -> TrigPolyModulus:

@@ -151,8 +151,8 @@ def sum_sqrt_is_zero(signs: Sequence[int], ms: Sequence[int]) -> bool:
             raise ValueError("ms must be positive")
         if e not in (-1, 1):
             raise ValueError("signs must be +-1")
-        dec = squarefree_core(m)
-        groups[dec.core] = groups.get(dec.core, 0) + e * dec.k
+        core, k = squarefree_core(m)
+        groups[core] = groups.get(core, 0) + e * k
     return all(v == 0 for v in groups.values())
 
 
@@ -165,8 +165,8 @@ def _cores_upto(Y: int, r2: R2Table):
     cores: dict[int, list[tuple[int, float]]] = {}
     n = r2.nonzero_count_upto(Y)
     for m, v in zip(r2.nonzero_m[:n].tolist(), r2.nonzero_values[:n].tolist()):
-        dec = squarefree_core(m)
-        cores.setdefault(dec.core, []).append((dec.k, float(v) / m))
+        core, k = squarefree_core(m)
+        cores.setdefault(core, []).append((k, float(v) / m))
     return cores
 
 

@@ -1,8 +1,10 @@
-"""Mutants of the exactness argument and the numerator cap, the gap-width
-rule, the sample grid's density cap, the mixture evaluator's column gather,
-its singular-node floor and quadrature rules, the exact moments' digit
-headroom, the diagonal sum's d4, the normal CDF's branch choice and the KS
-distance's pruning bound, run against the tier-1 suite.
+"""Mutants of the exactness argument and the numerator cap, the r2 sieve's
+axis and diagonal counts, the outer-radius snap, the gap-width rule and its
+root floor, m_j's domain, the sample grid's density cap, the main series'
+prefactor, the mixture evaluator's column gather, its singular-node floor
+and quadrature rules, the exact moments' digit headroom, the diagonal sum's
+d4, the diagnostics' cond3a ratio, the normal CDF's branch choice and the KS
+distance's pruning bound and margin, run against the tier-1 suite.
 
     python tests/mutants.py [name ...]
 
@@ -15,6 +17,13 @@ suite fails and survives when it passes: a survivor is an edit no test can
 see, a missing oracle.  The unmutated copy runs first and must pass, or
 every mutant would read killed.  Prints one line per mutant and exits 1
 when any survives.
+Equivalent mutants, left out of MUTANTS because no test can kill them:
+- arith._EXTRACT_FLOOR 2^-1000 -> 2^-1070.  Under IEEE gradual underflow a
+  level whose sigma is below 2^-1021 extracts the whole remainder exactly
+  (every float is a multiple of 2^-1074), so the parts keep their fsum;
+  40 000 random rows with exponents down to -1074 agree with list fsum at
+  2^-1070 and at 0.  The floor keeps the extraction in the normal range,
+  which matters only where subnormals flush to zero.
 Pytest does not collect this file (it does not match test_*.py); tier-1's
 test_mutants.py checks that each edit's text still occurs once.
 """
@@ -64,6 +73,25 @@ MUTANTS = {
     "one-sided bracket": ("src/cygshell/stats.py",
                           "np.maximum(ref[1:] - (j + 1) / n, k / n - ref[:-1])",
                           "ref[1:] - (j + 1) / n"),
+    "_KS_MARGIN = 0": ("src/cygshell/stats.py", "_KS_MARGIN = 1e-12  #", "_KS_MARGIN = 0.0  #"),
+    "_ROOT_FLOOR = 1e-12": ("src/cygshell/gapwidth.py", "_ROOT_FLOOR = 1e-9",
+                            "_ROOT_FLOOR = 1e-12"),
+    "m_j accepts omega = 1": ("src/cygshell/stats.py", "np.any(w >= 1)", "np.any(w > 1)"),
+    "SERIES_PREFACTOR without sqrt 2": ("src/cygshell/voronoi.py",
+                                        "SERIES_PREFACTOR = 2.0 ** 1.5 / math.pi",
+                                        "SERIES_PREFACTOR = 2.0 / math.pi"),
+    "snap_outer_radius truncates": ("src/cygshell/counting.py",
+                                    "round((x.value + gap) * inner.Q)",
+                                    "int((x.value + gap) * inner.Q)"),
+    "_legendre_rule stops at 1e-6": ("src/cygshell/spectra.py", "np.abs(step).max() < 1e-12",
+                                     "np.abs(step).max() < 1e-6"),
+    "build_r2 counts the axis 8 times": ("src/cygshell/arith.py",
+                                         "                blk[row[0]] -= 4\n",
+                                         "                pass\n"),
+    "build_r2 counts the diagonal 8 times": ("src/cygshell/arith.py",
+                                             "                blk[row[-1]] -= 4\n",
+                                             "                pass\n"),
+    "cond3a_ratio over X": ("src/cygshell/gapwidth.py", "/ math.sqrt(X),", "/ X,"),
 }
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

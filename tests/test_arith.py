@@ -72,31 +72,31 @@ def _mobius_brute(m: int) -> int:
 
 
 def test_squarefree_core_fixtures():
-    assert arith.squarefree_core(18) == (18, 2, 3)
-    assert arith.squarefree_core(1) == (1, 1, 1)
-    assert arith.squarefree_core(7) == (7, 7, 1)
+    assert arith.squarefree_core(18) == (2, 3)
+    assert arith.squarefree_core(1) == (1, 1)
+    assert arith.squarefree_core(7) == (7, 1)
     with pytest.raises(ValueError):
         arith.squarefree_core(0)
 
 
 def test_squarefree_core_exhaustive():
     for m in range(1, 10_001):
-        dec = arith.squarefree_core(m)
-        assert dec.core * dec.k ** 2 == m
+        core, k = arith.squarefree_core(m)
+        assert core * k ** 2 == m
         p = 2
-        while p * p <= dec.core:
-            assert dec.core % (p * p) != 0
+        while p * p <= core:
+            assert core % (p * p) != 0
             p += 1
 
 
 @settings(max_examples=300)
 @given(st.integers(min_value=1, max_value=10 ** 9))
 def test_core_and_mobius_consistency(m):
-    dec = arith.squarefree_core(m)
-    assert dec.core * dec.k ** 2 == m
+    core, k = arith.squarefree_core(m)
+    assert core * k ** 2 == m
     # mobius vanishes exactly on the non-square-free integers
-    assert (_mobius_brute(m) != 0) == (dec.k == 1)
-    assert _mobius_brute(dec.core) in (-1, 1)
+    assert (_mobius_brute(m) != 0) == (k == 1)
+    assert _mobius_brute(core) in (-1, 1)
 
 
 def test_build_r2_refuses_more_than_physical_memory(monkeypatch):

@@ -252,11 +252,35 @@ def test_malformed_coefficient_exits_2(tmp_path, capsys):
     assert main(["density", "--spec", str(spec_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "polys" in err
+    spec_path.write_text(json.dumps({"kind": "inv_log"}))  # a gap width with no density
+    assert main(["density", "--spec", str(spec_path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: density specs require a product or sum kind\n"
+
+
+# route -> (the fields it reads, argv before the spec file path)
+_MISSING_FIELD_ROUTES = {
+    "omega-spec": (("kind", "polys", "lambdas", "A"), ["diagnose", "--omega-spec"]),
+    "density": (("kind", "polys"), ["density", "--spec"]),
+    "config": (("kind", "polys", "lambdas", "A"), ["diagnose", "--config"]),
+}
+
+
+@pytest.mark.parametrize("route, field", [
+    (r, f) for r, (read, _) in _MISSING_FIELD_ROUTES.items() for f in read])
+def test_spec_missing_field_exits_2_naming_it(tmp_path, capsys, route, field):
+    spec = {"kind": "product", "polys": [[[1, 0], [1, 0]]], "lambdas": [1.0], "A": 2}
+    del spec[field]
+    if route == "config":
+        spec = {"omega": spec, "X": 100.0, "samples": 20}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(_MISSING_FIELD_ROUTES[route][1] + [str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f'error: the spec has no "{field}" field\n'
 
 
 def test_gap_spec_bad_field_type_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
-    for field, bad in (("A", [2]), ("A", 2.5), ("lambdas", 1), ("lambdas", "12"),
+    for field, bad in (("A", [2]), ("A", 2.5), ("lambdas", 1), ("lambdas", "12"), ("polys", 5),
                        ("lambdas", [True]), ("polys", [[[True, 0], [1, 0]]]),
                        ("polys", [[[1, 0, 0], [1, 0]]]), ("lambdas", [10 ** 400])):
         spec = {"kind": "product", "polys": [[[1, 0], [1, 0]]], "lambdas": [1.0], "A": 2}

@@ -83,7 +83,7 @@ def test_on_grid_names_the_first_bad_point(bad):
 def test_closed_form_fixtures():
     inv_log = make_slowly_varying("inv_log")
     assert abs(float(inv_log.value(math.e)) - 1.0) < 1e-12
-    assert abs(float(inv_log.d1(math.e)) + 1.0 / math.e) < 1e-12
+    assert abs(float(inv_log.derivatives(math.e)[0]) + 1.0 / math.e) < 1e-12
     ens = make_slowly_varying("exp_neg_sqrt_log")
     assert abs(float(ens.value(math.e ** 4)) - math.exp(-2.0)) < 1e-12
 
@@ -113,9 +113,9 @@ def test_derivative_consistency(idx):
     gap = _all_gaps()[idx]
     xs = np.exp(np.linspace(math.log(10.0), math.log(1e6), 200))
     h = 1e-4 * xs
-    _check_against_fd(np.asarray(gap.d1(xs)), _fd4(gap.value, xs, h))
-    _check_against_fd(np.asarray(gap.d2(xs)),
-                      _fd4(lambda v: np.asarray(gap.d1(v)), xs, h))
+    d1, d2 = gap.derivatives(xs)
+    _check_against_fd(d1, _fd4(gap.value, xs, h))
+    _check_against_fd(d2, _fd4(lambda v: gap.derivatives(v)[0], xs, h))
 
 
 @pytest.mark.parametrize("idx", range(5))
@@ -124,7 +124,7 @@ def test_positivity_and_small_slope(idx):
     xs = np.exp(np.linspace(math.log(100.0), math.log(1e8), 2000))
     vals = np.asarray(gap.value(xs))
     assert np.all(vals > 0)
-    assert np.all(np.abs(np.asarray(gap.d1(xs))) < 0.5)
+    assert np.all(np.abs(gap.derivatives(xs)[0]) < 0.5)
 
 
 def test_product_trivial_factor_is_inverse_log_power():
@@ -157,7 +157,7 @@ def test_derivatives_match_fourier_oracle():
     gaps = [g for g in _all_gaps() if g.spec is not None] + [three]
     xs = np.exp(np.linspace(math.log(10.0), math.log(1e6), 2000))
     for gap in gaps:
-        for direct, four in zip((gap.d1(xs), gap.d2(xs)), fourier_derivatives(gap, xs)):
+        for direct, four in zip(gap.derivatives(xs), fourier_derivatives(gap, xs)):
             assert np.all(np.abs(direct - four) <= 1e-9 * np.max(np.abs(four)))
 
 
@@ -172,11 +172,26 @@ def test_almost_periodic_rejects_bad_specs():
         AlmostPeriodicGap(polys=((1, 1),), lambdas=(1.0,), exponent=1, mode="product")
     with pytest.raises(ValueError):
         AlmostPeriodicGap(polys=((1, 1),), lambdas=(1.0, 2.0), exponent=2, mode="product")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        AlmostPeriodicGap(polys=((1, 1),), lambdas=(1.0,), exponent=2, mode="bogus")
     # (z - 1)^2 has a double root on the circle: |p|^2 stays below the floor
     # over the whole grid neighbourhood of t = 0
     with pytest.raises(ValueError):
         make_almost_periodic(AlmostPeriodicGap(
             polys=((1, -2, 1),), lambdas=(1.0,), exponent=2, mode="product"))
+
+
+@pytest.mark.parametrize("c, ok", [(0.995, False), (0.99, True)])
+def test_root_floor_edge(c, ok):
+    # |1 - c z|^4 has its least midpoint value 6.5e-10 at c = 0.995, below the
+    # floor 1e-9, and 1.0e-8 at c = 0.99, above it
+    spec = AlmostPeriodicGap(polys=((1, -2 * c, c * c),), lambdas=(1.0,), exponent=2,
+                             mode="product")
+    if ok:
+        assert make_almost_periodic(spec).value(1000.0) > 0
+    else:
+        with pytest.raises(ValueError, match="zero on the unit circle"):
+            make_almost_periodic(spec)
 
 
 def test_diagnostics_inv_log():

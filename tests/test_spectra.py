@@ -54,6 +54,8 @@ def test_phi_moment_span_guard():
     phi = phi_from_poly([1, 1, 1, 1])
     with pytest.raises(ValueError):
         phi_moment(phi, 5000)
+    with pytest.raises(ValueError, match=">= 0"):
+        phi_moment(phi, -1)
 
 
 def test_phi_moment_matches_quadrature():
@@ -71,6 +73,8 @@ def test_construction_moment_product():
     spec = spec_1plusz(n=2)
     assert construction_moment(spec, 2) == 36
     assert construction_moment(spec, 1) == 4
+    with pytest.raises(ValueError, match=">= 0"):
+        construction_moment(spec, -1)
 
 
 def test_construction_moment_sum():
@@ -81,6 +85,8 @@ def test_construction_moment_sum():
     assert construction_moment(spec, 2) == 20
     # E[(X+Y)^4] = 70 + 4*20*2 + 6*6*6 + 4*2*20 + 70
     assert construction_moment(spec, 4) == 676
+    with pytest.raises(ValueError, match=">= 0"):
+        construction_moment(spec, -1)
 
 
 SUM_SPECS = {
@@ -187,6 +193,8 @@ def test_constrained_sum_guards():
     spec = DensitySpec(mode="sum", phis=(phi_from_poly([1, 1]),))
     with pytest.raises(ValueError):
         constrained_frequency_sum(spec, 2)
+    with pytest.raises(ValueError, match=">= 0"):
+        constrained_frequency_sum(spec_1plusz(), -1)
 
 
 def test_l_j_fixtures():
@@ -217,6 +225,9 @@ def test_predicted_moments():
 def test_gauss_moment_ladder():
     for j in (2, 4, 6, 8, 10):
         assert gauss_moment(j) == (j - 1) * gauss_moment(j - 2)
+    assert gauss_moment(3) == 0
+    with pytest.raises(ValueError, match=">= 0"):
+        gauss_moment(-1)
 
 
 def test_density_collapses_to_normal():
@@ -296,6 +307,8 @@ def test_density_moment_is_one_array_rule(monkeypatch, j, evals):
 def test_odd_density_moments_are_zero_and_still_check_the_spec(monkeypatch):
     spec = _product_spec_64()
     assert [density_moment(spec, j).hex() for j in (1, 3, 5, 7)] == ["0x0.0p+0"] * 4
+    with pytest.raises(ValueError, match=">= 0"):
+        density_moment(spec, -1)
     # an odd node count puts a node exactly on the root of 1 + z at t = 1/2
     singular = DensitySpec(mode="product", phis=(phi_from_poly([1, 1]),), quad_points=65)
     with pytest.raises(ValueError, match="singular"):

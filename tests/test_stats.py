@@ -248,6 +248,10 @@ def test_mj_domain_guard():
     loglog = gapwidth.make_slowly_varying("inv_loglog")
     with pytest.raises(ValueError):
         m_j(loglog, 10.0, 100, 2)  # omega > 1 there
+    # omega == 1 exactly: omega log omega = 0, so 1 is outside the domain too
+    one = gapwidth.GapWidth(name="one", jet=lambda L, order: [np.ones_like(L)] * (order + 1))
+    with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
+        m_j(one, 100.0, 50, 2)
 
 
 def test_empirical_distribution_self_normalized():
@@ -340,6 +344,22 @@ def test_ks_distance_nan_and_empty():
     with pytest.raises(ValueError):
         ks_distance(EmpiricalDistribution(sigma=1.0, normalized=np.array([]), moments={}),
                     normal_cdf)
+
+
+def test_ks_distance_evaluates_a_run_whose_bound_is_within_the_margin():
+    # n = 65: the first call takes points 0 and 64 only.  F is 0.5 at 0, v on
+    # 1..63 with v - 1/65 just above 0.5, and two ulps below v at 64, so the
+    # run's bound F_64 - 1/65 is below the max 0.5 by less than _KS_MARGIN
+    # while the skipped term at 1, v - 1/65, is above it
+    n = 65
+    v = 0.5 + 1 / n
+    while v - 1 / n <= 0.5:
+        v = np.nextafter(v, 1.0)
+    table = np.r_[0.5, np.full(n - 2, v), np.nextafter(np.nextafter(v, 0.0), 0.0)]
+    dist = EmpiricalDistribution(sigma=1.0, normalized=np.arange(n, dtype=np.float64), moments={})
+    cdf = lambda a: table[a.astype(np.int64)]
+    assert table[-1] - 1 / n < 0.5 < ks_distance_full(dist, cdf)
+    assert ks_distance(dist, cdf).hex() == ks_distance_full(dist, cdf).hex()
 
 
 def _cdf_calls(dist, cdf):

@@ -163,6 +163,8 @@ def test_sum_sqrt_fixtures():
         sum_sqrt_is_zero([1, 2], [2, 3])
     with pytest.raises(ValueError):
         sum_sqrt_is_zero([1, -1], [2, 0])
+    with pytest.raises(ValueError, match="equal length"):
+        sum_sqrt_is_zero([1], [2, 3])
 
 
 def test_sum_sqrt_small_exhaustive_vs_float():
