@@ -42,10 +42,10 @@ _MAX_K = 1 << 26
 
 _BRUTE_RADIUS_CAP = 60.0
 
-# Nonzero slices per kernel pass, 512 KB per float64 buffer (_buffers).  The
-# pass does not stay in a 2 MiB L2: a count pass touches about 1.6 MB of
-# buffers plus 384 KB of m and r2 slices, a sawtooth pass all six buffers
-# (2.6 MB).  Chunks of 2^15 and 2^17 slices measured no faster.
+# Nonzero slices per kernel pass, 512 KB per float64 buffer (_buffers).  Both
+# kernels touch the same three buffers (1.1 MB) plus 384 KB of m and r2
+# slices, inside a 2 MiB L2.  Chunks of 2^15 slices measured no faster and
+# chunks of 2^17 slower.
 _KERNEL_CHUNK = 1 << 16
 
 # Half-width of the near-integer band that gets re-checked in exact integer
@@ -133,12 +133,9 @@ def check_float_exactness(x: RadiusPoint) -> None:
 class _Buffers(NamedTuple):
     """One thread's buffers for _ball_pass, _KERNEL_CHUNK entries each."""
 
-    s: np.ndarray     # float64 sqrt(x^4 - m^2)
-    w: np.ndarray     # float64 m Q^2, k^2 + m Q^2, then |rint(s) - s|
+    s: np.ndarray     # float64 sqrt(x^4 - m^2), then psi and r2 psi (sawtooth)
+    w: np.ndarray     # float64 m Q^2, k^2 + m Q^2, |rint(s) - s|, floors, r2 floors
     near: np.ndarray  # bool band mask
-    t: np.ndarray     # int64 floors, then r2-weighted floors
-    psi: np.ndarray   # float64 floors, psi, then psi products (sawtooth only)
-    q: np.ndarray     # float64 scratch of exact_parts
 
 
 _local = threading.local()
@@ -152,9 +149,7 @@ def _buffers() -> _Buffers:
     if bufs is None or len(bufs.s) != _KERNEL_CHUNK:
         n = _KERNEL_CHUNK
         bufs = _local.bufs = _Buffers(s=np.empty(n), w=np.empty(n),
-                                      near=np.empty(n, dtype=bool),
-                                      t=np.empty(n, dtype=np.int64),
-                                      psi=np.empty(n), q=np.empty(n))
+                                      near=np.empty(n, dtype=bool))
     return bufs
 
 
@@ -166,11 +161,13 @@ def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]
     (k^2 - mQ^2)(k^2 + mQ^2), scaled by 1/Q^2.  Both factors are exact
     float64 integers (k^2 <= 2^52 by the numerator cap, and mQ^2 <= k^2), so
     only the product, the sqrt, 1/Q^2 and the scaling round: at most 4u x^2
-    (check_float_exactness).  The floors f of s are re-done as
+    (check_float_exactness).  The float64 floors f of s are re-done as
     isqrt(k^4 - m^2 Q^4) // Q^2 in the band, the entries within _BAND of an
-    integer.  The m = 0 slice is 2 floor(x^2) + 1; each chunk adds the int64
-    sums 2 sum r2 f + sum r2.  With sawtooth, psi = s - f - 1/2, from integers
-    (_psi_exact) in the band, and the products r2 psi go to exact partial sums
+    integer.  The m = 0 slice is 2 floor(x^2) + 1; each chunk adds
+    2 sum r2 f + sum r2, the first in float64, exact as each f is an integer
+    <= floor(x^2): a chunk where floor(x^2) sum r2 reaches 2^53 raises
+    ValueError.  With sawtooth, psi = s - f - 1/2, from integers (_psi_exact)
+    in the band, and the products r2 psi go to exact partial sums
     (arith.exact_parts) that one fsum rounds, so neither result depends on
     _KERNEL_CHUNK.  Raises before the first chunk when x is past the float
     exactness bound or the table does not reach floor(x^2).
@@ -188,8 +185,11 @@ def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]
     n = r2.nonzero_count_upto(mmax)
     for lo in range(0, n, _KERNEL_CHUNK):
         hi = min(n, lo + _KERNEL_CHUNK)
-        w, s, near, t = bufs.w[:hi - lo], bufs.s[:hi - lo], bufs.near[:hi - lo], bufs.t[:hi - lo]
+        w, s, near = bufs.w[:hi - lo], bufs.s[:hi - lo], bufs.near[:hi - lo]
         m, v = r2.nonzero_m[lo:hi], r2.nonzero_values[lo:hi]
+        r2_sum = int(v.sum(dtype=np.int64))
+        if mmax * r2_sum >= 1 << 53:
+            raise ValueError(f"floor(x^2) * chunk r2 sum = {mmax * r2_sum} reaches 2^53")
         np.multiply(m, fq2, out=w)
         np.subtract(fk2, w, out=s)
         w += fk2
@@ -200,22 +200,20 @@ def _ball_pass(x: RadiusPoint, r2: R2Table, sawtooth: bool) -> tuple[int, float]
         w -= s
         np.less(np.abs(w, out=w), _BAND, out=near)
         idx = np.flatnonzero(near)
-        band = [(i, k4 - mi * mi * Q4) for i, mi in zip(idx.tolist(), m[idx].tolist())]
-        if sawtooth:  # psi from float floors: one float-to-int cast per chunk, not two
-            psi = np.floor(s, out=bufs.psi[:hi - lo])
-            np.copyto(t, psi, casting="unsafe")
-            np.subtract(s, psi, out=psi)
-            psi -= 0.5
-            for i, d in band:
-                psi[i] = _psi_exact(d, Q2)
-            psi *= v
-            parts.extend(exact_parts(psi, bufs.q[:hi - lo]))
-        else:
-            np.copyto(t, s, casting="unsafe")  # s >= 0, so truncation is the floor
-        for i, d in band:
-            t[i] = math.isqrt(d) // Q2
-        t *= v
-        total += 2 * int(t.sum()) + int(v.sum(dtype=np.int64))
+        np.floor(s, out=w)  # w is spent again
+        if sawtooth:
+            s -= w
+            s -= 0.5
+        for i, mi in zip(idx.tolist(), m[idx].tolist()):
+            d = k4 - mi * mi * Q4
+            w[i] = math.isqrt(d) // Q2
+            if sawtooth:
+                s[i] = _psi_exact(d, Q2)
+        w *= v
+        total += 2 * int(w.sum()) + r2_sum
+        if sawtooth:
+            s *= v
+            parts.extend(exact_parts(s, w))  # w, summed, is its scratch
     return total, math.fsum(parts)
 
 

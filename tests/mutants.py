@@ -1,10 +1,11 @@
-"""Mutants of the exactness argument and the numerator cap, the r2 sieve's
-axis and diagonal counts, the outer-radius snap, the gap-width rule and its
-root floor, m_j's domain, the sample grid's density cap, the main series'
-prefactor, the mixture evaluator's column gather, its singular-node floor
-and quadrature rules, the exact moments' digit headroom, the diagonal sum's
-d4, the diagnostics' cond3a ratio, the normal CDF's branch choice and the KS
-distance's pruning bound and margin, run against the tier-1 suite.
+"""Mutants of the exactness argument, the numerator cap and the 2^53 bound on
+the kernel's float64 floor sums, the r2 sieve's axis and diagonal counts,
+the outer-radius snap, the gap-width rule and its root floor, m_j's domain,
+the sample grid's density cap, the main series' prefactor, the mixture
+evaluator's column gather, its singular-node floor and quadrature rules, the
+exact moments' digit headroom, the diagonal sum's d4, the diagnostics'
+cond3a ratio, the normal CDF's branch choice and the KS distance's pruning
+bound and margin, run against the tier-1 suite.
 
     python tests/mutants.py [name ...]
 
@@ -44,8 +45,13 @@ MUTANTS = {
     "float bound _BAND / 4 -> _BAND * 4": ("src/cygshell/counting.py", ">= _BAND / 4:",
                                            ">= _BAND * 4:"),
     "band psi left as the float psi": ("src/cygshell/counting.py",
-                                       "                psi[i] = _psi_exact(d, Q2)\n",
+                                       "                s[i] = _psi_exact(d, Q2)\n",
                                        "                pass\n"),
+    "band floor left as the float floor": ("src/cygshell/counting.py",
+                                           "            w[i] = math.isqrt(d) // Q2\n",
+                                           "            pass\n"),
+    "floor-sum bound dropped": ("src/cygshell/counting.py", "if mmax * r2_sum >= 1 << 53:",
+                                "if False:"),
     "_psi_exact without its third Newton step": ("src/cygshell/counting.py",
                                                  "    s1 = 0.5 * (s1 + v / s1)\n    frac = ",
                                                  "    frac = "),

@@ -372,6 +372,25 @@ def test_float_exactness_bound():
             kernel(RadiusPoint(24_000, 1), small)
 
 
+def test_floor_sums_stop_before_2_53():
+    # one full chunk, m = 32, 64, ..., 2^21 at r2 = 65 535: floor(x^2) sum r2
+    # stays below 2^53 up to floor(x^2) = edge, where the sum of r2 floors
+    # passes 2^52, so a rounded partial sum would show
+    m = np.arange(1, 65_537, dtype=np.uint32) * 32
+    v = np.full(m.size, 65_535, dtype=np.uint16)
+    assert m.size == counting._KERNEL_CHUNK
+    edge = (1 << 53) // (m.size * 65_535)
+    table = arith.R2Table(edge + 1, m, v)
+    below, above = (RadiusPoint(math.isqrt(y << 24) + 1, 4096) for y in (edge, edge + 1))
+    assert (below.floor_sq, above.floor_sq) == (edge, edge + 1)
+    expected = count_ball_isqrt(below, table)
+    assert counting.count_ball_fast(below, table) == expected
+    assert counting.sawtooth_ball_sum(below, table)[0] == expected
+    for kernel in (counting.count_ball_fast, counting.sawtooth_ball_sum):
+        with pytest.raises(ValueError, match=r"reaches 2\^53"):
+            kernel(above, table)
+
+
 def test_radius_cap():
     with pytest.raises(OverflowError):
         RadiusPoint((1 << 26) + 1, 1)

@@ -2,7 +2,8 @@
 code blocks parses with the CLI's own parser (nothing is run), its JSON
 spec block builds as both a gap width and a density spec, every
 backticked `module.name` in its prose names an attribute of the package,
-and the per-node and per-point memory estimates it quotes are the code's."""
+and the per-node, per-point and per-chunk-entry memory estimates it quotes
+are the code's."""
 
 import importlib
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cygshell import cli, gapwidth, spectra
+from cygshell import cli, counting, gapwidth, spectra
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.M | re.S)
@@ -60,7 +61,8 @@ def test_readme_name_resolves(name):
 @pytest.mark.parametrize("phrase, constant", [
     (r"at (\d+) B per node", spectra._GRID_BYTES_PER_NODE),
     (r"at (\d+) B per `--scan-points` point", gapwidth._SCAN_BYTES_PER_POINT),
-], ids=["grid node", "scan point"])
+    (r"at (\d+) B per chunk entry", sum(b.itemsize for b in counting._buffers())),
+], ids=["grid node", "scan point", "kernel chunk entry"])
 def test_readme_memory_estimates_match_the_code(phrase, constant):
     quoted = re.findall(phrase.replace(" ", r"\s+"), README)
     assert quoted and all(int(q) == constant for q in quoted), (phrase, quoted, constant)
