@@ -87,12 +87,20 @@ def _parse_radius(text: str) -> counting.RadiusPoint:
     return counting.RadiusPoint(k=round(value * 64), Q=64)
 
 
+def _read(flag: str, path: str) -> str:
+    """The UTF-8 text of the input file a flag names; ValueError (exit 2) if unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {flag} {path}: {exc}") from None
+
+
 def _gap_json(args) -> dict:
     """The gap-width spec: the --config file's first, else --omega-spec, else --omega."""
     if args.config:
-        return ExperimentConfig.from_json(Path(args.config).read_text()).omega
+        return ExperimentConfig.from_json(_read("--config", args.config)).omega
     if args.omega_spec:
-        return json.loads(Path(args.omega_spec).read_text())
+        return json.loads(_read("--omega-spec", args.omega_spec))
     return {"kind": args.omega}
 
 
@@ -100,24 +108,38 @@ def _config_from_args(args) -> ExperimentConfig:
     """The experiment a sampling command runs.
 
     A --config file wins over the flags; otherwise the fields come from the
-    flags this subcommand registers, with the gap width from _gap_json.
-    --out, when given, replaces the config's out.
+    flags given (one left out takes the ExperimentConfig default), with the
+    gap width from _gap_json.  --out, when given, replaces the config's out,
+    which must not be, or lie under, an existing non-directory.
     """
     if args.config:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+        cfg = ExperimentConfig.from_json(_read("--config", args.config))
     else:
         flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                  if f.name not in ("omega", "out") and hasattr(args, f.name)}
         cfg = ExperimentConfig(omega=_gap_json(args), **flags)
-    return cfg if args.out is None else replace(cfg, out=args.out)
+    cfg = cfg if args.out is None else replace(cfg, out=args.out)
+    out = Path(cfg.out)
+    if not next((p for p in (out, *out.parents) if p.exists()), out).is_dir():
+        raise ValueError(f"out {cfg.out} is, or lies under, an existing non-directory")
+    return cfg
 
 
-def _experiment(cfg: ExperimentConfig, sawtooth: bool = False):
-    """The one run path of sample, moments and expand: the gap width, sample
-    grid, r2 table and shell samples.  The table reaches the fast series
-    cutoff, or in exact mode floor(x^2) of the largest snapped outer radius,
-    checked first: a radius past the exactness cap or the float exactness
-    bound fails before the table is allocated."""
+def _artifact_dir(cfg: ExperimentConfig) -> Path:
+    """cfg.out, made if missing."""
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    return Path(cfg.out)
+
+
+def _experiment(args, sawtooth: bool = False):
+    """The one run path of sample, moments and expand: the config, gap
+    width, sample grid, r2 table and shell samples.  sawtooth (expand) runs
+    exact shells whatever the config's mode.  The table reaches the fast
+    series cutoff, or in exact mode floor(x^2) of the largest snapped outer
+    radius, checked first: a radius past the exactness cap or the float
+    exactness bound fails before the table is allocated."""
+    cfg = _config_from_args(args)
+    cfg = replace(cfg, mode="exact") if sawtooth else cfg
     omega = gapwidth.gap_from_json(cfg.omega)
     grid = stats.SampleGrid(X=cfg.X, S=cfg.samples, Q=cfg.Q, phase=cfg.phase)
     limit = stats.fast_cutoff(cfg.X)
@@ -128,18 +150,22 @@ def _experiment(cfg: ExperimentConfig, sawtooth: bool = False):
         counting.check_float_exactness(top)
         limit = top.floor_sq
     r2 = arith.build_r2(limit)
-    return omega, grid, r2, stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads, sawtooth)
+    rows = stats.sample_shells(omega, grid, r2, cfg.mode, cfg.threads, sawtooth)
+    return cfg, omega, grid, r2, rows
 
 
 def _distribution(cfg: ExperimentConfig, omega, grid, rows, m2: float | None = None):
-    """The empirical distribution of the rows' normalized errors.  ValueError
-    (exit 2, before any artifact is written) when the sample has no spread,
-    as when every row realises a zero gap (a gap width below half the snap
-    step 1/(64 Q) snaps to 0), or when the given m_2 underflows to 0."""
+    """The empirical distribution of the rows' normalized errors, and the
+    summary header of sample and moments: X, S, sigma^2 and the moments.
+    ValueError (exit 2, before any artifact is written) when the sample has
+    no spread, as when every row realises a zero gap (a gap width below half
+    the snap step 1/(64 Q) snaps to 0), or when the given m_2 underflows to 0."""
     values = [s.normalized for s in rows]
     sigma2 = stats.variance_sigma2(values)
     if sigma2 > 0.0 and (m2 is None or m2 > 0.0):
-        return stats.EmpiricalDistribution.from_samples(values, j_max=cfg.j_max)
+        dist = stats.EmpiricalDistribution.from_samples(values, j_max=cfg.j_max)
+        return dist, {"X": cfg.X, "S": cfg.samples, "sigma2": dist.sigma ** 2,
+                      "moments": {str(j): dist.moments[j] for j in sorted(dist.moments)}}
     what = f"sigma^2 = {sigma2:g}" + ("" if m2 is None else f", m2 = {m2:g}")
     top = float(np.max(omega.value(grid.xs)))
     raise ValueError(f"the sample has no spread ({what}): the largest gap width on the "
@@ -163,59 +189,36 @@ def cmd_count(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = _config_from_args(args)
-    omega, grid, _, rows = _experiment(cfg)
-    dist = _distribution(cfg, omega, grid, rows)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, omega, grid, _, rows = _experiment(args)
+    dist, summary = _distribution(cfg, omega, grid, rows)
+    ks = stats.ks_distance(dist, stats.normal_cdf)
+    out = _artifact_dir(cfg)
     stats.write_samples_csv(out / "samples.csv", rows)
     stats.write_distribution_csv(out / "distribution.csv", dist)
-    ks = stats.ks_distance(dist, stats.normal_cdf)
-    summary = {"X": cfg.X, "S": cfg.samples, "sigma2": dist.sigma ** 2,
-               "moments": {str(j): dist.moments[j] for j in sorted(dist.moments)},
-               "ks_normal": ks}
-    (out / "summary.json").write_text(stats.dump_json(summary))
+    (out / "summary.json").write_text(stats.dump_json(summary | {"ks_normal": ks}))
     print(f"wrote {out}/samples.csv, distribution.csv, summary.json (ks_normal={ks:.4f})")
     return EXIT_OK
 
 
 def cmd_moments(args) -> int:
-    cfg = _config_from_args(args)
-    omega, grid, _, rows = _experiment(cfg)
+    cfg, omega, grid, _, rows = _experiment(args)
     m2 = stats.m_j(omega, cfg.X, cfg.samples, 2)
-    dist = _distribution(cfg, omega, grid, rows, m2)
-    summary = {
-        "X": cfg.X,
-        "S": cfg.samples,
-        "mode": cfg.mode,
-        "sigma2": dist.sigma ** 2,
-        "m2": m2,
-        "variance_ratio_32m2": dist.sigma ** 2 / (32.0 * m2),
-        "moments": {str(j): dist.moments[j] for j in sorted(dist.moments)},
-        "predicted_even_moments": {
-            str(j): spectra.predicted_moment(None, j) for j in range(2, cfg.j_max + 1, 2)
-        },
-    }
-    text = stats.dump_json(summary)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "moments.json").write_text(text)
+    dist, summary = _distribution(cfg, omega, grid, rows, m2)
+    text = stats.dump_json(summary | {
+        "mode": cfg.mode, "m2": m2, "variance_ratio_32m2": dist.sigma ** 2 / (32.0 * m2),
+        "predicted_even_moments": {str(j): spectra.predicted_moment(None, j)
+                                   for j in range(2, cfg.j_max + 1, 2)}})
+    (_artifact_dir(cfg) / "moments.json").write_text(text)
     print(text)
     return EXIT_OK
 
 
 def cmd_expand(args) -> int:
-    cfg = replace(_config_from_args(args), mode="exact")  # expand always counts exactly
-    _, _, r2, samples = _experiment(cfg, sawtooth=True)
+    cfg, _, _, r2, samples = _experiment(args, sawtooth=True)
     rhs = voronoi.expansion_rhs(samples, cfg.X, r2, cfg.threads).tolist()
     rows = [(s.x, s.normalized, r, abs(s.normalized - r)) for s, r in zip(samples, rhs)]
     resid = np.array([r[3] for r in rows])
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "expansion.csv", "w", encoding="utf-8") as fh:
-        fh.write("x,ehat,rhs,residual\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    stats.write_csv(_artifact_dir(cfg) / "expansion.csv", ("x", "ehat", "rhs", "residual"), rows)
     summary = {"X": cfg.X, "S": cfg.samples,
                "median_residual": float(np.median(resid)),
                "q95_residual": float(np.quantile(resid, 0.95))}
@@ -227,9 +230,9 @@ def cmd_density(args) -> int:
     alphas = [float(a) for a in args.alpha]
     if not all(math.isfinite(a) for a in alphas):
         raise ValueError(f"--alpha must be finite, got {' '.join(args.alpha)}")
-    spec_obj = json.loads(Path(args.spec).read_text())
+    spec_obj = json.loads(_read("--spec", args.spec))
     spec = gapwidth.density_spec_from_json(spec_obj, quad_points=args.quad_points)
-    values = dict(zip((format(a, ".17g") for a in alphas),
+    values = dict(zip(map(stats._fmt, alphas),
                       spectra.density_eval(spec, np.array(alphas)).tolist()))
     summary = {
         "density": values,
@@ -367,38 +370,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("fast", "brute", "both"), default="fast")
     p.set_defaults(fn=cmd_count)
 
-    def sampling_flags(p):
-        p.add_argument("--omega", default="inv_log",
-                       choices=gapwidth.SLOWLY_VARYING_KINDS)
+    for name, fn, what in (("sample", cmd_sample, "sample normalized shell errors over (X, 2X)"),
+                           ("moments", cmd_moments, "variance and moment summary of the samples"),
+                           ("expand", cmd_expand, "residuals of the trigonometric expansion")):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--omega", default="inv_log", choices=gapwidth.SLOWLY_VARYING_KINDS)
         p.add_argument("--omega-spec", help="JSON gap-width spec file")
         p.add_argument("--config", help="ExperimentConfig JSON file; replaces every flag but --out")
         p.add_argument("--X", type=float, default=100.0)
         p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--Q", type=int, default=64)
-        p.add_argument("--phase", type=float, default=0.5)
-        p.add_argument("--threads", type=int, default=1,
+        # the flags below set nothing when left out: ExperimentConfig holds their defaults
+        p.add_argument("--Q", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--phase", type=float, default=argparse.SUPPRESS)
+        p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                        help=f"most threads a run may use, 1 to {voronoi.MAX_THREADS}: exact shells "
                             "and the points of each main series call (fast-mode samples, "
                             "expand) are split over them; the artifacts do not depend on it")
+        if fn is not cmd_expand:  # expand always counts exact shells
+            p.add_argument("--mode", choices=("exact", "fast"), default=argparse.SUPPRESS)
+            p.add_argument("--j-max", dest="j_max", type=int, default=argparse.SUPPRESS)
         p.add_argument("--out", help="artifact directory (default: the config's, else .)")
-
-    def mode_flags(p):
-        p.add_argument("--mode", choices=("exact", "fast"), default="exact")
-        p.add_argument("--j-max", dest="j_max", type=int, default=4)
-
-    p = sub.add_parser("sample", help="sample normalized shell errors over (X, 2X)")
-    sampling_flags(p)
-    mode_flags(p)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("moments", help="variance and moment summary of the samples")
-    sampling_flags(p)
-    mode_flags(p)
-    p.set_defaults(fn=cmd_moments)
-
-    p = sub.add_parser("expand", help="residuals of the trigonometric expansion")
-    sampling_flags(p)
-    p.set_defaults(fn=cmd_expand)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("density", help="limiting mixture density evaluation")
     p.add_argument("--spec", required=True, help="JSON density spec file")
@@ -423,7 +415,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OverflowError, FileNotFoundError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

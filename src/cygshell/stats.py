@@ -35,6 +35,7 @@ __all__ = [
     "ks_distance",
     "normal_cdf",
     "mixture_cdf",
+    "write_csv",
     "write_samples_csv",
     "write_distribution_csv",
     "dump_json",
@@ -85,6 +86,7 @@ class SampleGrid:
             raise ValueError("grid denser than the snapping lattice allows")
         lo = (math.floor(self.X * self.Q) + 1) | 1    # least odd numerator above XQ
         hi = (math.ceil(2 * self.X * self.Q) - 2) | 1  # greatest odd numerator below 2XQ
+        RadiusPoint(k=hi, Q=self.Q)  # the exactness cap, checked before any point is built
         ks = []
         for i in range(self.S):
             u = ((i + 1) * _GOLDEN + self.phase) % 1.0
@@ -311,24 +313,27 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """A CSV artifact: the header line, then one line per row, a float in 17
+    significant digits, an int in digits and None as an empty field."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else str(v) if isinstance(v, int) else _fmt(v)
+                              for v in row) + "\n")
+
+
 def write_samples_csv(path, rows) -> None:
     """Per-sample dump: x, omega_x, shell_count, error, normalized.
 
     Rows are ShellSample objects; fast-mode rows carry an empty shell_count.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,omega_x,shell_count,error,normalized\n")
-        for s in rows:
-            count = "" if s.shell_count is None else str(s.shell_count)
-            fh.write(f"{_fmt(s.x)},{_fmt(s.omega_x)},{count},"
-                     f"{_fmt(s.error)},{_fmt(s.normalized)}\n")
+    write_csv(path, ("x", "omega_x", "shell_count", "error", "normalized"),
+              ((s.x, s.omega_x, s.shell_count, s.error, s.normalized) for s in rows))
 
 
 def write_distribution_csv(path, dist: EmpiricalDistribution) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("normalized\n")
-        for v in dist.normalized:
-            fh.write(_fmt(v) + "\n")
+    write_csv(path, ("normalized",), ((v,) for v in dist.normalized.tolist()))
 
 
 def dump_json(obj) -> str:

@@ -1,11 +1,12 @@
 """Mutants of the exactness argument, the numerator cap and the 2^53 bound on
-the kernel's float64 floor sums, the r2 sieve's axis and diagonal counts,
-the outer-radius snap, the gap-width rule and its root floor, m_j's domain,
-the sample grid's density cap, the main series' prefactor, the mixture
+the kernel's float64 floor sums, the r2 sieve's axis and diagonal counts, the
+outer-radius snap, the gap-width rule and its root floor, m_j's domain, the
+sample grid's density cap and its early exactness-cap check, expand's exact
+mode, the artifacts' 17-digit floats, the main series' prefactor, the mixture
 evaluator's column gather, its singular-node floor and quadrature rules, the
-exact moments' digit headroom, the diagonal sum's d4, the diagnostics'
-cond3a ratio, the normal CDF's branch choice and the KS distance's pruning
-bound and margin, run against the tier-1 suite.
+exact moments' digit headroom, the diagonal sum's d4, the diagnostics' cond3a
+ratio, the normal CDF's branch choice and the KS distance's pruning bound and
+margin, run against the tier-1 suite.
 
     python tests/mutants.py [name ...]
 
@@ -66,6 +67,15 @@ MUTANTS = {
                                       "self.k > _MAX_K + 1:"),
     "SampleGrid cap S <= XQ/2": ("src/cygshell/stats.py", "self.S > self.X * self.Q / 4:",
                                  "self.S > self.X * self.Q / 2:"),
+    "SampleGrid cap checked only at its points": (
+        "src/cygshell/stats.py",
+        "        RadiusPoint(k=hi, Q=self.Q)  # the exactness cap, checked before any point is built\n",
+        ""),
+    "expand keeps the config's mode": ("src/cygshell/cli.py",
+                                       'cfg = replace(cfg, mode="exact") if sawtooth else cfg',
+                                       "cfg = cfg"),
+    "_fmt .17g -> .16g": ("src/cygshell/stats.py", 'format(float(value), ".17g")',
+                          'format(float(value), ".16g")'),
     "_SINGULAR_NODE_FLOOR = 0": ("src/cygshell/spectra.py", "_SINGULAR_NODE_FLOOR = 1e-9",
                                  "_SINGULAR_NODE_FLOOR = 0.0"),
     "_power_centre headroom + 1": ("src/cygshell/spectra.py", ".bit_length() + 2",

@@ -411,6 +411,65 @@ def test_commands_leave_the_on_demand_columns_unbuilt(tmp_path, monkeypatch, arg
     assert not {"values", "nonzero_prefix", "nonzero_sqrt"} & tables[0].__dict__.keys()
 
 
+@pytest.mark.parametrize("command", ["sample", "moments", "expand"])
+def test_config_defaults_are_not_argparse_defaults(command):
+    args = cli.build_parser().parse_args([command])
+    assert not {"Q", "phase", "threads", "mode", "j_max"} & vars(args).keys()
+
+
+def test_expand_counts_exactly_under_a_fast_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(ExperimentConfig(omega={"kind": "inv_log"}, X=60.0, samples=30,
+                                         mode="fast").to_json())
+    assert main(["expand", "--config", str(cfg_path), "--out", str(tmp_path / "cfg")]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["expand", "--X", "60", "--samples", "30", "--out", str(tmp_path / "flags")]) == 0
+    assert capsys.readouterr().out == from_config
+    assert ((tmp_path / "cfg" / "expansion.csv").read_bytes()
+            == (tmp_path / "flags" / "expansion.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["sample", "moments", "expand"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_not_a_directory_exits_2_before_table(tmp_path, monkeypatch, capsys,
+                                                  command, route, under):
+    def build_r2(limit):
+        raise AssertionError(f"build_r2({limit}) called for a bad --out")
+
+    monkeypatch.setattr(arith, "build_r2", build_r2)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = str(blocker / "sub" if under else blocker)
+    cfg = ExperimentConfig(omega={"kind": "inv_log"}, X=30.0, samples=20, mode="fast", out=out)
+    (tmp_path / "cfg.json").write_text(cfg.to_json())
+    argv = ([command, "--config", str(tmp_path / "cfg.json")] if route == "config" else
+            [command, "--X", "30", "--samples", "20", "--out", out])
+    assert main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: out {out} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [["sample", "--config"], ["sample", "--omega-spec"],
+                                  ["diagnose", "--config"], ["density", "--spec"]],
+                         ids=["config", "omega-spec", "diagnose-config", "spec"])
+def test_input_directory_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = argv + [str(tmp_path)] + (["--out", str(out)] if argv[0] == "sample" else [])
+    assert main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {argv[1]} {tmp_path}: ")
+    assert captured.out == "" and not out.exists()
+
+
+def test_input_file_not_utf8_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(b'{"kind": "product", "polys": [[[1, 0]]] \xff}')
+    assert main(["density", "--spec", str(spec_path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read --spec {spec_path}: ")
+
+
 def test_sample_command_deterministic(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"

@@ -66,6 +66,19 @@ def test_grid_validation():
         SampleGrid(X=100.0, S=10, Q=0)
 
 
+def test_grid_checks_the_exactness_cap_before_any_point():
+    # S = 10^5 passes the density cap XQ/4 = 1.6e10, but every numerator
+    # lies past 2^26: the grid must fail before it builds them
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match="exactness cap"):
+            SampleGrid(X=1e9, S=10**5, Q=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_sample_errors_contract(r2_200k, inv_log):
     grid = SampleGrid(X=60.0, S=40, Q=64)
     vals = sample_errors(inv_log, grid, r2_200k, mode="exact")
